@@ -17,7 +17,6 @@ from .core import (
     frames_from_array,
     normalize_stream,
     read_sensor_csv,
-    release_ready,
     write_sensor_csv,
 )
 from .detect import (
@@ -38,10 +37,9 @@ from .detect import (
 )
 from .linalg import (
     CovarianceWindow,
-    PowerIterationResult,
-    power_iteration,
     sample_covariance,
     top_singular_vector,
+    window_top_vectors,
 )
 from .sim import (
     OneShotSpec,

@@ -6,8 +6,9 @@ asynchronous detector over a CSV and writes report/trajectory files, and
 ``curve`` sweeps thresholds into an (ARL, EDD) operating-curve CSV.
 
 Options may come from a ``key=value`` config file (``--config``); explicit
-flags win. Exit codes: 0 success, 1 validation, 2 I/O, 3 numerical
-non-convergence.
+flags win. Exit codes: 0 success, 1 validation, 2 I/O (including malformed
+or non-finite CSV cells), 3 numerical failure (a non-finite covariance, e.g.
+from overflow, or a failed eigendecomposition).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import detect as det
 from . import sim
 from .core import ScenarioModel, Waveform, normalize_stream, read_sensor_csv, write_sensor_csv
-from .errors import CsvFormatError, PowerIterationError, ValidationError
+from .errors import CsvFormatError, NumericalError, ValidationError
 
 __all__ = ["main", "build_parser"]
 
@@ -384,7 +385,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PowerIterationError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, LookupError) as exc:

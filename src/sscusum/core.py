@@ -33,7 +33,6 @@ __all__ = [
     "SpikedStats",
     "normalize_stream",
     "align_frames",
-    "release_ready",
     "frames_from_array",
     "read_sensor_csv",
     "write_sensor_csv",
@@ -131,13 +130,6 @@ class LookaheadBuffer:
         if self.emitted_t is None:
             raise InsufficientLookaheadError("no frame has been released yet")
         return list(self._frames)
-
-
-def release_ready(
-    buffer: LookaheadBuffer, frame: MultiSensorFrame
-) -> MultiSensorFrame | None:
-    """Absorb ``frame`` into ``buffer``; emit the frame at (newest t - w) once available."""
-    return buffer.push(frame)
 
 
 @dataclass(frozen=True)
@@ -377,8 +369,9 @@ def write_sensor_csv(path, streams: np.ndarray, t0: int = 1) -> None:
 def read_sensor_csv(path) -> tuple[int, np.ndarray]:
     """Read the sensor dump schema; returns (t0, streams) with shape (k, n).
 
-    Ticks must be strictly increasing and consecutive; missing cells are
-    forbidden. Errors carry the offending line number.
+    Ticks must be strictly increasing and consecutive; missing and
+    non-finite (nan, inf) cells are forbidden. Errors carry the offending
+    line number.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -394,7 +387,8 @@ def read_sensor_csv(path) -> tuple[int, np.ndarray]:
         if header != expected:
             raise CsvFormatError(f"expected header {expected}, got {header}", line=1)
         k = len(header) - 1
-        ticks: list[int] = []
+        prev: int | None = None
+        lines: list[int] = []
         rows: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -406,17 +400,20 @@ def read_sensor_csv(path) -> tuple[int, np.ndarray]:
                 vals = [float(cell) for cell in row[1:]]
             except ValueError as exc:
                 raise CsvFormatError(str(exc), line=lineno) from None
-            if ticks:
-                if t <= ticks[-1]:
+            if prev is not None:
+                if t <= prev:
                     raise CsvFormatError(
-                        f"tick {t} not strictly increasing after {ticks[-1]}", line=lineno
+                        f"tick {t} not strictly increasing after {prev}", line=lineno
                     )
-                if t != ticks[-1] + 1:
-                    raise CsvFormatError(
-                        f"gap in ticks: {ticks[-1]} followed by {t}", line=lineno
-                    )
-            ticks.append(t)
+                if t != prev + 1:
+                    raise CsvFormatError(f"gap in ticks: {prev} followed by {t}", line=lineno)
+            prev = t
+            lines.append(lineno)
             rows.append(vals)
     if not rows:
         raise CsvFormatError("no data rows", line=2)
-    return ticks[0], np.asarray(rows, dtype=float).T
+    data = np.asarray(rows, dtype=float)
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        raise CsvFormatError("non-finite reading", line=lines[int(bad.argmax())])
+    return prev - len(rows) + 1, data.T

@@ -11,6 +11,10 @@ running statistic reaches b":
 * a decentralized one-shot baseline, where every sensor runs its own scalar
   CUSUM with known mean shift and the first local alarm stops the system.
 
+Every direction comes from the batched eigendecomposition kernel in
+:mod:`sscusum.linalg`: the streaming detector calls it with one window per
+frame, the asynchronous pipeline with every window of a sync segment at once.
+
 Drift selection comes in two forms: a closed-form admissible interval from
 the large-window theory, and an empirical rule (factor times the observed
 pre-change mean of the squared projections).
@@ -29,26 +33,14 @@ from .core import (
     DelayProfile,
     LookaheadBuffer,
     MultiSensorFrame,
-    align_frames,
 )
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     IndependenceViolationError,
 )
-from .linalg import default_max_iter, power_iteration, sample_covariance
+from .linalg import BLOCK, window_increments, window_top_vectors
 from .sync import joint_estimate
-
-# Streaming paths see the occasional window whose top two eigenvalues nearly
-# tie; power iteration then needs far more steps than the per-call default
-# budget, so detectors run with this floor unless told otherwise.
-PIPELINE_MAX_ITER = 200_000
-
-
-def _pipeline_budget(k: int, tol: float, max_iter: int | None) -> int:
-    if max_iter is not None:
-        return max_iter
-    return max(default_max_iter(k, tol), PIPELINE_MAX_ITER)
 
 __all__ = [
     "CusumState",
@@ -196,31 +188,20 @@ class SubspaceCusum:
     Each pushed frame is absorbed; once a frame's w future samples are all
     buffered it is released, a direction is extracted from that future
     window, and the statistic advances. The buffer is the structural
-    guarantee that the direction never sees the scored sample.
+    guarantee that the direction never sees the scored sample. The future
+    window itself is kept as a (w, k) ring of samples: the covariance does
+    not depend on sample order, so each frame overwrites the oldest row.
     """
 
     name = "subspace"
 
-    def __init__(
-        self,
-        w: int,
-        d: float,
-        b: float = math.inf,
-        *,
-        tol: float = 1e-10,
-        max_iter: int | None = None,
-        warm_start: bool = True,
-    ):
+    def __init__(self, w: int, d: float, b: float = math.inf):
         if w < 1:
             raise ValueError("subspace detector needs lookahead w >= 1")
         self.lookahead = int(w)
         self.buffer = LookaheadBuffer(w)
         self.state = CusumState(d=float(d), b=float(b))
-        self.tol = tol
-        self.max_iter = max_iter
-        self.warm_start = warm_start
-        self._u_prev: np.ndarray | None = None
-        self.last_u: np.ndarray | None = None
+        self._ring: np.ndarray | None = None
 
     @property
     def d(self) -> float:
@@ -228,30 +209,21 @@ class SubspaceCusum:
 
     def step(self, frame: MultiSensorFrame) -> tuple[int, float] | None:
         released = self.buffer.push(frame)
+        if self._ring is None:
+            self._ring = np.empty((self.lookahead, frame.k))
+        self._ring[frame.t % self.lookahead] = frame.values  # ticks are consecutive
         if released is None:
             return None
-        window = self.buffer.future_window()
-        cov = sample_covariance(window)
-        result = power_iteration(
-            cov.matrix,
-            tol=self.tol,
-            max_iter=_pipeline_budget(cov.k, self.tol, self.max_iter),
-            start=self._u_prev if self.warm_start else None,
-            estimate_gap=False,
-        )
-        if self.warm_start:
-            self._u_prev = result.vector
-        self.last_u = result.vector
-        self.state = subspace_cusum_step(
-            self.state, released, result.vector, u_window_start=released.t + 1
-        )
-        if self.state.S >= self.state.b and self.state.crossed_at is None:
+        u = window_top_vectors(self._ring.T[None])[0]
+        s = max(self.state.S, 0.0) + float(u @ released.values) ** 2 - self.state.d
+        self.state = replace(self.state, S=s)
+        if s >= self.state.b and self.state.crossed_at is None:
             self.state = replace(
                 self.state,
                 crossed_at=released.t,
                 reported_at=released.t + self.lookahead,
             )
-        return released.t, self.state.S
+        return released.t, s
 
 
 def run_detector(
@@ -407,9 +379,6 @@ def async_pipeline(
     sync_every: int | None = None,
     t0: int = 1,
     reference: int = 0,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-    warm_start: bool = True,
     full_trajectory: bool = False,
 ) -> AsyncDetection:
     """Full asynchronous detector: per-window delay estimation, alignment,
@@ -421,6 +390,16 @@ def async_pipeline(
     every ``sync_every`` emitted ticks (default: once per window length).
     Leading ticks without tau_max headroom on both sides are skipped and
     recorded, and the run needs streams covering at least one emittable tick.
+    An all-zero future window scores an increment of 0.
+
+    The run proceeds one sync segment at a time: delays are constant over
+    a segment, so its ticks form one aligned (k, ticks + w) block whose
+    future windows go through the batched direction kernel in one call.
+    Without delay estimation a segment is at most :data:`linalg.BLOCK`
+    ticks, so a long record never holds every window at once.
+
+    Raises:
+        NumericalError: a window covariance is not finite.
 
     Returns an :class:`AsyncDetection`; its report carries the crossing pair
     (crossed_at, crossed_at + w) and the statistic path.
@@ -437,6 +416,8 @@ def async_pipeline(
         raise ValueError("delay estimation needs a window of at least 2 samples")
     if tau_max < 0:
         raise ValueError("tau_max must be >= 0")
+    if not 0 <= reference < k:
+        raise ValueError(f"reference index {reference} out of range")
     sync_every = w if sync_every is None else int(sync_every)
     if sync_every < 1:
         raise ValueError("sync_every must be >= 1")
@@ -453,66 +434,55 @@ def async_pipeline(
         )
 
     rows = np.arange(k)[:, None]
-    offsets = np.arange(1, w + 1)[None, :]
-    profile = DelayProfile.zero(k, tau_max, reference=reference)
+    tau = np.zeros(k, dtype=int)
     delays_log: list[tuple[int, DelayProfile]] = []
-    state = CusumState(d=float(d), b=float(b))
-    u_prev: np.ndarray | None = None
-    ticks: list[int] = []
+    S, crossed = 0.0, None
     values: list[float] = []
-    increments: list[float] = []
+    increments: list[np.ndarray] = []
+    segment = sync_every if sync else BLOCK
 
-    for t in range(t_first, t_last + 1):
-        if sync and (t - t_first) % sync_every == 0:
+    for start in range(t_first, t_last + 1, segment):
+        stop = min(start + segment - 1, t_last)
+        if sync:
             est = joint_estimate(
                 data,
                 tau_max=tau_max,
                 delta=delta,
                 n_max=n_max,
-                window=(t + 1, w),
+                window=(start + 1, w),
                 t0=t0,
                 reference=reference,
-                tol=tol,
-                max_iter=_pipeline_budget(k, tol, max_iter),
             )
-            profile = est.delays
-            delays_log.append((t, profile))
-
-        frame = align_frames(data, t, profile, t0=t0)
-        future = data[rows, (t - t0) + offsets + profile.tau_hat[:, None]]  # (k, w)
-        cov = sample_covariance(future.T)
-        result = power_iteration(
-            cov.matrix,
-            tol=tol,
-            max_iter=_pipeline_budget(k, tol, max_iter),
-            start=u_prev if warm_start else None,
-            estimate_gap=False,
-        )
-        if warm_start:
-            u_prev = result.vector
-        increments.append(float(result.vector @ frame.values) ** 2)
-        state = subspace_cusum_step(state, frame, result.vector, u_window_start=t + 1)
-        ticks.append(t)
-        values.append(state.S)
-        if state.S >= state.b and state.crossed_at is None:
-            state = replace(state, crossed_at=t, reported_at=t + w)
-            if not full_trajectory:
-                break
+            tau = est.delays.tau_hat
+            delays_log.append((start, est.delays))
+        cols = (start - t0) + tau[:, None] + np.arange(stop - start + 1 + w)[None, :]
+        inc = window_increments(data[rows, cols], w)
+        for j, x in enumerate((inc - d).tolist()):
+            S = max(S, 0.0) + x
+            values.append(S)
+            if crossed is None and S >= b:
+                crossed = start + j
+                if not full_trajectory:
+                    inc = inc[: j + 1]
+                    break
+        increments.append(inc)
+        if crossed is not None and not full_trajectory:
+            break
 
     report = StoppingReport(
         detector="subspace",
-        b=state.b,
-        d=state.d,
+        b=float(b),
+        d=float(d),
         lookahead=w,
-        crossed_at=state.crossed_at,
-        reported_at=state.reported_at,
-        ticks=np.asarray(ticks, dtype=int),
+        crossed_at=crossed,
+        reported_at=None if crossed is None else crossed + w,
+        ticks=np.arange(t_first, t_first + len(values)),
         statistic=np.asarray(values, dtype=float),
     )
     return AsyncDetection(
         report=report,
         delays=delays_log,
-        increments=np.asarray(increments, dtype=float),
+        increments=np.concatenate(increments),
         skipped=range(t0, t_first),
     )
 

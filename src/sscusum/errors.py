@@ -23,17 +23,8 @@ class ZeroMatrixError(ValueError):
     """The matrix is (numerically) zero, so no dominant direction exists."""
 
 
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to reach the requested residual tolerance.
-
-    Carries the last residual so callers can decide whether to retry with a
-    looser tolerance or a larger iteration budget.
-    """
-
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
+class NumericalError(RuntimeError):
+    """A covariance, Gram matrix or direction came out non-finite (overflow or nan/inf input)."""
 
 
 class IndependenceViolationError(RuntimeError):

@@ -1,35 +1,38 @@
 """Windowed sample covariance and dominant-direction extraction.
 
-The detection statistic only needs the direction of the leading eigenvector
-of a symmetric nonnegative-definite matrix, so a single-vector power
-iteration is used instead of a full decomposition. Scaling of the matrix is
-irrelevant to the direction, which is why the covariance is kept as a plain
-unnormalized sum of outer products.
+The detection statistic only needs the leading eigenvector of each window's
+covariance. One batched symmetric eigendecomposition (``numpy.linalg.eigh``)
+serves every detector path: it has no iteration budget to exhaust, so near
+ties between the top two eigenvalues cost nothing extra. Scaling of the
+matrix is irrelevant to the direction, which is why the covariance is kept
+as a plain unnormalized sum of outer products.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import MultiSensorFrame
-from .errors import DimensionMismatchError, PowerIterationError, ZeroMatrixError
+from .errors import DimensionMismatchError, NumericalError, ZeroMatrixError
 
 __all__ = [
     "CovarianceWindow",
-    "PowerIterationResult",
     "sample_covariance",
-    "power_iteration",
     "top_singular_vector",
-    "default_start",
+    "window_top_vectors",
+    "window_increments",
     "canonicalize_sign",
-    "default_max_iter",
 ]
 
 _SYMMETRY_RTOL = 1e-12
+
+# Most windows handed to the batched kernel at once: bounds the memory of a
+# long record without costing throughput.
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -78,154 +81,77 @@ def sample_covariance(
     return CovarianceWindow(k=k, w=w, matrix=data.T @ data)
 
 
-@dataclass(frozen=True)
-class PowerIterationResult:
-    """Converged dominant direction plus diagnostics.
-
-    ``gap_degenerate`` is set when the two largest Ritz values are within the
-    residual tolerance of each other (scaled by the Frobenius norm); the
-    vector is still returned and detection should proceed.
-    """
-
-    vector: np.ndarray
-    value: float
-    iterations: int
-    residual: float
-    second_value: float | None = None
-    gap_degenerate: bool = False
-
-
-def default_start(k: int) -> np.ndarray:
-    """Deterministic start: normalized all-ones, perturbed at index 0 by 1e-3."""
-    v = np.ones(k)
-    v[0] += 1e-3
-    return v / np.linalg.norm(v)
-
-
-def default_max_iter(k: int, tol: float) -> int:
-    return int(math.ceil(10 * k * math.log(1.0 / tol)))
-
-
 def canonicalize_sign(v: np.ndarray) -> np.ndarray:
     """Make the component of largest magnitude positive (ties: lowest index)."""
     idx = int(np.argmax(np.abs(v)))
     return -v if v[idx] < 0 else v
 
 
-def power_iteration(
-    matrix: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-    start: np.ndarray | None = None,
-    estimate_gap: bool = True,
-) -> PowerIterationResult:
-    """Dominant eigenpair of a symmetric nonnegative-definite matrix.
+def _check_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise NumericalError(f"non-finite {what}: the input overflows or holds nan/inf")
 
-    Iterates v <- A v / ||A v|| from a deterministic start (or the supplied
-    ``start``, e.g. the previous window's vector) until the eigen-residual
-    ``||A v - (v' A v) v||`` drops below ``tol * ||A||_F``.
+
+def window_top_vectors(windows: np.ndarray) -> np.ndarray:
+    """Unit dominant direction of each window's sample covariance.
+
+    ``windows`` is (B, k, w) with one sample per column. Works on whichever
+    Gram side is smaller; an all-zero window yields a zero row, so its
+    squared projection is 0. The sign of each direction is arbitrary.
 
     Raises:
-        ZeroMatrixError: A is numerically zero.
-        PowerIterationError: the residual target was not met in ``max_iter``
-            steps; carries the last residual.
+        NumericalError: a Gram matrix or a direction is not finite.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
-    k = a.shape[0]
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        raise ZeroMatrixError("cannot extract a direction from the zero matrix")
-    if max_iter is None:
-        max_iter = default_max_iter(k, tol)
-    v = default_start(k) if start is None else np.asarray(start, dtype=float)
-    nv = math.sqrt(float(v @ v))
-    if nv == 0:
-        raise ValueError("start vector must be nonzero")
-    v = v / nv
-    threshold = tol * fro
-    lam = 0.0
-    residual = np.inf
-    iterations = 0
-    av = a @ v
-    for iterations in range(1, max_iter + 1):
-        norm_av = math.sqrt(float(av @ av))
-        if norm_av == 0.0:
-            # Start vector fell in the nullspace; rotate deterministically.
-            v = np.roll(v, 1)
-            av = a @ v
-            continue
-        v = av / norm_av
-        av = a @ v
-        lam = float(v @ av)
-        r = av - lam * v
-        residual = math.sqrt(float(r @ r))
-        if residual <= threshold:
-            break
+    _, k, w = windows.shape
+    if k <= w:
+        grams = windows @ windows.transpose(0, 2, 1)
+        _check_finite(grams, "window covariance")
+        # eigh returns a unit vector even for a zero matrix; zero it instead
+        u = np.linalg.eigh(grams)[1][:, :, -1] * grams.any(axis=(1, 2))[:, None]
     else:
-        raise PowerIterationError(
-            f"no convergence after {max_iter} iterations (residual {residual:.3e}, "
-            f"target {threshold:.3e})",
-            residual=residual,
-            iterations=max_iter,
-        )
-    v = canonicalize_sign(v)
-    second = None
-    degenerate = False
-    if estimate_gap:
-        second = _second_ritz_value(a, v, lam, threshold)
-        degenerate = (lam - second) <= threshold
-    return PowerIterationResult(
-        vector=v,
-        value=lam,
-        iterations=iterations,
-        residual=residual,
-        second_value=second,
-        gap_degenerate=degenerate,
-    )
+        grams = windows.transpose(0, 2, 1) @ windows
+        _check_finite(grams, "window Gram matrix")
+        y = np.linalg.eigh(grams)[1][:, :, -1:]
+        u = (windows @ y)[:, :, 0]
+    norms = np.linalg.norm(u, axis=1, keepdims=True)
+    u = u / np.where(norms > 0, norms, 1.0)
+    _check_finite(u, "direction")
+    return u
 
 
-def _second_ritz_value(
-    a: np.ndarray, v: np.ndarray, lam: float, threshold: float, iters: int = 200
-) -> float:
-    """Rough second Ritz value via power iteration on the deflated matrix.
+def window_increments(block: np.ndarray, w: int) -> np.ndarray:
+    """Squared projections ``(u_j' x_j)^2`` along a (k, m + w) block.
 
-    Diagnostic only: runs a bounded number of steps and returns the best
-    Rayleigh quotient found, clipped to [0, lam].
+    Column j is scored against the dominant direction of columns
+    j+1..j+w, so the result has m entries. Windows go through
+    :func:`window_top_vectors` at most :data:`BLOCK` at a time.
     """
-    k = a.shape[0]
-    b = a - lam * np.outer(v, v)
-    w = np.roll(default_start(k), 1)
-    w = w - (w @ v) * v
-    nw = np.linalg.norm(w)
-    if nw < 1e-12:
-        return 0.0
-    w = w / nw
-    mu = 0.0
-    for _ in range(iters):
-        bw = b @ w
-        nbw = np.linalg.norm(bw)
-        if nbw == 0.0:
-            return 0.0
-        w = bw / nbw
-        bw = b @ w
-        mu = float(w @ bw)
-        if np.linalg.norm(bw - mu * w) <= threshold:
-            break
-    return float(np.clip(mu, 0.0, lam))
+    m = block.shape[1] - w
+    if m < 1:
+        raise ValueError("stream too short for one lookahead window")
+    view = sliding_window_view(block, w, axis=1)  # (k, m + 1, w)
+    out = np.empty(m)
+    for lo in range(0, m, BLOCK):
+        hi = min(lo + BLOCK, m)
+        u = window_top_vectors(view[:, lo + 1 : hi + 1].transpose(1, 0, 2))
+        out[lo:hi] = np.einsum("bk,kb->b", u, block[:, lo:hi]) ** 2
+    return out
 
 
-def top_singular_vector(
-    cov: CovarianceWindow | np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> np.ndarray:
+def top_singular_vector(cov: CovarianceWindow | np.ndarray) -> np.ndarray:
     """Unit-norm leading direction of a covariance window, sign-canonicalized.
 
     For a symmetric nonnegative-definite matrix this is both the top
-    eigenvector and the top singular vector. Use :func:`power_iteration` for
-    the full diagnostics (Ritz values, gap degeneracy).
+    eigenvector and the top singular vector.
+
+    Raises:
+        ZeroMatrixError: the matrix is zero, so no direction exists.
+        NumericalError: the matrix is not finite.
     """
     matrix = cov.matrix if isinstance(cov, CovarianceWindow) else np.asarray(cov, float)
-    return power_iteration(matrix, tol=tol, max_iter=max_iter, estimate_gap=False).vector
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise DimensionMismatchError(f"matrix must be square, got {matrix.shape}")
+    _check_finite(matrix, "covariance")
+    if not matrix.any():
+        raise ZeroMatrixError("cannot extract a direction from the zero matrix")
+    return canonicalize_sign(np.linalg.eigh(matrix)[1][:, -1])

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ScenarioModel, Waveform
 from .detect import StoppingReport, async_pipeline, one_shot_detector, subspace_increments
+from .linalg import window_increments, window_top_vectors
 
 __all__ = [
     "TrialResult",
@@ -97,7 +97,7 @@ class CurvePoint:
 class SubspaceSpec:
     """Asynchronous subspace detector configuration for simulation runs.
 
-    ``engine="reference"`` drives the tick-by-tick pipeline from
+    ``engine="reference"`` drives the segmented pipeline from
     :mod:`sscusum.detect`. ``engine="fast"`` is a vectorized implementation
     of the same statistic (fresh window covariance, dominant direction,
     CUSUM recursion) for large Monte Carlo sweeps; it scores streams without
@@ -111,9 +111,6 @@ class SubspaceSpec:
     n_max: int = 10
     sync: bool = True
     sync_every: int | None = None
-    tol: float = 1e-10
-    max_iter: int | None = None
-    warm_start: bool = True
     engine: str = "reference"
 
     name = "subspace"
@@ -135,9 +132,6 @@ class SubspaceSpec:
             n_max=self.n_max,
             sync=self.sync,
             sync_every=self.sync_every,
-            tol=self.tol,
-            max_iter=self.max_iter,
-            warm_start=self.warm_start,
         ).report
 
 
@@ -236,46 +230,16 @@ def _as_seedseq(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _window_top_vectors(windows: np.ndarray) -> np.ndarray:
-    """Unit dominant direction of each window's sample covariance.
-
-    ``windows`` is (B, k, w) with one sample per column. Works on whichever
-    Gram side is smaller; all-zero windows yield a zero row (their squared
-    projection is 0 regardless).
-    """
-    _, k, w = windows.shape
-    if k <= w:
-        mats = np.einsum("bkw,blw->bkl", windows, windows)
-        u = np.linalg.eigh(mats)[1][:, :, -1]
-    else:
-        grams = np.einsum("bka,bkc->bac", windows, windows)
-        y = np.linalg.eigh(grams)[1][:, :, -1]
-        u = np.einsum("bkw,bw->bk", windows, y)
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
-    return u / np.where(norms > 0, norms, 1.0)
-
-
 def fast_increments(
-    streams: np.ndarray, w: int, t0: int = 1, block: int = 4096
+    streams: np.ndarray, w: int, t0: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized squared projections along one stream (no delay estimation).
 
     Equivalent to :func:`sscusum.detect.subspace_increments` with
-    ``sync=False``, computed in blocks of sliding windows; intended for long
-    Monte Carlo validation runs.
+    ``sync=False``; intended for long Monte Carlo validation runs.
     """
-    data = np.asarray(streams, dtype=float)
-    k, n = data.shape
-    if n <= w:
-        raise ValueError("stream too short for one lookahead window")
-    n_out = n - w
-    view = sliding_window_view(data, w, axis=1)  # (k, n-w+1, w)
-    increments = np.empty(n_out)
-    for lo in range(0, n_out, block):
-        hi = min(lo + block, n_out)
-        u = _window_top_vectors(view[:, lo + 1 : hi + 1].transpose(1, 0, 2))
-        increments[lo:hi] = np.einsum("bk,kb->b", u, data[:, lo:hi]) ** 2
-    return np.arange(t0, t0 + n_out), increments
+    increments = window_increments(np.asarray(streams, dtype=float), w)
+    return np.arange(t0, t0 + increments.size), increments
 
 
 def _scan_statistic(
@@ -303,7 +267,7 @@ def _scan_statistic(
         if t > t_last:
             break
         window = slab[:, :, f + 1 : f + 1 + w]
-        u = _window_top_vectors(window)
+        u = window_top_vectors(window)
         inc = np.einsum("tk,tk->t", u, slab[:, :, f]) ** 2 - d
         S = np.maximum(S, 0.0) + inc
         hits = (S[:, None] >= b_arr[None, :]) & (crossed[orig_idx] < 0)

@@ -167,8 +167,6 @@ def joint_estimate(
     window: tuple[int, int] | None = None,
     t0: int = 0,
     reference: int = 0,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
 ) -> JointEstimate:
     """Jointly estimate the source waveform and per-sensor relative delays.
 
@@ -227,9 +225,7 @@ def joint_estimate(
         new_tau = _batched_delays(ext, s_hat, tau_max, reference)
         prev, tau = tau, new_tau
         aligned = ext[rows, tau_max + tau[:, None] + offsets]  # (k, w)
-        u_hat = top_singular_vector(
-            sample_covariance(aligned.T), tol=tol, max_iter=max_iter
-        )
+        u_hat = top_singular_vector(sample_covariance(aligned.T))
         s_hat = aligned.T @ u_hat
     converged = prev is not None and np.abs(tau - prev).max() < delta
 

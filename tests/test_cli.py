@@ -169,19 +169,37 @@ class TestDetect:
         path = simulate_noise_file(tmp_path, k=2, horizon=100, seed=12)
         assert run(["detect", "--in", path, "--w", 10, "--b", 5, "--out", tmp_path / "r.csv"]) == 1
 
-    def test_nonconvergence_is_exit_3(self, tmp_path, capsys):
+    def test_non_finite_csv_is_io_error_with_line(self, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("t,s1,s2\n1,0.1,0.2\n2,0.3,0.4\n3,nan,0.5\n")
+        report = tmp_path / "report.csv"
+        assert run(["detect", "--in", bad, "--w", 1, "--d", 1, "--b", 5, "--out", report]) == 2
+        assert "line 4" in capsys.readouterr().err
+
+    def test_tied_axes_exit_0(self, tmp_path, capsys):
         # alternating near-tied axes keep the two leading eigenvalues a hair
-        # apart: the residual target is unreachable within the budget
-        bad = tmp_path / "tied.csv"
+        # apart; the eigendecomposition still resolves them
+        tied = tmp_path / "tied.csv"
         big = repr(float(np.sqrt(1 + 1e-7)))
         rows = ["t,s1,s2"]
         for t in range(1, 13):
             rows.append(f"{t},{big},0.0" if t % 2 else f"{t},0.0,1.0")
-        bad.write_text("\n".join(rows) + "\n")
-        code = run(["detect", "--in", bad, "--w", 2, "--d", 0.5, "--b", 100,
+        tied.write_text("\n".join(rows) + "\n")
+        code = run(["detect", "--in", tied, "--w", 2, "--d", 0.5, "--b", 100,
+                    "--out", tmp_path / "r.csv"])
+        assert code == 0
+        assert "no alarm" in capsys.readouterr().out
+
+    def test_overflowing_cell_is_exit_3(self, tmp_path, capsys):
+        # 1e200 is a finite reading, but its square overflows the covariance
+        path = simulate_noise_file(tmp_path, k=2, horizon=60, seed=15)
+        lines = path.read_text().splitlines()
+        lines[30] = lines[30].split(",")[0] + ",1e200,0.5"
+        path.write_text("\n".join(lines) + "\n")
+        code = run(["detect", "--in", path, "--w", 5, "--d", 1.5, "--b", 10,
                     "--out", tmp_path / "r.csv"])
         assert code == 3
-        assert "convergence" in capsys.readouterr().err
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestCurve:

@@ -16,7 +16,6 @@ from sscusum.core import (
     frames_from_array,
     normalize_stream,
     read_sensor_csv,
-    release_ready,
     write_sensor_csv,
 )
 from sscusum.errors import (
@@ -88,9 +87,9 @@ class TestMultiSensorFrame:
 class TestLookaheadBuffer:
     def test_release_schedule(self):
         buf = LookaheadBuffer(w=2)
-        assert release_ready(buf, MultiSensorFrame(1, np.zeros(2))) is None
-        assert release_ready(buf, MultiSensorFrame(2, np.zeros(2))) is None
-        out = release_ready(buf, MultiSensorFrame(3, np.zeros(2)))
+        assert buf.push(MultiSensorFrame(1, np.zeros(2))) is None
+        assert buf.push(MultiSensorFrame(2, np.zeros(2))) is None
+        out = buf.push(MultiSensorFrame(3, np.zeros(2)))
         assert out is not None and out.t == 1
 
     def test_zero_window_immediate(self):

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import scalar_cusum
-from sscusum.core import MultiSensorFrame, frames_from_array
+from oracles import covariance_triple_loop, jacobi_eigh, scalar_cusum
+from sscusum.core import MultiSensorFrame, align_frames, frames_from_array
 from sscusum.detect import (
     CusumState,
     SubspaceCusum,
@@ -22,6 +22,8 @@ from sscusum.detect import (
     write_trajectory_csv,
 )
 from sscusum.errors import DegenerateInputError, IndependenceViolationError
+from sscusum.sim import generate_episode, pure_noise_model
+from sscusum.sync import joint_estimate
 
 E1 = np.array([1.0, 0.0])
 
@@ -122,6 +124,20 @@ class TestRunDetector:
         det = SubspaceCusum(w=5, d=d, b=math.inf)
         report = run_detector(frames_from_array(rng.standard_normal((3, 300))), det, full_trajectory=True)
         assert np.all(report.statistic >= -d - 1e-12)
+
+
+class TestNearTie:
+    def test_near_tied_window_steps_and_matches_jacobi(self):
+        # a pure-noise window whose top two eigenvalues are 206.6875 and
+        # 206.6907 (relative gap 1.6e-5): an iterative solver needs ~10^6 steps
+        child = np.random.SeedSequence([1631191312, 3, 4000]).spawn(1)[0]
+        streams = generate_episode(pure_noise_model(3), 4000, child)[:, 1388:1589]
+        values, vectors = jacobi_eigh(covariance_triple_loop(streams[:, 1:].T))
+        assert (values[0] - values[1]) / values[0] < 2e-5
+        det = SubspaceCusum(w=200, d=0.0)
+        emitted = [e for e in map(det.step, frames_from_array(streams)) if e is not None]
+        assert [t for t, _ in emitted] == [1]
+        assert emitted[0][1] == pytest.approx((vectors[:, 0] @ streams[:, 0]) ** 2, abs=1e-8)
 
 
 class TestKnownDirectionDetector:
@@ -290,6 +306,68 @@ class TestAsyncPipeline:
     def test_stream_too_short_rejected(self):
         with pytest.raises(ValueError):
             async_pipeline(np.zeros((2, 10)), w=8, tau_max=2, d=1.0, b=1.0, sync=True)
+
+
+def _naive_pipeline(streams, w, tau_max, d, sync_every, t0=1):
+    """Tick-by-tick oracle: delays from joint_estimate at each sync tick,
+    frames aligned one at a time, direction by Jacobi rotations."""
+    n = streams.shape[1]
+    t_first, t_last = t0 + tau_max, t0 + n - 1 - w - tau_max
+    delays, increments, path, S = [], [], [], 0.0
+    for t in range(t_first, t_last + 1):
+        if (t - t_first) % sync_every == 0:
+            profile = joint_estimate(streams, tau_max=tau_max, window=(t + 1, w), t0=t0).delays
+            delays.append((t, profile.tau_hat))
+        future = np.stack([align_frames(streams, t + m, profile, t0).values for m in range(1, w + 1)])
+        _, vectors = jacobi_eigh(covariance_triple_loop(future))
+        inc = float(vectors[:, 0] @ align_frames(streams, t, profile, t0).values) ** 2
+        S = max(S, 0.0) + inc - d
+        increments.append(inc)
+        path.append(S)
+    return delays, np.array(increments), np.array(path)
+
+
+class TestSegmentedPipeline:
+    @pytest.mark.parametrize(
+        "k, w, sync_every",
+        [(3, 10, 1), (3, 10, 7), (3, 10, 10), (6, 4, 4)],  # the last has k > w
+    )
+    def test_matches_naive_per_tick_oracle(self, k, w, sync_every):
+        rng = np.random.default_rng(40 + sync_every + k)
+        tau_max, n = 3, 90
+        source = rng.standard_normal(n + 2 * tau_max)
+        shifts = rng.integers(0, 2 * tau_max + 1, size=k)
+        streams = np.stack([source[s : s + n] for s in shifts]) + 0.5 * rng.standard_normal((k, n))
+        d = 1.0
+        result = async_pipeline(streams, w=w, tau_max=tau_max, d=d, sync_every=sync_every,
+                                full_trajectory=True)
+        delays, increments, path = _naive_pipeline(streams, w, tau_max, d, sync_every)
+        assert [t for t, _ in result.delays] == [t for t, _ in delays]
+        for (_, got), (_, want) in zip(result.delays, delays):
+            assert np.array_equal(got.tau_hat, want)
+        assert np.array_equal(result.report.ticks, np.arange(1 + tau_max, 1 + tau_max + len(path)))
+        assert np.allclose(result.increments, increments, rtol=0, atol=1e-8)
+        assert np.allclose(result.report.statistic, path, rtol=0, atol=1e-8)
+
+        b = float(np.quantile(path, 0.8))
+        crossed = result.report.crossing_for(b)[0]
+        stopped = async_pipeline(streams, w=w, tau_max=tau_max, d=d, b=b, sync_every=sync_every)
+        assert stopped.report.crossed_at == crossed
+        assert stopped.report.ticks[-1] == crossed
+        last = crossed - (1 + tau_max)
+        assert np.array_equal(stopped.report.statistic, result.report.statistic[: last + 1])
+        assert np.array_equal(stopped.increments, result.increments[: last + 1])
+
+    def test_zero_future_window_scores_zero(self):
+        rng = np.random.default_rng(41)
+        streams = np.zeros((3, 40))
+        streams[:, :10] = rng.standard_normal((3, 10))
+        result = async_pipeline(streams, w=5, tau_max=0, d=0.5, sync=False, full_trajectory=True)
+        assert result.increments[9] == 0.0  # tick 10 is nonzero, ticks 11-15 are zero
+        assert np.all(result.increments[10:] == 0.0)
+        report = run_detector(frames_from_array(streams), SubspaceCusum(w=5, d=0.5),
+                              full_trajectory=True)
+        assert np.allclose(report.statistic, result.report.statistic, rtol=0, atol=1e-12)
 
 
 class TestReportCsv:

@@ -1,18 +1,17 @@
-"""Sample covariance and the power-iteration direction extractor."""
+"""Sample covariance and the batched eigendecomposition direction kernel."""
 
 import numpy as np
 import pytest
 
 from oracles import covariance_triple_loop, jacobi_eigh
 from sscusum.core import MultiSensorFrame
-from sscusum.errors import DimensionMismatchError, PowerIterationError, ZeroMatrixError
+from sscusum.errors import DimensionMismatchError, NumericalError, ZeroMatrixError
 from sscusum.linalg import (
     CovarianceWindow,
     canonicalize_sign,
-    default_max_iter,
-    power_iteration,
     sample_covariance,
     top_singular_vector,
+    window_top_vectors,
 )
 
 
@@ -79,21 +78,20 @@ class TestTopSingularVector:
         with pytest.raises(ZeroMatrixError):
             top_singular_vector(np.zeros((3, 3)))
 
-    def test_nonconvergence_carries_residual(self):
-        with pytest.raises(PowerIterationError) as err:
-            power_iteration(np.array([[2.0, 1.0], [1.0, 2.0]]), tol=1e-16, max_iter=2)
-        assert err.value.residual > 0
-        assert err.value.iterations == 2
+    def test_non_finite_matrix_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="non-finite"):
+            top_singular_vector(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        with pytest.raises(NumericalError):
+            top_singular_vector(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_residual_bound_holds_on_return(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             data = rng.standard_normal((6, 4))
             a = data.T @ data
-            tol = 1e-10
-            res = power_iteration(a, tol=tol)
-            lam = res.vector @ a @ res.vector
-            assert np.linalg.norm(a @ res.vector - lam * res.vector) <= tol * np.linalg.norm(a)
+            v = top_singular_vector(a)
+            lam = v @ a @ v
+            assert np.linalg.norm(a @ v - lam * v) <= 1e-10 * np.linalg.norm(a)
 
     def test_scale_invariance(self):
         a = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
@@ -119,28 +117,32 @@ class TestTopSingularVector:
         cov = sample_covariance(frames([2.0, 0.0], [2.0, 0.0]))
         assert np.allclose(top_singular_vector(cov), [1.0, 0.0])
 
-    def test_warm_start_agrees_with_cold(self):
-        rng = np.random.default_rng(10)
-        data = rng.standard_normal((30, 5))
-        a = data.T @ data
-        cold = power_iteration(a)
-        warm = power_iteration(a, start=cold.vector + rng.standard_normal(5) * 1e-3)
-        assert abs(cold.vector @ warm.vector) > 1 - 1e-9
 
+class TestWindowTopVectors:
+    @pytest.mark.parametrize("k, w", [(4, 9), (9, 4)])  # covariance side, Gram side
+    def test_matches_jacobi_on_both_gram_sides(self, k, w):
+        rng = np.random.default_rng(11)
+        windows = rng.standard_normal((6, k, w))
+        windows[:, 0] *= 2.0  # a clear leading direction
+        u = window_top_vectors(windows)
+        x = rng.standard_normal(k)
+        for i, win in enumerate(windows):
+            values, vectors = jacobi_eigh(covariance_triple_loop(win.T))
+            assert values[0] > values[1]
+            assert np.linalg.norm(u[i]) == pytest.approx(1.0, abs=1e-12)
+            assert abs(u[i] @ vectors[:, 0]) >= 1 - 1e-10
+            assert (u[i] @ x) ** 2 == pytest.approx((vectors[:, 0] @ x) ** 2, abs=1e-8)
 
-class TestGapDiagnostics:
-    def test_identity_is_degenerate(self):
-        res = power_iteration(np.eye(4))
-        assert res.gap_degenerate
-        assert res.second_value == pytest.approx(res.value, abs=1e-9)
+    def test_zero_window_gives_zero_row(self):
+        windows = np.ones((3, 4, 5))
+        windows[1] = 0.0
+        u = window_top_vectors(windows)
+        assert np.array_equal(u[1], np.zeros(4))
+        assert np.allclose(np.abs(u[[0, 2]]), 0.5)
 
-    def test_clear_spike_is_not_degenerate(self):
-        a = np.eye(4) + 5.0 * np.outer(np.ones(4) / 2, np.ones(4) / 2)
-        res = power_iteration(a)
-        assert not res.gap_degenerate
-        values, _ = jacobi_eigh(a)
-        assert res.value == pytest.approx(values[0], rel=1e-9)
-        assert res.second_value == pytest.approx(values[1], rel=1e-3)
-
-    def test_default_budget_formula(self):
-        assert default_max_iter(5, 1e-10) == int(np.ceil(10 * 5 * np.log(1e10)))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])  # 1e200 overflows the Gram
+    def test_non_finite_is_numerical_error(self, bad):
+        windows = np.ones((2, 3, 4))
+        windows[1, 2, 3] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            window_top_vectors(windows)
