@@ -40,7 +40,6 @@ cal = empirical_drift(
     w=20,
     ticks=20_000,
     seed=3,
-    engine="fast",
 )
 print(f"  measured pre mean  {cal.pre_mean:.4f}")
 print(f"  measured post mean {cal.post_mean:.4f}")

@@ -25,14 +25,13 @@ cal = empirical_drift(
     w=w,
     ticks=20_000,
     seed=0,
-    engine="fast",
 )
 print(f"calibrated drift: pre {cal.pre_mean:.3f}, post {cal.post_mean:.3f} -> d = {cal.midpoint:.3f}")
 
 noise = pure_noise_model(k)
 change = random_delay_factory(k, mu, 1.0, tau_max)
 
-subspace = SubspaceSpec(w=w, tau_max=tau_max, d=cal.midpoint, sync=False, engine="fast")
+subspace = SubspaceSpec(w=w, tau_max=tau_max, d=cal.midpoint, sync=False)
 one_shot = OneShotSpec(mu=mu, sigma2=1.0)
 
 print(f"\n{'detector':>10} {'b':>6} {'ARL':>8} {'EDD':>8}")

@@ -6,8 +6,9 @@ asynchronous detector over a CSV and writes report/trajectory files, and
 ``curve`` sweeps thresholds into an (ARL, EDD) operating-curve CSV.
 
 Options may come from a ``key=value`` config file (``--config``); explicit
-flags win. Exit codes: 0 success, 1 validation, 2 I/O (including malformed
-or non-finite CSV cells), 3 numerical failure (a non-finite covariance, e.g.
+flags win, and a key that no subcommand accepts is a validation error.
+Exit codes: 0 success, 1 validation, 2 I/O (including malformed or
+non-finite CSV cells), 3 numerical failure (a non-finite covariance, e.g.
 from overflow, or a failed eigendecomposition).
 """
 
@@ -28,6 +29,8 @@ __all__ = ["main", "build_parser"]
 
 
 class _Parser(argparse.ArgumentParser):
+    config_keys: frozenset[str] = frozenset()  # options some subcommand accepts
+
     def error(self, message):  # route usage problems to exit code 1
         raise ValidationError(message)
 
@@ -107,16 +110,14 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.add_argument("--sync", dest="sync", action="store_true", default=None)
     p.add_argument("--no-sync", dest="sync", action="store_false")
-    p.add_argument(
-        "--engine",
-        choices=["auto", "reference", "fast"],
-        default=None,
-        help="subspace Monte Carlo engine (auto: fast when sync is off)",
-    )
+    parser.config_keys = frozenset(
+        action.dest for cmd in sub.choices.values() for action in cmd._actions
+    ) - {"help"}
     return parser
 
 
-def _load_config(path: str | None) -> dict[str, str]:
+def _load_config(path: str | None, known: frozenset[str]) -> dict[str, str]:
+    """``key=value`` lines; a key no subcommand accepts is a validation error."""
     if path is None:
         return {}
     values: dict[str, str] = {}
@@ -128,7 +129,10 @@ def _load_config(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in known:
+            raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -143,7 +147,10 @@ _CONFIG_PARSERS = {
 
 
 def _resolve(args: argparse.Namespace, config: dict[str, str]) -> argparse.Namespace:
-    """Fill flag values that were left unset from the config file."""
+    """Fill flag values that were left unset from the config file.
+
+    Keys that only other subcommands accept are skipped.
+    """
     for key, raw in config.items():
         if not hasattr(args, key):
             continue
@@ -317,10 +324,6 @@ def cmd_curve(args) -> int:
     _positive(args, "k", "w", "trials", "horizon", "sigma2")
     horizon_edd = args.horizon_edd or args.horizon
     sync = args.sync if args.sync is not None else args.tau_max > 0
-    _default(args, "engine", "auto")
-    engine = args.engine
-    if engine == "auto":
-        engine = "reference" if sync else "fast"
     ss = np.random.SeedSequence(int(args.seed))
     seed_sub, seed_os, seed_drift = ss.spawn(3)
     noise = sim.pure_noise_model(args.k, args.sigma2)
@@ -343,7 +346,7 @@ def cmd_curve(args) -> int:
             d = cal.midpoint
             print(f"calibrated drift d={d!r} (pre={cal.pre_mean:.4f}, post={cal.post_mean:.4f})")
         spec = sim.SubspaceSpec(w=args.w, tau_max=args.tau_max, d=d, delta=args.delta,
-                                n_max=args.n_max, sync=sync, engine=engine)
+                                n_max=args.n_max, sync=sync)
         points += sim.operating_curve(
             spec, noise, change, args.b_grid, args.trials, seed_sub,
             horizon_arl=args.horizon, horizon_edd=horizon_edd,
@@ -374,7 +377,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _resolve(args, _load_config(args.config))
+        args = _resolve(args, _load_config(args.config, parser.config_keys))
         return _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,15 @@ independent trials. Each trial gets its own child seed, so results do not
 depend on execution order, and a whole experiment is a pure function of
 (configuration, seed).
 
+Noise has one layout: a trial's generator yields consecutive (k, 256)
+blocks, so any prefix of an episode is the episode of that shorter horizon.
+The Monte Carlo advances all trials of the one-shot race and of the
+subspace detector without delay estimation in lockstep over those blocks,
+drawing a trial's noise only until it crosses the largest threshold; the
+samples it scores are exactly the ones :func:`generate_episode` returns for
+the same seed. The delay-estimating subspace detector runs the segmented
+pipeline over each trial's whole episode instead.
+
 A single run per trial serves an entire threshold grid: the statistic path
 does not depend on the threshold, so crossings for every b are read off the
 trajectory of the run against the largest one.
@@ -23,6 +32,7 @@ import numpy as np
 
 from .core import ScenarioModel, Waveform
 from .detect import StoppingReport, async_pipeline, one_shot_detector, subspace_increments
+from .errors import DegenerateInputError
 from .linalg import window_increments, window_top_vectors
 
 __all__ = [
@@ -97,11 +107,10 @@ class CurvePoint:
 class SubspaceSpec:
     """Asynchronous subspace detector configuration for simulation runs.
 
-    ``engine="reference"`` drives the segmented pipeline from
-    :mod:`sscusum.detect`. ``engine="fast"`` is a vectorized implementation
-    of the same statistic (fresh window covariance, dominant direction,
-    CUSUM recursion) for large Monte Carlo sweeps; it scores streams without
-    re-aligning them, so it requires ``sync=False``.
+    :meth:`run` drives the segmented pipeline from :mod:`sscusum.detect`
+    over one episode. Without delay estimation (``sync=False``) the Monte
+    Carlo runs the same statistic in the lockstep engine, with identical
+    crossings; with it, every trial runs the pipeline.
     """
 
     w: int
@@ -111,15 +120,8 @@ class SubspaceSpec:
     n_max: int = 10
     sync: bool = True
     sync_every: int | None = None
-    engine: str = "reference"
 
     name = "subspace"
-
-    def __post_init__(self):
-        if self.engine not in ("reference", "fast"):
-            raise ValueError(f"unknown engine {self.engine!r}")
-        if self.engine == "fast" and self.sync:
-            raise ValueError("the fast engine does not run delay estimation; set sync=False")
 
     def run(self, streams: np.ndarray, b: float) -> StoppingReport:
         return async_pipeline(
@@ -148,6 +150,26 @@ class OneShotSpec:
         return one_shot_detector(streams, self.mu, self.sigma2, b)
 
 
+_FAST_CHUNK = 256  # fixed: every trial's noise is drawn in (k, _FAST_CHUNK) blocks
+
+
+def _draw_blocks(
+    model: ScenarioModel, rng: np.random.Generator, drawn: int, blocks: int
+) -> np.ndarray:
+    """Ticks drawn+1 .. drawn+blocks*_FAST_CHUNK of one trial, as a (k, n) array.
+
+    The noise comes from ``rng`` as ``blocks`` consecutive (k, _FAST_CHUNK)
+    blocks in one call, so drawing the same ticks in more calls gives the
+    same samples.
+    """
+    noise = rng.standard_normal((blocks, model.k, _FAST_CHUNK))
+    noise *= math.sqrt(model.sigma2)
+    ticks = np.arange(drawn + 1, drawn + blocks * _FAST_CHUNK + 1)
+    signal = model.alpha[:, None] * model.waveform(ticks[None, :] - model.onsets[:, None])
+    signal.reshape(model.k, blocks, _FAST_CHUNK)[...] += noise.transpose(1, 0, 2)
+    return signal
+
+
 def generate_episode(model: ScenarioModel, horizon: int, seed) -> np.ndarray:
     """Draw one (k, horizon) episode covering ticks 1..horizon.
 
@@ -155,14 +177,16 @@ def generate_episode(model: ScenarioModel, horizon: int, seed) -> np.ndarray:
     the waveform's causality keeps every tick up to the onset pure noise.
     Deterministic given the seed. Onsets at or beyond the horizon simply
     yield a pure-noise episode.
+
+    The noise is drawn from the seed's generator as consecutive (k, 256)
+    blocks, cut to the horizon, so ``generate_episode(m, n, s)[:, :p]``
+    equals ``generate_episode(m, p, s)``. The lockstep Monte Carlo draws the
+    same blocks one at a time and so scores exactly these samples.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((model.k, horizon)) * math.sqrt(model.sigma2)
-    ticks = np.arange(1, horizon + 1)
-    signal = model.alpha[:, None] * model.waveform(ticks[None, :] - model.onsets[:, None])
-    return signal + noise
+    return _draw_blocks(model, rng, 0, -(-horizon // _FAST_CHUNK))[:, :horizon]
 
 
 def pure_noise_model(k: int, sigma2: float = 1.0) -> ScenarioModel:
@@ -242,40 +266,64 @@ def fast_increments(
     return np.arange(t0, t0 + increments.size), increments
 
 
-def _scan_statistic(
+def _scan(
     slab: np.ndarray,
-    start_tick: int,
+    tick: int,
     t_last: int,
     S: np.ndarray,
-    d: float,
-    b_grid: Sequence[float],
+    step: Callable,
+    lookahead: int,
+    b_arr: np.ndarray,
     crossed: np.ndarray,
-    orig_idx: np.ndarray,
-    w: int,
+    live: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Advance the CUSUM over every emittable tick in ``slab``.
+    """Advance a detector over every emittable tick of ``slab``.
 
-    ``slab`` is (T, k, cols) holding ticks start_tick..start_tick+cols-1 for
-    T live trials; crossings are recorded into ``crossed`` (rows indexed by
-    ``orig_idx``) as reported times t + w. Returns the updated statistic and
-    the first unprocessed tick.
+    ``slab`` is (T, k, cols) holding ticks tick..tick+cols-1 for the T live
+    trials; column f is scored once the ``lookahead`` columns after it are
+    in the slab. Crossings go into ``crossed`` (rows indexed by ``live``) as
+    reported times, the crossing tick plus the lookahead. Returns the
+    updated state and the first unprocessed tick.
     """
-    cols = slab.shape[2]
-    b_arr = np.asarray(b_grid)
-    t = start_tick
-    for f in range(cols - w):
-        if t > t_last:
-            break
-        window = slab[:, :, f + 1 : f + 1 + w]
-        u = window_top_vectors(window)
-        inc = np.einsum("tk,tk->t", u, slab[:, :, f]) ** 2 - d
-        S = np.maximum(S, 0.0) + inc
-        hits = (S[:, None] >= b_arr[None, :]) & (crossed[orig_idx] < 0)
+    emit = max(0, min(slab.shape[2] - lookahead, t_last - tick + 1))
+    for f in range(emit):
+        S, stat = step(slab, f, S)
+        hits = stat[:, None] >= b_arr
         if hits.any():
-            rows, cols_hit = np.nonzero(hits)
-            crossed[orig_idx[rows], cols_hit] = t + w
-        t += 1
-    return S, t
+            rows, cols = np.nonzero(hits & (crossed[live] < 0))
+            crossed[live[rows], cols] = tick + f + lookahead
+    return S, tick + emit
+
+
+def _subspace_step(w: int, d: float) -> Callable:
+    """One tick of the subspace CUSUM for every live trial (state: (T,))."""
+
+    def step(slab, f, S):
+        u = window_top_vectors(slab[:, :, f + 1 : f + 1 + w])
+        S = np.maximum(S, 0.0) + (np.einsum("tk,tk->t", u, slab[:, :, f]) ** 2 - d)
+        return S, S
+
+    return step
+
+
+def _race_step(mu: float, sigma2: float) -> Callable:
+    """One tick of the one-shot race for every live trial (state: (T, k)).
+
+    The arithmetic is that of :func:`sscusum.detect.one_shot_detector`, so
+    crossings agree with it bit for bit.
+    """
+    if mu == 0:
+        raise DegenerateInputError("mu = 0 gives a degenerate likelihood ratio")
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be positive")
+    gain = mu / sigma2
+    half = mu / 2.0
+
+    def step(slab, f, S):
+        S = np.maximum(S, 0.0) + gain * (slab[:, :, f] - half)
+        return S, S.max(axis=1)
+
+    return step
 
 
 def fast_crossings_on_array(
@@ -284,84 +332,74 @@ def fast_crossings_on_array(
     """Reported crossing times per threshold for one explicit episode (-1 if none).
 
     Same statistic as the reference pipeline with ``sync=False``; used to
-    cross-check the fast engine against it.
+    cross-check the lockstep scan against it.
     """
     data = np.asarray(streams, dtype=float)[None, :, :]
-    crossed = np.full((1, len(b_grid)), -1, dtype=np.int64)
-    S = np.zeros(1)
+    b_arr = np.asarray(b_grid, dtype=float)
+    crossed = np.full((1, b_arr.size), -1, dtype=np.int64)
     t_last = t0 + data.shape[2] - 1 - w
-    _scan_statistic(data, t0, t_last, S, d, b_grid, crossed, np.arange(1), w)
+    _scan(data, t0, t_last, np.zeros(1), _subspace_step(w, d), w, b_arr, crossed, np.arange(1))
     return crossed[0]
 
 
-_FAST_CHUNK = 256  # fixed: per-trial noise is drawn in (k, _FAST_CHUNK) blocks
-
-
-def _fast_crossings(
-    spec: "SubspaceSpec",
+def _lockstep_crossings(
+    spec,
     model_source: ModelSource,
     b_grid: Sequence[float],
     trials: int,
     horizon: int,
     seed,
 ) -> tuple[np.ndarray, list[int]]:
-    """Vectorized lockstep Monte Carlo for the no-realignment subspace detector.
+    """Lockstep Monte Carlo for the one-shot race and the subspace detector
+    without delay estimation.
 
-    Trials advance together in fixed chunks and drop out once they cross the
-    largest threshold; each trial owns its own generator, so results do not
-    depend on the chunking of others. Note the noise is drawn chunk by chunk,
-    which is a different (still deterministic) layout than the reference
-    engine's one-shot episode draw.
+    Trials advance together one (k, 256) noise block at a time; each trial
+    draws its blocks from its own generator, with its own model's signal,
+    exactly as :func:`generate_episode` lays them out, and drops out once it
+    crosses the largest threshold, so no trial draws noise past that
+    crossing. The detector's scan runs column by column over the live
+    trials' slab: the race with no lookahead, the subspace statistic with
+    lookahead w, keeping the last w columns for the next slab. Crossings
+    equal those of ``spec.run`` on each trial's episode.
     """
-    w, d = spec.w, spec.d
-    t0 = 1
-    t_last = horizon - w
-    if t_last < t0:
-        raise ValueError("horizon too short for one lookahead window")
-    b_grid = list(b_grid)
-    crossed = np.full((trials, len(b_grid)), -1, dtype=np.int64)
-    change_points: list[int] = []
-
-    rngs = []
-    models = []
+    rngs, models = [], []
     for child in _as_seedseq(seed).spawn(trials):
         rng = np.random.default_rng(child)
-        model = _resolve_model(model_source, rng)
-        change_points.append(model.change_point)
-        models.append(model)
+        models.append(_resolve_model(model_source, rng))
         rngs.append(rng)
     k = models[0].k
-    sigma = math.sqrt(models[0].sigma2)
-    waveform = models[0].waveform
-    if any(m.k != k or m.sigma2 != models[0].sigma2 for m in models):
-        raise ValueError("fast engine needs a common k and sigma2 across trials")
-    alphas = np.stack([m.alpha for m in models])
-    onsets = np.stack([m.onsets for m in models])
+    if any(m.k != k for m in models):
+        raise ValueError("the lockstep engine needs a common k across trials")
+    if isinstance(spec, OneShotSpec):
+        lookahead, step = 0, _race_step(spec.mu, spec.sigma2)
+        S = np.zeros((trials, k))
+    else:
+        if k < 2:
+            raise ValueError("need at least 2 sensors")
+        if spec.w < 1:
+            raise ValueError("w must be >= 1")
+        lookahead, step = spec.w, _subspace_step(spec.w, spec.d)
+        S = np.zeros(trials)
+    t_last = horizon - lookahead
+    if t_last < 1:
+        raise ValueError("horizon too short for one lookahead window")
+    b_arr = np.asarray(b_grid, dtype=float)
+    crossed = np.full((trials, b_arr.size), -1, dtype=np.int64)
 
-    S = np.zeros(trials)
-    orig_idx = np.arange(trials)
+    live = np.arange(trials)
     carry = np.empty((trials, k, 0))
-    next_tick = t0
+    tick = 1
     drawn = 0  # ticks generated so far
-    while orig_idx.size and next_tick <= t_last:
-        fresh = np.stack([rng.standard_normal((k, _FAST_CHUNK)) for rng in rngs]) * sigma
-        ticks = np.arange(drawn + 1, drawn + _FAST_CHUNK + 1)
-        signal = alphas[:, :, None] * waveform(ticks[None, None, :] - onsets[:, :, None])
-        slab = np.concatenate([carry, fresh + signal], axis=2)
+    while live.size and tick <= t_last:
+        fresh = np.stack([_draw_blocks(models[i], rngs[i], drawn, 1) for i in live])
+        slab = np.concatenate([carry, fresh], axis=2)
         drawn += _FAST_CHUNK
-        S, next_tick = _scan_statistic(
-            slab, next_tick, t_last, S, d, b_grid, crossed, orig_idx, w
-        )
-        carry = slab[:, :, -w:]
-        live = crossed[orig_idx, -1] < 0
-        if not live.all():
-            orig_idx = orig_idx[live]
-            S = S[live]
-            carry = carry[live]
-            alphas = alphas[live]
-            onsets = onsets[live]
-            rngs = [rng for rng, keep in zip(rngs, live) if keep]
-    return crossed, change_points
+        S, tick = _scan(slab, tick, t_last, S, step, lookahead, b_arr, crossed, live)
+        carry = slab[:, :, max(0, slab.shape[2] - lookahead) :]
+        keep = crossed[live, -1] < 0
+        if not keep.all():
+            live, S, carry = live[keep], S[keep], carry[keep]
+    return crossed, [m.change_point for m in models]
 
 
 def _trial_crossings(
@@ -374,8 +412,10 @@ def _trial_crossings(
 ) -> tuple[np.ndarray, list[int]]:
     """Reported stop times per (trial, threshold); -1 marks no alarm.
 
-    One detector run per trial at the largest threshold; smaller crossings
-    are read from the stored statistic path.
+    The one-shot race and the subspace detector without delay estimation
+    run in the lockstep engine. Any other detector runs once per trial at
+    the largest threshold over the whole episode, and smaller crossings are
+    read from the stored statistic path.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -384,8 +424,8 @@ def _trial_crossings(
         raise ValueError("threshold grid is empty")
     if any(b2 <= b1 for b1, b2 in zip(b_grid, b_grid[1:])):
         raise ValueError("threshold grid must be strictly increasing")
-    if getattr(spec, "engine", "reference") == "fast":
-        return _fast_crossings(spec, model_source, b_grid, trials, horizon, seed)
+    if isinstance(spec, OneShotSpec) or (isinstance(spec, SubspaceSpec) and not spec.sync):
+        return _lockstep_crossings(spec, model_source, b_grid, trials, horizon, seed)
     b_max = b_grid[-1]
     reported = np.full((trials, len(b_grid)), -1, dtype=np.int64)
     change_points: list[int] = []
@@ -566,7 +606,6 @@ def empirical_drift(
     sync: bool = False,
     ticks: int = 20_000,
     seed=0,
-    engine: str = "auto",
     **pipeline_kwargs,
 ) -> DriftCalibration:
     """Estimate both sides of the admissible drift interval by simulation.
@@ -574,16 +613,15 @@ def empirical_drift(
     Runs the increment pipeline over one long pre-change episode and one
     long post-change episode (change at 0, so the post regime is stationary
     whenever the signal is). Useful when the closed-form interval is empty.
-    ``engine="auto"`` uses the vectorized increment scan whenever no delay
-    estimation is requested.
+    Without delay estimation the increments come from the vectorized scan
+    :func:`fast_increments`.
     """
     horizon = ticks + w + 2 * tau_max + 1
     s1, s2 = _as_seedseq(seed).spawn(2)
-    use_fast = engine == "fast" or (engine == "auto" and not sync)
     out = []
     for model, child in ((noise_model, s1), (change_model, s2)):
         streams = generate_episode(model, horizon, child)
-        if use_fast:
+        if not sync:
             _, inc = fast_increments(streams, w)
         else:
             _, inc = subspace_increments(

@@ -209,7 +209,7 @@ STRONG_K, STRONG_MU, COMPARISON_W = 50, 0.25, 20
 
 def _comparison(k, mu, d, ss_grid, os_grid, horizon_arl_ss, horizon_arl_os, horizon_edd, seed):
     tau_max, trials = 20, 500
-    spec_ss = sim.SubspaceSpec(w=COMPARISON_W, tau_max=tau_max, d=d, sync=False, engine="fast")
+    spec_ss = sim.SubspaceSpec(w=COMPARISON_W, tau_max=tau_max, d=d, sync=False)
     spec_os = sim.OneShotSpec(mu=mu, sigma2=1.0)
     ss = _curve(spec_ss, k, mu, ss_grid, trials, seed, horizon_arl_ss, horizon_edd, tau_max)
     os_ = _curve(spec_os, k, mu, os_grid, trials, seed + 1, horizon_arl_os, horizon_edd, tau_max)
@@ -240,7 +240,6 @@ def _calibrated_point(k, mu, seed):
         w=COMPARISON_W,
         ticks=60_000,
         seed=seed,
-        engine="fast",
     )
     gap = cal.post_mean - cal.pre_mean
     gap_se = gap / math.hypot(cal.pre_se, cal.post_se)

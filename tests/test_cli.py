@@ -1,6 +1,7 @@
 """Command-line workflows: validation, exit codes, determinism, thin-shell equivalence."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +249,31 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just words\n")
         assert run(["--config", cfg, "simulate", "--seed", 1]) == 1
+
+    def test_unknown_key_rejected_with_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("k = 2\n# the typo\ntau_mx = 20\nhorizon = 6\n")
+        out = tmp_path / "episode.csv"
+        assert run(["--config", cfg, "simulate", "--seed", 1, "--out", out]) == 1
+        assert f"{cfg}:3: unknown key 'tau_mx'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_key_of_another_subcommand_allowed(self, tmp_path):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("k = 2\nhorizon = 6\nb = 3.5\nnormalize = true\n")
+        assert run(["--config", cfg, "simulate", "--seed", 1, "--out", tmp_path / "e.csv"]) == 0
+
+    def test_shipped_presets_load(self, tmp_path):
+        # each preset under the command it documents, with flags shrinking the run
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        record = simulate_noise_file(tmp_path, k=3, horizon=700)
+        code = run(["--config", configs / "seismic.cfg", "detect", "--in", record,
+                    "--prefix", 500, "--b", 50, "--out", tmp_path / "report.csv"])
+        assert code == 0
+        for name in ("curve_weak.cfg", "curve_strong.cfg"):
+            code = run(["--config", configs / name, "curve", "--d", 2.0, "--trials", 2,
+                        "--horizon", 300, "--horizon-edd", 100, "--out", tmp_path / name])
+            assert code == 0
 
     def test_unknown_command_rejected(self):
         assert run(["frobnicate"]) == 1

@@ -22,7 +22,6 @@ from sscusum.detect import (
     write_trajectory_csv,
 )
 from sscusum.errors import DegenerateInputError, IndependenceViolationError
-from sscusum.sim import generate_episode, pure_noise_model
 from sscusum.sync import joint_estimate
 
 E1 = np.array([1.0, 0.0])
@@ -131,7 +130,7 @@ class TestNearTie:
         # a pure-noise window whose top two eigenvalues are 206.6875 and
         # 206.6907 (relative gap 1.6e-5): an iterative solver needs ~10^6 steps
         child = np.random.SeedSequence([1631191312, 3, 4000]).spawn(1)[0]
-        streams = generate_episode(pure_noise_model(3), 4000, child)[:, 1388:1589]
+        streams = np.random.default_rng(child).standard_normal((3, 4000))[:, 1388:1589]
         values, vectors = jacobi_eigh(covariance_triple_loop(streams[:, 1:].T))
         assert (values[0] - values[1]) / values[0] < 2e-5
         det = SubspaceCusum(w=200, d=0.0)

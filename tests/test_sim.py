@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from sscusum.core import ScenarioModel, Waveform
 from sscusum.detect import one_shot_detector
+from sscusum.errors import DegenerateInputError
 from sscusum.sim import (
     OneShotSpec,
     SubspaceSpec,
@@ -22,6 +24,7 @@ from sscusum.sim import (
     write_curve_csv,
 )
 from sscusum.detect import subspace_increments
+from sscusum.sim import _trial_crossings
 
 
 class TestGenerateEpisode:
@@ -51,6 +54,12 @@ class TestGenerateEpisode:
         model = mean_shift_model(2, mu=5.0, onsets=np.array([100, 100]))
         streams = generate_episode(model, horizon=50, seed=3)
         assert np.abs(streams.mean()) < 0.5
+
+    @pytest.mark.parametrize("short", [1, 255, 256, 257, 700])
+    def test_prefix_is_the_shorter_episode(self, short):
+        model = mean_shift_model(5, mu=0.4, onsets=np.array([0, 3, 200, 300, 900]))
+        long = generate_episode(model, 1000, seed=22)
+        assert np.array_equal(long[:, :short], generate_episode(model, short, seed=22))
 
     def test_horizon_validated(self):
         with pytest.raises(ValueError):
@@ -241,16 +250,12 @@ class TestFastEngine:
         assert ref == fast
 
     def test_fast_trials_deterministic(self):
-        spec = SubspaceSpec(w=10, tau_max=5, d=1.1, sync=False, engine="fast")
+        spec = SubspaceSpec(w=10, tau_max=5, d=1.1, sync=False)
         factory = random_delay_factory(4, mu=0.8, sigma2=1.0, tau_max=5)
         a = estimate_edd(spec, factory, b=4.0, trials=30, seed=20, horizon=800)
         b = estimate_edd(spec, factory, b=4.0, trials=30, seed=20, horizon=800)
         assert a == b
         assert a.censored_frac == 0.0
-
-    def test_fast_requires_no_sync(self):
-        with pytest.raises(ValueError):
-            SubspaceSpec(w=10, tau_max=5, d=1.0, sync=True, engine="fast")
 
 
 class TestEmpiricalDrift:
@@ -269,3 +274,93 @@ class TestEmpiricalDrift:
         assert cal.post_mean > cal.pre_mean
         assert cal.valid
         assert cal.midpoint == pytest.approx((cal.pre_mean + cal.post_mean) / 2)
+
+
+def _replay(spec, model_source, b_grid, trials, horizon, seed):
+    """Reported stop times from one whole episode per trial through
+    ``spec.run`` at the largest threshold, read with ``crossing_for``."""
+    out = np.full((trials, len(b_grid)), -1, dtype=np.int64)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        rng = np.random.default_rng(child)
+        model = model_source(rng) if callable(model_source) else model_source
+        report = spec.run(generate_episode(model, horizon, rng), b_grid[-1])
+        for j, b in enumerate(b_grid):
+            reported = report.crossing_for(b)[1]
+            if reported is not None:
+                out[i, j] = reported
+    return out
+
+
+def _two_waveforms(k, mu, tau_max):
+    """Trials pick one of two tabulated waveforms: a short strong burst or a
+    slow ramp, so a trial scored with the other one's signal crosses
+    elsewhere."""
+    tables = (
+        Waveform.from_samples(np.full(60, 4.0 * mu)),
+        Waveform.from_samples(np.linspace(0.0, 1.0, 400) * mu),
+    )
+
+    def factory(rng):
+        onsets = uniform_onsets(rng, k, tau_max)
+        waveform = tables[int(rng.integers(2))]
+        return ScenarioModel(k=k, sigma2=1.0, alpha=np.ones(k), waveform=waveform, onsets=onsets)
+
+    return factory
+
+
+# (spec, model, grid): no-change (ARL) and change (EDD) models for both
+# detectors, and subspace cases with more sensors than window samples and
+# with a window longer than one 256-tick noise block; each largest
+# threshold leaves some trials censored at the horizon
+LOCKSTEP_CASES = {
+    "one_shot-arl": (OneShotSpec(mu=0.5), pure_noise_model(4), [2.0, 4.0, 6.0]),
+    "one_shot-edd": (OneShotSpec(mu=0.5), random_delay_factory(4, 0.15, 1.0, 6), [2.0, 6.0, 10.0]),
+    "subspace-arl": (
+        SubspaceSpec(w=10, tau_max=0, d=1.25, sync=False), pure_noise_model(6), [2.0, 5.0, 14.0],
+    ),
+    "subspace-edd": (
+        SubspaceSpec(w=10, tau_max=6, d=1.4, sync=False),
+        random_delay_factory(6, 0.3, 1.0, 6),
+        [2.0, 6.0, 26.0],
+    ),
+    "subspace-wide-arl": (
+        SubspaceSpec(w=6, tau_max=0, d=1.6, sync=False), pure_noise_model(12), [2.0, 5.0, 14.0],
+    ),
+    "subspace-long-window-arl": (
+        SubspaceSpec(w=300, tau_max=0, d=1.1, sync=False), pure_noise_model(3), [2.0, 5.0, 20.0],
+    ),
+}
+
+
+class TestLockstepEngine:
+    @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+    def test_crossings_equal_per_trial_replay(self, case):
+        spec, model, grid = LOCKSTEP_CASES[case]
+        horizon = 1000  # not a multiple of the 256-tick noise block
+        lockstep, _ = _trial_crossings(spec, model, grid, 12, horizon, 23)
+        replay = _replay(spec, model, grid, 12, horizon, 23)
+        assert np.array_equal(lockstep, replay)
+        assert (replay[:, -1] < 0).any()  # censored at the horizon
+        assert (replay[:, 0] >= 0).all()
+
+    @pytest.mark.parametrize(
+        "spec, grid",
+        [
+            (OneShotSpec(mu=0.3), [1.0, 3.0, 6.0]),
+            (SubspaceSpec(w=10, tau_max=4, d=1.5, sync=False), [1.0, 4.0, 8.0]),
+        ],
+        ids=["one_shot", "subspace"],
+    )
+    def test_each_trial_carries_its_own_waveform(self, spec, grid):
+        factory = _two_waveforms(5, 0.3, 4)
+        lockstep, taus = _trial_crossings(spec, factory, grid, 16, 700, 24)
+        replay = _replay(spec, factory, grid, 16, 700, 24)
+        assert np.array_equal(lockstep, replay)
+        assert taus == [0] * 16
+
+    def test_one_shot_inputs_rejected_as_by_the_detector(self):
+        with pytest.raises(DegenerateInputError):
+            estimate_arl(OneShotSpec(mu=0.0), pure_noise_model(3), b=2.0, trials=3, seed=1, horizon=50)
+        with pytest.raises(ValueError):
+            estimate_arl(OneShotSpec(mu=0.5, sigma2=0.0), pure_noise_model(3), b=2.0,
+                         trials=3, seed=1, horizon=50)
