@@ -235,7 +235,13 @@ def _load_streams(args) -> tuple[int, np.ndarray]:
     return t0, streams
 
 
-def _prefix_increments(args, t0: int, streams: np.ndarray) -> np.ndarray:
+def _sync(args) -> bool:
+    return args.sync if args.sync is not None else args.tau_max > 0
+
+
+def _prefix(args, streams: np.ndarray) -> int:
+    """The calibration prefix length (default: the whole record), checked to
+    cover one scored window."""
     prefix = args.prefix if args.prefix is not None else streams.shape[1]
     if prefix > streams.shape[1]:
         raise ValidationError(
@@ -247,17 +253,19 @@ def _prefix_increments(args, t0: int, streams: np.ndarray) -> np.ndarray:
             f"--prefix {prefix} is too short for one window "
             f"(need >= {needed} with w={args.w}, tau-max={args.tau_max})"
         )
-    sync = args.sync if args.sync is not None else args.tau_max > 0
-    _, increments = det.subspace_increments(
-        streams[:, :prefix],
+    return prefix
+
+
+def _increments(args, t0: int, streams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return det.subspace_increments(
+        streams,
         w=args.w,
         tau_max=args.tau_max,
-        sync=sync,
+        sync=_sync(args),
         t0=t0,
         delta=args.delta,
         n_max=args.n_max,
     )
-    return increments
 
 
 def cmd_calibrate(args) -> int:
@@ -268,7 +276,7 @@ def cmd_calibrate(args) -> int:
     _default(args, "n_max", 10)
     _positive(args, "w", "factor")
     t0, streams = _load_streams(args)
-    increments = _prefix_increments(args, t0, streams)
+    _, increments = _increments(args, t0, streams[:, : _prefix(args, streams)])
     print(repr(det.calibrate_drift(increments, factor=args.factor)))
     return 0
 
@@ -285,31 +293,26 @@ def cmd_detect(args) -> int:
     if args.d is None:
         if args.factor is None:
             raise ValidationError("supply --d, or --factor (with --prefix) to calibrate")
-        increments = _prefix_increments(args, t0, streams)
-        args.d = det.calibrate_drift(increments, factor=args.factor)
+        prefix = _prefix(args, streams)
+    ticks, increments = _increments(args, t0, streams)
+    if args.d is None:
+        # A pass over the prefix alone scores exactly these leading ticks:
+        # its sync segments start at the same ticks, and every delay window
+        # it estimates lies inside the prefix.
+        headroom = args.tau_max if _sync(args) else 0
+        calibration = increments[: prefix - args.w - 2 * headroom]
+        args.d = det.calibrate_drift(calibration, factor=args.factor)
         print(f"calibrated drift d={args.d!r}")
-    sync = args.sync if args.sync is not None else args.tau_max > 0
-    detection = det.async_pipeline(
-        streams,
-        w=args.w,
-        tau_max=args.tau_max,
-        d=args.d,
-        b=args.b,
-        delta=args.delta,
-        n_max=args.n_max,
-        sync=sync,
-        t0=t0,
-        full_trajectory=True,
-    )
-    det.write_report_csv(args.out, detection.report, rate=args.rate)
+    report = det.cusum_report(ticks, increments, d=args.d, b=args.b, lookahead=args.w)
+    det.write_report_csv(args.out, report, rate=args.rate)
     if args.trajectory_out:
-        det.write_trajectory_csv(args.trajectory_out, detection.report)
-    if detection.report.no_alarm:
+        det.write_trajectory_csv(args.trajectory_out, report)
+    if report.no_alarm:
         print("no alarm")
     else:
-        msg = f"alarm: crossed_at={detection.report.crossed_at} reported_at={detection.report.reported_at}"
+        msg = f"alarm: crossed_at={report.crossed_at} reported_at={report.reported_at}"
         if args.rate:
-            msg += f" ({detection.report.reported_at / args.rate:.1f} s)"
+            msg += f" ({report.reported_at / args.rate:.1f} s)"
         print(msg)
     return 0
 
@@ -323,7 +326,7 @@ def cmd_curve(args) -> int:
     _default(args, "detector", "both")
     _positive(args, "k", "w", "trials", "horizon", "sigma2")
     horizon_edd = args.horizon_edd or args.horizon
-    sync = args.sync if args.sync is not None else args.tau_max > 0
+    sync = _sync(args)
     ss = np.random.SeedSequence(int(args.seed))
     seed_sub, seed_os, seed_drift = ss.spawn(3)
     noise = sim.pure_noise_model(args.k, args.sigma2)

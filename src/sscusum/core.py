@@ -9,9 +9,10 @@ reference).
 from __future__ import annotations
 
 import csv
+import io
+import re
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -354,16 +355,67 @@ def frames_from_array(
 
 
 def write_sensor_csv(path, streams: np.ndarray, t0: int = 1) -> None:
-    """Write the sensor dump schema: header ``t,s1,...,sk``, one row per tick."""
+    """Write the sensor dump schema: header ``t,s1,...,sk``, one row per tick.
+
+    Rows end in ``\\r\\n`` and cells are ``repr`` of each float, the bytes
+    ``csv.writer`` would produce; no cell of this schema needs quoting.
+    """
     streams = np.asarray(streams, dtype=float)
     if streams.ndim != 2:
         raise DimensionMismatchError("streams must be a (k, n) array")
     k, n = streams.shape
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"s{i + 1}" for i in range(k)])
-        for j in range(n):
-            writer.writerow([t0 + j] + [repr(float(v)) for v in streams[:, j]])
+        fh.write(",".join(["t"] + [f"s{i + 1}" for i in range(k)]) + "\r\n")
+        fh.writelines(
+            f"{t},{','.join(map(repr, row))}\r\n"
+            for t, row in zip(range(t0, t0 + n), streams.T.tolist())
+        )
+
+
+# ASCII separators that numpy's parser skips as whitespace but int() and
+# float() reject; a file holding one takes the per-cell scan.
+_NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_NON_SPACE = re.compile(rb"\S")
+
+
+def _parse_sensor_bytes(data: bytes) -> tuple[int, np.ndarray] | None:
+    """Whole-file parse of a plain-ASCII sensor dump, or None to make the
+    caller run the per-cell scan.
+
+    Accepts only what that scan accepts, with the same values: anything
+    numpy rejects or that fails a check here (header, consecutive ticks,
+    finiteness) returns None rather than an error. ASCII bytes decode to
+    the same text under any encoding ``open`` may pick.
+    """
+    if not data.isascii() or any(c in data for c in _NUMPY_ONLY_SPACE):
+        return None
+    buf = io.BytesIO(data)
+    head = buf.readline().decode("ascii").removesuffix("\n").removesuffix("\r")
+    # a lone CR ends a csv row; an all-blank body makes numpy warn
+    if "\r" in head or _NON_SPACE.search(data, buf.tell()) is None:
+        return None
+    header = [h.strip() for h in head.split(",")]
+    k = len(header) - 1
+    if k < 1 or header != ["t"] + [f"s{i + 1}" for i in range(k)]:
+        return None
+    try:
+        rows = np.loadtxt(
+            buf,
+            dtype=[("t", np.int64), ("v", float, (k,))],
+            delimiter=",",
+            comments=None,
+            ndmin=1,
+            encoding="ascii",
+        )
+    except ValueError:
+        return None
+    ticks = rows["t"]
+    # int64 differences wrap; a wrapped run of +1 steps ends below its start
+    if not ticks.size or not (np.diff(ticks) == 1).all() or ticks[-1] < ticks[0]:
+        return None
+    if not np.isfinite(rows["v"]).all():
+        return None
+    return int(ticks[0]), np.ascontiguousarray(rows["v"]).T
 
 
 def read_sensor_csv(path) -> tuple[int, np.ndarray]:
@@ -372,44 +424,58 @@ def read_sensor_csv(path) -> tuple[int, np.ndarray]:
     Ticks must be strictly increasing and consecutive; missing and
     non-finite (nan, inf) cells are forbidden. Errors carry the offending
     line number.
+
+    The whole file is parsed in one numpy call. Any file that parse or its
+    checks reject goes through a per-cell scan instead, which either
+    accepts it or names the first bad line.
     """
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    parsed = _parse_sensor_bytes(data)
+    if parsed is not None:
+        return parsed
+    # decoded as open(path, newline="") would, lazily, so an earlier bad
+    # line is reported before a later undecodable byte
+    return _scan_sensor_csv(io.TextIOWrapper(io.BytesIO(data), newline=""))
+
+
+def _scan_sensor_csv(fh) -> tuple[int, np.ndarray]:
+    """Cell-by-cell read of an open sensor dump, raising at the first bad line."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvFormatError("empty file", line=1) from None
+    header = [h.strip() for h in header]
+    if not header or header[0] != "t" or len(header) < 2:
+        raise CsvFormatError(f"expected header 't,s1,...,sk', got {header}", line=1)
+    expected = ["t"] + [f"s{i + 1}" for i in range(len(header) - 1)]
+    if header != expected:
+        raise CsvFormatError(f"expected header {expected}, got {header}", line=1)
+    k = len(header) - 1
+    prev: int | None = None
+    lines: list[int] = []
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != k + 1 or any(cell.strip() == "" for cell in row):
+            raise CsvFormatError(f"expected {k + 1} non-empty cells", line=lineno)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError("empty file", line=1) from None
-        header = [h.strip() for h in header]
-        if not header or header[0] != "t" or len(header) < 2:
-            raise CsvFormatError(f"expected header 't,s1,...,sk', got {header}", line=1)
-        expected = ["t"] + [f"s{i + 1}" for i in range(len(header) - 1)]
-        if header != expected:
-            raise CsvFormatError(f"expected header {expected}, got {header}", line=1)
-        k = len(header) - 1
-        prev: int | None = None
-        lines: list[int] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != k + 1 or any(cell.strip() == "" for cell in row):
-                raise CsvFormatError(f"expected {k + 1} non-empty cells", line=lineno)
-            try:
-                t = int(row[0])
-                vals = [float(cell) for cell in row[1:]]
-            except ValueError as exc:
-                raise CsvFormatError(str(exc), line=lineno) from None
-            if prev is not None:
-                if t <= prev:
-                    raise CsvFormatError(
-                        f"tick {t} not strictly increasing after {prev}", line=lineno
-                    )
-                if t != prev + 1:
-                    raise CsvFormatError(f"gap in ticks: {prev} followed by {t}", line=lineno)
-            prev = t
-            lines.append(lineno)
-            rows.append(vals)
+            t = int(row[0])
+            vals = [float(cell) for cell in row[1:]]
+        except ValueError as exc:
+            raise CsvFormatError(str(exc), line=lineno) from None
+        if prev is not None:
+            if t <= prev:
+                raise CsvFormatError(
+                    f"tick {t} not strictly increasing after {prev}", line=lineno
+                )
+            if t != prev + 1:
+                raise CsvFormatError(f"gap in ticks: {prev} followed by {t}", line=lineno)
+        prev = t
+        lines.append(lineno)
+        rows.append(vals)
     if not rows:
         raise CsvFormatError("no data rows", line=2)
     data = np.asarray(rows, dtype=float)

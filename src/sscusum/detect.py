@@ -57,6 +57,7 @@ __all__ = [
     "calibrate_drift",
     "async_pipeline",
     "subspace_increments",
+    "cusum_report",
     "write_report_csv",
     "write_trajectory_csv",
 ]
@@ -356,6 +357,49 @@ def calibrate_drift(prechange: np.ndarray, factor: float = 1.5) -> float:
     return factor * float(series.mean())
 
 
+def _cusum_path(x: np.ndarray, values: list[float], b: float, stop: bool) -> int | None:
+    """Extend the statistic path ``values`` (empty: S = 0) by
+    S' = max(S, 0) + x_j for each drift-corrected increment x_j.
+
+    Returns the index into ``x`` of the first S >= b, or None; with ``stop``
+    the path ends at that index.
+    """
+    S = values[-1] if values else 0.0
+    hit = None
+    for j, x_j in enumerate(x.tolist()):
+        S = max(S, 0.0) + x_j
+        values.append(S)
+        if hit is None and S >= b:
+            hit = j
+            if stop:
+                break
+    return hit
+
+
+def cusum_report(
+    ticks: np.ndarray, increments: np.ndarray, *, d: float, b: float, lookahead: int
+) -> StoppingReport:
+    """Full-trajectory subspace report over squared projections scored
+    beforehand, such as :func:`subspace_increments` output.
+
+    Equal to the report of :func:`async_pipeline` run with this ``d`` and
+    ``b`` and ``full_trajectory=True`` on the same streams.
+    """
+    values: list[float] = []
+    hit = _cusum_path(np.asarray(increments, dtype=float) - d, values, b, stop=False)
+    crossed = None if hit is None else int(ticks[hit])
+    return StoppingReport(
+        detector="subspace",
+        b=float(b),
+        d=float(d),
+        lookahead=lookahead,
+        crossed_at=crossed,
+        reported_at=None if crossed is None else crossed + lookahead,
+        ticks=ticks,
+        statistic=np.asarray(values, dtype=float),
+    )
+
+
 @dataclass(frozen=True)
 class AsyncDetection:
     """Stopping report plus the per-window delay history of the joint loop."""
@@ -436,7 +480,7 @@ def async_pipeline(
     rows = np.arange(k)[:, None]
     tau = np.zeros(k, dtype=int)
     delays_log: list[tuple[int, DelayProfile]] = []
-    S, crossed = 0.0, None
+    crossed = None
     values: list[float] = []
     increments: list[np.ndarray] = []
     segment = sync_every if sync else BLOCK
@@ -457,14 +501,11 @@ def async_pipeline(
             delays_log.append((start, est.delays))
         cols = (start - t0) + tau[:, None] + np.arange(stop - start + 1 + w)[None, :]
         inc = window_increments(data[rows, cols], w)
-        for j, x in enumerate((inc - d).tolist()):
-            S = max(S, 0.0) + x
-            values.append(S)
-            if crossed is None and S >= b:
-                crossed = start + j
-                if not full_trajectory:
-                    inc = inc[: j + 1]
-                    break
+        hit = _cusum_path(inc - d, values, b, stop=not full_trajectory)
+        if crossed is None and hit is not None:
+            crossed = start + hit
+            if not full_trajectory:
+                inc = inc[: hit + 1]
         increments.append(inc)
         if crossed is not None and not full_trajectory:
             break
@@ -548,9 +589,8 @@ def write_report_csv(
 
 
 def write_trajectory_csv(path, report: StoppingReport) -> None:
-    """Write the diagnostic path as ``t,S`` rows."""
+    """Write the diagnostic path as ``t,S`` rows, byte for byte what
+    ``csv.writer`` writes for ``[t, repr(s)]``."""
+    rows = zip(report.ticks.tolist(), report.statistic.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "S"])
-        for t, s in zip(report.ticks.tolist(), report.statistic.tolist()):
-            writer.writerow([t, repr(float(s))])
+        fh.write("t,S\r\n" + "".join(f"{t},{s!r}\r\n" for t, s in rows))

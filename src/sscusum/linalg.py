@@ -103,16 +103,17 @@ def window_top_vectors(windows: np.ndarray) -> np.ndarray:
         NumericalError: a Gram matrix or a direction is not finite.
     """
     _, k, w = windows.shape
+    side = windows if k <= w else windows.transpose(0, 2, 1)
+    # an overflowing product is reported by _check_finite, not by a warning;
+    # the error state covers only the product, as it costs every call
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = side @ side.transpose(0, 2, 1)
+    _check_finite(grams, "window covariance" if k <= w else "window Gram matrix")
     if k <= w:
-        grams = windows @ windows.transpose(0, 2, 1)
-        _check_finite(grams, "window covariance")
         # eigh returns a unit vector even for a zero matrix; zero it instead
         u = np.linalg.eigh(grams)[1][:, :, -1] * grams.any(axis=(1, 2))[:, None]
     else:
-        grams = windows.transpose(0, 2, 1) @ windows
-        _check_finite(grams, "window Gram matrix")
-        y = np.linalg.eigh(grams)[1][:, :, -1:]
-        u = (windows @ y)[:, :, 0]
+        u = (windows @ np.linalg.eigh(grams)[1][:, :, -1:])[:, :, 0]
     norms = np.linalg.norm(u, axis=1, keepdims=True)
     u = u / np.where(norms > 0, norms, 1.0)
     _check_finite(u, "direction")

@@ -18,8 +18,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import DelayProfile
-from .errors import DimensionMismatchError, InsufficientLookaheadError, ZeroCorrelationWarning
-from .linalg import sample_covariance, top_singular_vector
+from .errors import (
+    DimensionMismatchError,
+    InsufficientLookaheadError,
+    ZeroCorrelationWarning,
+    ZeroMatrixError,
+)
+from .linalg import canonicalize_sign, window_top_vectors
 
 __all__ = ["WaveformEstimate", "JointEstimate", "ml_delay", "joint_estimate"]
 
@@ -225,7 +230,9 @@ def joint_estimate(
         new_tau = _batched_delays(ext, s_hat, tau_max, reference)
         prev, tau = tau, new_tau
         aligned = ext[rows, tau_max + tau[:, None] + offsets]  # (k, w)
-        u_hat = top_singular_vector(sample_covariance(aligned.T))
+        u_hat = canonicalize_sign(window_top_vectors(aligned[None])[0])
+        if not u_hat.any():
+            raise ZeroMatrixError("cannot extract a direction from the zero matrix")
         s_hat = aligned.T @ u_hat
     converged = prev is not None and np.abs(tau - prev).max() < delta
 

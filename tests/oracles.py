@@ -90,3 +90,52 @@ def covariance_triple_loop(samples: np.ndarray) -> np.ndarray:
             for b in range(k):
                 out[a, b] += samples[j, a] * samples[j, b]
     return out
+
+
+def read_sensor_csv_naive(path):
+    """The sensor dump contract read row by row with ``csv`` and ``int``/``float``.
+
+    Returns ``(t0, streams)`` with streams of shape (k, n), or
+    ``("error", message, line)`` for the first line that breaks the contract:
+    a cell-count, parse or tick-order fault at the line where it occurs,
+    otherwise no data rows (line 2), otherwise the first non-finite row.
+    """
+    import csv
+    import math
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            return "error", "empty file", 1
+        header = [cell.strip() for cell in first]
+        if len(header) < 2 or header[0] != "t":
+            return "error", f"expected header 't,s1,...,sk', got {header}", 1
+        want = ["t"] + ["s" + str(i) for i in range(1, len(header))]
+        if header != want:
+            return "error", f"expected header {want}, got {header}", 1
+        width = len(header)
+        ticks, table, first_bad = [], [], None
+        for line, cells in enumerate(reader, start=2):
+            if len(cells) == 0:
+                continue
+            if len(cells) != width or min(len(c.strip()) for c in cells) == 0:
+                return "error", f"expected {width} non-empty cells", line
+            try:
+                tick = int(cells[0])
+                values = [float(c) for c in cells[1:]]
+            except ValueError as exc:
+                return "error", str(exc), line
+            if ticks and tick <= ticks[-1]:
+                return "error", f"tick {tick} not strictly increasing after {ticks[-1]}", line
+            if ticks and tick != ticks[-1] + 1:
+                return "error", f"gap in ticks: {ticks[-1]} followed by {tick}", line
+            if first_bad is None and not all(math.isfinite(v) for v in values):
+                first_bad = line
+            ticks.append(tick)
+            table.append(values)
+    if not table:
+        return "error", "no data rows", 2
+    if first_bad is not None:
+        return "error", "non-finite reading", first_bad
+    return ticks[0], np.array(table, dtype=float).T

@@ -8,7 +8,8 @@ import pytest
 
 from sscusum import sim
 from sscusum.cli import main
-from sscusum.core import write_sensor_csv
+from sscusum.core import normalize_stream, read_sensor_csv, write_sensor_csv
+from sscusum.detect import async_pipeline, calibrate_drift, subspace_increments
 
 
 def run(argv):
@@ -201,6 +202,54 @@ class TestDetect:
                     "--out", tmp_path / "r.csv"])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+
+
+def _two_pass_detect(path, out_dir, *, w, tau_max, factor, prefix, b, rate, normalize):
+    """``detect --factor/--prefix`` as two passes, the prefix scored on its own,
+    with the outputs written through ``csv.writer``."""
+    t0, streams = read_sensor_csv(path)
+    if normalize:
+        streams = np.stack([normalize_stream(row) for row in streams])
+    _, prefix_inc = subspace_increments(streams[:, :prefix], w=w, tau_max=tau_max, sync=True, t0=t0)
+    d = calibrate_drift(prefix_inc, factor=factor)
+    report = async_pipeline(streams, w=w, tau_max=tau_max, d=d, b=b, sync=True, t0=t0,
+                            full_trajectory=True).report
+    with open(out_dir / "report.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["detector", "crossed_at", "reported_at", "b", "d", "crossed_sec",
+                         "reported_sec"])
+        writer.writerow(["subspace", report.crossed_at, report.reported_at, repr(float(b)),
+                         repr(d), repr(report.crossed_at / rate), repr(report.reported_at / rate)])
+    with open(out_dir / "trajectory.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "S"])
+        for t, s in zip(report.ticks.tolist(), report.statistic.tolist()):
+            writer.writerow([t, repr(s)])
+    return (
+        f"calibrated drift d={d!r}\n"
+        f"alarm: crossed_at={report.crossed_at} reported_at={report.reported_at} "
+        f"({report.reported_at / rate:.1f} s)\n"
+    )
+
+
+class TestDetectOnePass:
+    @pytest.mark.parametrize("normalize, b", [(False, 15.0), (True, 0.6)])
+    def test_outputs_equal_two_pass_reference(self, tmp_path, capsys, normalize, b):
+        record = tmp_path / "episode.csv"
+        run(["simulate", "--k", 3, "--sigma2", 1, "--mu", 1.5, "--onsets", "250,252,255",
+             "--horizon", 500, "--seed", 31, "--out", record])
+        capsys.readouterr()
+        ref_dir = tmp_path / "ref"
+        ref_dir.mkdir()
+        expected = _two_pass_detect(record, ref_dir, w=20, tau_max=5, factor=1.5, prefix=217,
+                                    b=b, rate=250.0, normalize=normalize)
+        argv = ["detect", "--in", record, "--w", 20, "--tau-max", 5, "--factor", 1.5,
+                "--prefix", 217, "--b", b, "--rate", 250, "--out", tmp_path / "report.csv",
+                "--trajectory-out", tmp_path / "trajectory.csv"]
+        assert run(argv + ["--normalize"] * normalize) == 0
+        assert capsys.readouterr().out == expected
+        for name in ("report.csv", "trajectory.csv"):
+            assert (tmp_path / name).read_bytes() == (ref_dir / name).read_bytes()
 
 
 class TestCurve:

@@ -1,10 +1,14 @@
 """Frames, buffering, alignment, normalization, scenarios, CSV schema."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sscusum.core
+from oracles import read_sensor_csv_naive
 from sscusum.core import (
     DelayProfile,
     LookaheadBuffer,
@@ -312,7 +316,134 @@ class TestSensorCsv:
         with pytest.raises(CsvFormatError):
             read_sensor_csv(path)
 
+    def test_writer_matches_csv_writer(self, tmp_path):
+        streams = np.array([[0.1, -0.0, 5e-324, 1e308], [np.nan, np.inf, -1.5, 2.0]])
+        path, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        write_sensor_csv(path, streams, t0=-1)
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "s1", "s2"])
+            for j in range(streams.shape[1]):
+                writer.writerow([j - 1] + [repr(float(v)) for v in streams[:, j]])
+        assert path.read_bytes() == ref.read_bytes()
+
+    def test_plain_file_takes_one_numpy_parse(self, tmp_path, monkeypatch):
+        def scan(fh):
+            raise AssertionError("per-cell scan ran on a plain file")
+
+        monkeypatch.setattr(sscusum.core, "_scan_sensor_csv", scan)
+        streams = np.random.default_rng(4).standard_normal((3, 50))
+        path = tmp_path / "plain.csv"
+        write_sensor_csv(path, streams, t0=9)
+        t0, back = read_sensor_csv(path)
+        assert t0 == 9 and np.array_equal(back, streams)
+        path.write_bytes(b"t, s1 ,s2\n\n-2,0.5,-0.0\n-1, 1e-310 ,+3\n")
+        t0, back = read_sensor_csv(path)
+        assert t0 == -2 and back.tolist() == [[0.5, 1e-310], [-0.0, 3.0]]
+
     def test_frames_from_array_ticks(self):
         streams = np.zeros((2, 3))
         ticks = [f.t for f in frames_from_array(streams, t0=7)]
         assert ticks == [7, 8, 9]
+
+
+def assert_reads_like_oracle(path):
+    """read_sensor_csv gives the naive reader's (t0, array) bit for bit, or
+    its error message and line."""
+    expected = read_sensor_csv_naive(path)
+    if expected[0] == "error":
+        _, message, line = expected
+        with pytest.raises(CsvFormatError) as err:
+            read_sensor_csv(path)
+        assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+    else:
+        t0, streams = read_sensor_csv(path)
+        assert t0 == expected[0]
+        assert streams.shape == expected[1].shape
+        assert streams.tobytes() == expected[1].tobytes()
+
+
+# Cells float() accepts though they are not plain decimals, and cells the
+# contract rejects (unparseable, empty, non-finite or overflowing).
+ODD_CELLS = ["-0.0", "5e-324", "2.2250738585072014e-308", "1e308", " 1.5 ", "\t2\t",
+             "1_0", '"2.5"', ".5", "5.", "+3", "\x0b7", "\xa08", "\u0661"]
+BAD_CELLS = ["nan", "inf", "-Infinity", "1e309", "", " ", "abc", "0x1", "1e", "9\x1c"]
+
+
+@st.composite
+def sensor_texts(draw):
+    """A sensor dump text that may break the contract anywhere."""
+    k = draw(st.integers(1, 3))
+    header = ["t"] + [f"s{i + 1}" for i in range(k)]
+    kind = draw(st.sampled_from(["plain"] * 5 + ["padded", "quoted", "renamed", "blank"]))
+    if kind == "padded":
+        header = [f" {h}\t" for h in header]
+    elif kind == "quoted":
+        header = [f'"{h}"' for h in header]
+    elif kind == "renamed":
+        header[-1] = "x"
+    lines = ["" if kind == "blank" else ",".join(header)]
+    t = draw(st.sampled_from([-3, 0, 1, 7, 2**63 - 2]))
+    for _ in range(draw(st.integers(0, 6))):
+        row = draw(st.sampled_from(["row"] * 20 + ["blank", "comment", "short", "long"]))
+        if row == "blank":
+            lines.append("")
+            continue
+        if row == "comment":
+            lines.append("# note")
+            continue
+        tick = draw(st.sampled_from(["next"] * 12 + ["float", "gap", "back", "padded", "plus"]))
+        t += {"gap": 2, "back": -1}.get(tick, 0)
+        cell = {"float": f"{t}.0", "padded": f" {t} ", "plus": f"+{t}"}.get(tick, str(t))
+        t += 1
+        cells = [cell]
+        for _ in range(k + {"short": -1, "long": 1}.get(row, 0)):
+            pick = draw(st.integers(0, 19))
+            if pick == 0:
+                cells.append(draw(st.sampled_from(BAD_CELLS)))
+            elif pick <= 3:
+                cells.append(draw(st.sampled_from(ODD_CELLS)))
+            else:
+                cells.append(repr(draw(st.floats(allow_nan=False, allow_infinity=False))))
+        lines.append(",".join(cells))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
+class TestReadSensorCsvAgainstOracle:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "t,s1,s2\n1,0.5,-0.0\n2,5e-324,1e308\n",
+            "t,s1,s2\r\n1,0.5,1.5\r\n\r\n2,2.5,3.5\r\n",
+            "t,s1\n\n3,0.5\n\n4,1.5",
+            "t,s1,s2\n1, 0.5 ,\t2\n2,1_0,\"2.5\"\n",
+            "t,s1\n# comment\n1,0.5\n",
+            "t,s1\n1.0,0.5\n",
+            "t,s1\n1,0.5\n3,0.5\n",
+            "t,s1\n2,0.5\n1,0.5\n",
+            "t,s1,s2\n1,0.5,0.5\n2,nan,0.5\n3,0.5,inf\n",
+            "t,s1,s2\n1,0.5\n",
+            "t,s1,s2\n1,,0.5\n",
+            "time,s1\n1,0.5\n",
+            "t,s2\n1,0.5\n",
+            "t,s1\n",
+            "",
+            "t,s1\n9223372036854775807,0.5\n9223372036854775808,1.5\n",
+            "t,s1\n9223372036854775807,0.5\n-9223372036854775808,1.5\n",
+            "t,s1\r,s2\n1,0.5,0.5\n",
+            "t,s1\n1,0.5\x1c\n",
+            "t,s1\n1,0.5\n   \n2,0.5\n",
+        ],
+    )
+    def test_examples(self, tmp_path, text):
+        path = tmp_path / "case.csv"
+        path.write_bytes(text.encode())
+        assert_reads_like_oracle(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sensor_texts())
+    def test_generated(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "case.csv"
+        path.write_bytes(text.encode())
+        assert_reads_like_oracle(path)

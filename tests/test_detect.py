@@ -12,6 +12,7 @@ from sscusum.detect import (
     SubspaceCusum,
     async_pipeline,
     calibrate_drift,
+    cusum_report,
     cusum_step_known_u,
     drift_bounds,
     one_shot_detector,
@@ -367,6 +368,57 @@ class TestSegmentedPipeline:
         report = run_detector(frames_from_array(streams), SubspaceCusum(w=5, d=0.5),
                               full_trajectory=True)
         assert np.allclose(report.statistic, result.report.statistic, rtol=0, atol=1e-12)
+
+
+def _delayed_record(k, n, tau_max, seed):
+    """Noise plus a common source seen by each sensor at its own delay."""
+    rng = np.random.default_rng(seed)
+    source = rng.standard_normal(n + 2 * tau_max)
+    shifts = rng.integers(0, 2 * tau_max + 1, size=k)
+    return np.stack([source[s : s + n] for s in shifts]) + rng.standard_normal((k, n))
+
+
+class TestPrefixIdentity:
+    """A pass over a prefix scores exactly the leading increments of the full
+    pass, which is what lets ``detect`` calibrate from its one pass."""
+
+    @pytest.mark.parametrize(
+        "k, w, tau_max, sync, n, prefix",
+        [
+            (3, 20, 5, True, 400, 333),  # prefix not a multiple of w
+            (3, 20, 5, True, 400, 250),  # prefix ends on a segment boundary
+            (3, 20, 5, True, 400, 400),  # prefix is the whole record
+            (6, 4, 3, True, 200, 57),  # k > w
+            (3, 20, 5, False, 400, 333),
+            (3, 20, 0, False, 400, 400),
+            (3, 5, 0, False, 4300, 4250),  # past one kernel block of windows
+        ],
+    )
+    def test_prefix_pass_is_leading_increments(self, k, w, tau_max, sync, n, prefix):
+        streams = _delayed_record(k, n, tau_max, seed=k + w + prefix)
+        _, full = subspace_increments(streams, w=w, tau_max=tau_max, sync=sync, t0=4)
+        ticks, head = subspace_increments(
+            streams[:, :prefix], w=w, tau_max=tau_max, sync=sync, t0=4
+        )
+        headroom = tau_max if sync else 0
+        assert len(head) == prefix - w - 2 * headroom
+        assert ticks[0] == 4 + headroom
+        assert head.tobytes() == full[: len(head)].tobytes()
+
+
+class TestCusumReport:
+    @pytest.mark.parametrize("b", [3.0, math.inf])
+    def test_equals_pipeline_report(self, b):
+        streams = _delayed_record(3, 300, 4, seed=5)
+        streams[:, 150:] *= 2.0
+        run = async_pipeline(streams, w=12, tau_max=4, d=1.2, b=b, full_trajectory=True)
+        ticks, increments = subspace_increments(streams, w=12, tau_max=4, sync=True)
+        report = cusum_report(ticks, increments, d=1.2, b=b, lookahead=12)
+        assert (report.crossed_at is None) == (b == math.inf)
+        fields = ("detector", "b", "d", "lookahead", "crossed_at", "reported_at")
+        assert [getattr(report, f) for f in fields] == [getattr(run.report, f) for f in fields]
+        assert np.array_equal(report.ticks, run.report.ticks)
+        assert report.statistic.tobytes() == run.report.statistic.tobytes()
 
 
 class TestReportCsv:

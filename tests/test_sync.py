@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import best_shift, correlation_scan
-from sscusum.errors import InsufficientLookaheadError, ZeroCorrelationWarning
+from sscusum.errors import InsufficientLookaheadError, ZeroCorrelationWarning, ZeroMatrixError
 from sscusum.sync import WaveformEstimate, joint_estimate, ml_delay
 
 
@@ -151,6 +151,11 @@ class TestJointEstimate:
         est = joint_estimate(streams, tau_max=6, t0=0)
         assert est.waveform.w == 40
         assert est.waveform.origin_t == 6
+
+    @pytest.mark.parametrize("k, n", [(3, 30), (8, 6)])  # the second has k > w
+    def test_zero_window_has_no_direction(self, k, n):
+        with pytest.warns(ZeroCorrelationWarning), pytest.raises(ZeroMatrixError):
+            joint_estimate(np.zeros((k, n)), tau_max=1, t0=0)
 
     def test_window_coverage_validated(self):
         with pytest.raises(InsufficientLookaheadError):
