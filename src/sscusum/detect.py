@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -216,14 +216,12 @@ class SubspaceCusum:
         if released is None:
             return None
         u = window_top_vectors(self._ring.T[None])[0]
-        s = max(self.state.S, 0.0) + float(u @ released.values) ** 2 - self.state.d
-        self.state = replace(self.state, S=s)
-        if s >= self.state.b and self.state.crossed_at is None:
-            self.state = replace(
-                self.state,
-                crossed_at=released.t,
-                reported_at=released.t + self.lookahead,
-            )
+        state = self.state
+        s = max(state.S, 0.0) + float(u @ released.values) ** 2 - state.d
+        crossed, reported = state.crossed_at, state.reported_at
+        if crossed is None and s >= state.b:
+            crossed, reported = released.t, released.t + self.lookahead
+        self.state = CusumState(s, state.d, state.b, crossed, reported)
         return released.t, s
 
 
@@ -388,15 +386,15 @@ def cusum_report(
     values: list[float] = []
     hit = _cusum_path(np.asarray(increments, dtype=float) - d, values, b, stop=False)
     crossed = None if hit is None else int(ticks[hit])
+    return _subspace_report(ticks, values, crossed, d=d, b=b, lookahead=lookahead)
+
+
+def _subspace_report(ticks, values, crossed, *, d, b, lookahead) -> StoppingReport:
+    """Subspace stopping report for the statistic path ``values`` at ``ticks``."""
     return StoppingReport(
-        detector="subspace",
-        b=float(b),
-        d=float(d),
-        lookahead=lookahead,
-        crossed_at=crossed,
+        detector="subspace", b=float(b), d=float(d), lookahead=lookahead, crossed_at=crossed,
         reported_at=None if crossed is None else crossed + lookahead,
-        ticks=ticks,
-        statistic=np.asarray(values, dtype=float),
+        ticks=ticks, statistic=np.asarray(values, dtype=float),
     )
 
 
@@ -410,43 +408,19 @@ class AsyncDetection:
     skipped: range  # leading ticks without alignment headroom
 
 
-def async_pipeline(
-    streams: np.ndarray,
-    *,
-    w: int,
-    tau_max: int,
-    d: float,
-    b: float = math.inf,
-    delta: int = 1,
-    n_max: int = 10,
-    sync: bool = True,
-    sync_every: int | None = None,
-    t0: int = 1,
-    reference: int = 0,
-    full_trajectory: bool = False,
-) -> AsyncDetection:
-    """Full asynchronous detector: per-window delay estimation, alignment,
-    future-window direction extraction, and the CUSUM recursion.
+def _segment_increments(
+    streams: np.ndarray, *, w: int, tau_max: int, sync: bool, delta: int = 1, n_max: int = 10,
+    sync_every: int | None = None, t0: int = 1, reference: int = 0,
+) -> Iterator[tuple[int, np.ndarray, DelayProfile | None]]:
+    """Check a pipeline run's arguments, then yield ``(start, increments,
+    delays)`` for each sync segment in turn: its first tick, the squared
+    projections of its ticks, and its delay profile (None without sync).
 
-    At each emitted tick t the delays current for that window align the
-    frame and its w future samples; the dominant direction of the aligned
-    future covariance scores the aligned frame. Delay estimation reruns
-    every ``sync_every`` emitted ticks (default: once per window length).
-    Leading ticks without tau_max headroom on both sides are skipped and
-    recorded, and the run needs streams covering at least one emittable tick.
-    An all-zero future window scores an increment of 0.
-
-    The run proceeds one sync segment at a time: delays are constant over
-    a segment, so its ticks form one aligned (k, ticks + w) block whose
-    future windows go through the batched direction kernel in one call.
-    Without delay estimation a segment is at most :data:`linalg.BLOCK`
-    ticks, so a long record never holds every window at once.
-
-    Raises:
-        NumericalError: a window covariance is not finite.
-
-    Returns an :class:`AsyncDetection`; its report carries the crossing pair
-    (crossed_at, crossed_at + w) and the statistic path.
+    Delays are constant over a segment, so its ticks form one aligned
+    (k, ticks + w) block whose future windows go through the batched
+    direction kernel in one call. Without delay estimation a segment is at
+    most :data:`linalg.BLOCK` ticks, so a long record never holds every
+    window at once.
     """
     data = np.asarray(streams, dtype=float)
     if data.ndim != 2:
@@ -479,28 +453,64 @@ def async_pipeline(
 
     rows = np.arange(k)[:, None]
     tau = np.zeros(k, dtype=int)
+    profile = None
+    segment = sync_every if sync else BLOCK
+    for start in range(t_first, t_last + 1, segment):
+        stop = min(start + segment - 1, t_last)
+        if sync:
+            profile = joint_estimate(
+                data, tau_max=tau_max, delta=delta, n_max=n_max,
+                window=(start + 1, w), t0=t0, reference=reference,
+            ).delays
+            tau = profile.tau_hat
+        cols = (start - t0) + tau[:, None] + np.arange(stop - start + 1 + w)[None, :]
+        yield start, window_increments(data[rows, cols], w), profile
+
+
+def async_pipeline(
+    streams: np.ndarray,
+    *,
+    w: int,
+    tau_max: int,
+    d: float,
+    b: float = math.inf,
+    delta: int = 1,
+    n_max: int = 10,
+    sync: bool = True,
+    sync_every: int | None = None,
+    t0: int = 1,
+    reference: int = 0,
+    full_trajectory: bool = False,
+) -> AsyncDetection:
+    """Full asynchronous detector: per-window delay estimation, alignment,
+    future-window direction extraction, and the CUSUM recursion.
+
+    At each emitted tick t the delays current for that window align the
+    frame and its w future samples; the dominant direction of the aligned
+    future covariance scores the aligned frame. Delay estimation reruns
+    every ``sync_every`` emitted ticks (default: once per window length).
+    Leading ticks without tau_max headroom on both sides are skipped and
+    recorded, and the run needs streams covering at least one emittable tick.
+    An all-zero future window scores an increment of 0. The run scores one
+    sync segment at a time and stops scoring at the first crossing.
+
+    Raises:
+        NumericalError: a window covariance is not finite.
+
+    Returns an :class:`AsyncDetection`; its report carries the crossing pair
+    (crossed_at, crossed_at + w) and the statistic path.
+    """
     delays_log: list[tuple[int, DelayProfile]] = []
     crossed = None
     values: list[float] = []
     increments: list[np.ndarray] = []
-    segment = sync_every if sync else BLOCK
-
-    for start in range(t_first, t_last + 1, segment):
-        stop = min(start + segment - 1, t_last)
-        if sync:
-            est = joint_estimate(
-                data,
-                tau_max=tau_max,
-                delta=delta,
-                n_max=n_max,
-                window=(start + 1, w),
-                t0=t0,
-                reference=reference,
-            )
-            tau = est.delays.tau_hat
-            delays_log.append((start, est.delays))
-        cols = (start - t0) + tau[:, None] + np.arange(stop - start + 1 + w)[None, :]
-        inc = window_increments(data[rows, cols], w)
+    segments = _segment_increments(
+        streams, w=w, tau_max=tau_max, sync=sync, delta=delta, n_max=n_max,
+        sync_every=sync_every, t0=t0, reference=reference,
+    )
+    for start, inc, profile in segments:
+        if profile is not None:
+            delays_log.append((start, profile))
         hit = _cusum_path(inc - d, values, b, stop=not full_trajectory)
         if crossed is None and hit is not None:
             crossed = start + hit
@@ -510,18 +520,10 @@ def async_pipeline(
         if crossed is not None and not full_trajectory:
             break
 
-    report = StoppingReport(
-        detector="subspace",
-        b=float(b),
-        d=float(d),
-        lookahead=w,
-        crossed_at=crossed,
-        reported_at=None if crossed is None else crossed + w,
-        ticks=np.arange(t_first, t_first + len(values)),
-        statistic=np.asarray(values, dtype=float),
-    )
+    t_first = t0 + (tau_max if sync else 0)
+    ticks = np.arange(t_first, t_first + len(values))
     return AsyncDetection(
-        report=report,
+        report=_subspace_report(ticks, values, crossed, d=d, b=b, lookahead=w),
         delays=delays_log,
         increments=np.concatenate(increments),
         skipped=range(t0, t_first),
@@ -539,19 +541,14 @@ def subspace_increments(
     """Squared projections (u_hat' x)^2 along a stream, with no stopping rule.
 
     Returns (ticks, increments); the drift is not subtracted. This is the
-    series the empirical drift calibration averages.
+    series the empirical drift calibration averages, scored as
+    :func:`async_pipeline` scores it but without running the CUSUM.
+    ``kwargs`` are that function's delay-estimation and tick arguments.
     """
-    detection = async_pipeline(
-        streams,
-        w=w,
-        tau_max=tau_max,
-        d=0.0,
-        b=math.inf,
-        sync=sync,
-        full_trajectory=True,
-        **kwargs,
-    )
-    return detection.report.ticks, detection.increments
+    segments = list(_segment_increments(streams, w=w, tau_max=tau_max, sync=sync, **kwargs))
+    increments = np.concatenate([inc for _, inc, _ in segments])
+    t_first = segments[0][0]
+    return np.arange(t_first, t_first + increments.size), increments
 
 
 def write_report_csv(

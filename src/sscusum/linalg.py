@@ -5,7 +5,9 @@ covariance. One batched symmetric eigendecomposition (``numpy.linalg.eigh``)
 serves every detector path: it has no iteration budget to exhaust, so near
 ties between the top two eigenvalues cost nothing extra. Scaling of the
 matrix is irrelevant to the direction, which is why the covariance is kept
-as a plain unnormalized sum of outer products.
+as a plain unnormalized sum of outer products. On the covariance side
+(k <= w) the kernel returns ``eigh``'s top eigenvector without
+renormalizing it: ``eigh`` already returns it unit-norm and finite.
 """
 
 from __future__ import annotations
@@ -109,11 +111,10 @@ def window_top_vectors(windows: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         grams = side @ side.transpose(0, 2, 1)
     _check_finite(grams, "window covariance" if k <= w else "window Gram matrix")
-    if k <= w:
-        # eigh returns a unit vector even for a zero matrix; zero it instead
-        u = np.linalg.eigh(grams)[1][:, :, -1] * grams.any(axis=(1, 2))[:, None]
-    else:
-        u = (windows @ np.linalg.eigh(grams)[1][:, :, -1:])[:, :, 0]
+    lam, vecs = np.linalg.eigh(grams)
+    if k <= w:  # eigh's top vector is unit and finite; a zero Gram's top eigenvalue is 0
+        return vecs[:, :, -1] * (lam[:, -1] > 0)[:, None]
+    u = (windows @ vecs[:, :, -1:])[:, :, 0]
     norms = np.linalg.norm(u, axis=1, keepdims=True)
     u = u / np.where(norms > 0, norms, 1.0)
     _check_finite(u, "direction")

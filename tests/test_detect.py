@@ -126,6 +126,42 @@ class TestRunDetector:
         assert np.all(report.statistic >= -d - 1e-12)
 
 
+class TestStreamingStep:
+    def test_state_tracks_emitted_value_and_keeps_first_crossing(self):
+        # frames along e1 make u_hat exactly e1, so increments are a_t^2 - d
+        det = SubspaceCusum(w=2, d=2.0, b=5.0)
+        a = [3.0, 1.0, 1.0, 1.0, 3.0, 1.0, 1.0, 1.0]
+        emitted = []
+        for t, a_t in enumerate(a, start=1):
+            out = det.step(frame(t, a_t, 0.0))
+            if out is not None:
+                emitted.append(out)
+                assert det.state.S == out[1]
+        # 7 crosses at t=1, dips to 4 at t=4, crosses again with 11 at t=5
+        assert emitted == [(1, 7.0), (2, 6.0), (3, 5.0), (4, 4.0), (5, 11.0), (6, 10.0)]
+        assert (det.state.crossed_at, det.state.reported_at) == (1, 3)
+        assert (det.state.d, det.state.b) == (2.0, 5.0)
+
+
+class TestStreamingMatchesPipeline:
+    def test_stream_detect_shape(self):
+        # k=3, w=200 noise with one tapered burst: full-rank windows, as
+        # streamed one frame at a time in deployment
+        rng = np.random.default_rng(77)
+        streams = rng.standard_normal((3, 4000))
+        t = np.arange(1000)
+        burst = 3.0 * np.hanning(1000) * np.sin(2 * np.pi * 0.02 * t)
+        streams[:, 1500:2500] += np.outer([0.6, 0.0, 0.8], burst)
+        stream = run_detector(frames_from_array(streams), SubspaceCusum(w=200, d=1.5, b=50.0),
+                              full_trajectory=True)
+        batch = async_pipeline(streams, w=200, tau_max=0, d=1.5, b=50.0, sync=False,
+                               full_trajectory=True).report
+        assert batch.crossed_at is not None and 1500 < batch.crossed_at < 2500
+        assert (stream.crossed_at, stream.reported_at) == (batch.crossed_at, batch.reported_at)
+        assert np.array_equal(stream.ticks, batch.ticks)
+        assert np.allclose(stream.statistic, batch.statistic, rtol=0, atol=1e-10)
+
+
 class TestNearTie:
     def test_near_tied_window_steps_and_matches_jacobi(self):
         # a pure-noise window whose top two eigenvalues are 206.6875 and
@@ -419,6 +455,19 @@ class TestCusumReport:
         assert [getattr(report, f) for f in fields] == [getattr(run.report, f) for f in fields]
         assert np.array_equal(report.ticks, run.report.ticks)
         assert report.statistic.tobytes() == run.report.statistic.tobytes()
+
+
+    def test_increments_run_no_cusum(self, monkeypatch):
+        streams = _delayed_record(3, 300, 4, seed=6)
+        want = async_pipeline(streams, w=12, tau_max=4, d=0.0, full_trajectory=True)
+
+        def no_cusum(*args, **kwargs):
+            raise AssertionError("subspace_increments ran the CUSUM recursion")
+
+        monkeypatch.setattr("sscusum.detect._cusum_path", no_cusum)
+        ticks, increments = subspace_increments(streams, w=12, tau_max=4, sync=True)
+        assert np.array_equal(ticks, want.report.ticks)
+        assert increments.tobytes() == want.increments.tobytes()
 
 
 class TestReportCsv:

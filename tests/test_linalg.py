@@ -140,6 +140,22 @@ class TestWindowTopVectors:
         assert np.array_equal(u[1], np.zeros(4))
         assert np.allclose(np.abs(u[[0, 2]]), 0.5)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-162])
+    def test_subnormal_gram_gets_unit_direction(self, scale):
+        windows = np.random.default_rng(12).standard_normal((1, 3, 5)) * scale
+        grams = windows @ windows.transpose(0, 2, 1)
+        assert grams.any() and np.abs(grams).max() < np.finfo(float).tiny  # subnormal
+        u = window_top_vectors(windows)
+        assert np.linalg.norm(u[0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_underflowing_gram_gives_zero_row(self):
+        windows = np.random.default_rng(12).standard_normal((2, 3, 5))
+        windows[1] *= 1e-170  # every product underflows: the Gram is exactly zero
+        assert not (windows[1] @ windows[1].T).any()
+        u = window_top_vectors(windows)
+        assert np.array_equal(u[1], np.zeros(3))
+        assert np.linalg.norm(u[0]) == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])  # 1e200 overflows the Gram
     def test_non_finite_is_numerical_error(self, bad):
         windows = np.ones((2, 3, 4))
