@@ -38,8 +38,9 @@ from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     IndependenceViolationError,
+    NumericalError,
 )
-from .linalg import BLOCK, window_increments, window_top_vectors
+from .linalg import window_increments, window_top_vectors
 from .sync import joint_estimate
 
 __all__ = [
@@ -61,6 +62,10 @@ __all__ = [
     "write_report_csv",
     "write_trajectory_csv",
 ]
+
+# Most ticks one segment scores without delay estimation: bounds the memory
+# of a long record, whose windows are scored a segment at a time.
+SEGMENT = 4096
 
 _UNIT_NORM_ATOL = 1e-9
 
@@ -217,7 +222,12 @@ class SubspaceCusum:
             return None
         u = window_top_vectors(self._ring.T[None])[0]
         state = self.state
-        s = max(state.S, 0.0) + float(u @ released.values) ** 2 - state.d
+        try:  # the released frame sits in no window, so its overflow shows only here
+            s = max(state.S, 0.0) + float(u @ released.values) ** 2 - state.d
+        except OverflowError:
+            raise NumericalError(
+                "non-finite squared projection: the input overflows or holds nan/inf"
+            ) from None
         crossed, reported = state.crossed_at, state.reported_at
         if crossed is None and s >= state.b:
             crossed, reported = released.t, released.t + self.lookahead
@@ -419,7 +429,7 @@ def _segment_increments(
     Delays are constant over a segment, so its ticks form one aligned
     (k, ticks + w) block whose future windows go through the batched
     direction kernel in one call. Without delay estimation a segment is at
-    most :data:`linalg.BLOCK` ticks, so a long record never holds every
+    most :data:`SEGMENT` ticks, so a long record never holds every
     window at once.
     """
     data = np.asarray(streams, dtype=float)
@@ -454,7 +464,7 @@ def _segment_increments(
     rows = np.arange(k)[:, None]
     tau = np.zeros(k, dtype=int)
     profile = None
-    segment = sync_every if sync else BLOCK
+    segment = sync_every if sync else SEGMENT
     for start in range(t_first, t_last + 1, segment):
         stop = min(start + segment - 1, t_last)
         if sync:

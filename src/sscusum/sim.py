@@ -33,7 +33,7 @@ import numpy as np
 from .core import ScenarioModel, Waveform
 from .detect import StoppingReport, async_pipeline, one_shot_detector, subspace_increments
 from .errors import DegenerateInputError
-from .linalg import window_increments, window_top_vectors
+from .linalg import window_increments
 
 __all__ = [
     "TrialResult",
@@ -271,7 +271,7 @@ def _scan(
     tick: int,
     t_last: int,
     S: np.ndarray,
-    step: Callable,
+    increments: Callable,
     lookahead: int,
     b_arr: np.ndarray,
     crossed: np.ndarray,
@@ -281,33 +281,37 @@ def _scan(
 
     ``slab`` is (T, k, cols) holding ticks tick..tick+cols-1 for the T live
     trials; column f is scored once the ``lookahead`` columns after it are
-    in the slab. Crossings go into ``crossed`` (rows indexed by ``live``) as
-    reported times, the crossing tick plus the lookahead. Returns the
-    updated state and the first unprocessed tick.
+    in the slab. ``increments(slab, emit)`` gives the drift-corrected
+    increments of the first ``emit`` columns, column last; the CUSUM then
+    runs column by column. Crossings go into ``crossed`` (rows indexed by
+    ``live``) as reported times, the crossing tick plus the lookahead.
+    Returns the updated state and the first unprocessed tick.
     """
     emit = max(0, min(slab.shape[2] - lookahead, t_last - tick + 1))
+    if emit == 0:
+        return S, tick
+    inc = increments(slab, emit)
     for f in range(emit):
-        S, stat = step(slab, f, S)
-        hits = stat[:, None] >= b_arr
+        S = np.maximum(S, 0.0) + inc[..., f]
+        hits = (S if S.ndim == 1 else S.max(axis=1))[:, None] >= b_arr
         if hits.any():
             rows, cols = np.nonzero(hits & (crossed[live] < 0))
             crossed[live[rows], cols] = tick + f + lookahead
     return S, tick + emit
 
 
-def _subspace_step(w: int, d: float) -> Callable:
-    """One tick of the subspace CUSUM for every live trial (state: (T,))."""
+def _subspace_increments(w: int, d: float) -> Callable:
+    """Subspace CUSUM increments (T, emit) for every live trial (state: (T,)):
+    one kernel call scores the slab's windows for all of them."""
 
-    def step(slab, f, S):
-        u = window_top_vectors(slab[:, :, f + 1 : f + 1 + w])
-        S = np.maximum(S, 0.0) + (np.einsum("tk,tk->t", u, slab[:, :, f]) ** 2 - d)
-        return S, S
+    def increments(slab, emit):
+        return window_increments(slab[:, :, : emit + w], w) - d
 
-    return step
+    return increments
 
 
-def _race_step(mu: float, sigma2: float) -> Callable:
-    """One tick of the one-shot race for every live trial (state: (T, k)).
+def _race_increments(mu: float, sigma2: float) -> Callable:
+    """One-shot race increments (T, k, emit) for every live trial (state: (T, k)).
 
     The arithmetic is that of :func:`sscusum.detect.one_shot_detector`, so
     crossings agree with it bit for bit.
@@ -319,11 +323,10 @@ def _race_step(mu: float, sigma2: float) -> Callable:
     gain = mu / sigma2
     half = mu / 2.0
 
-    def step(slab, f, S):
-        S = np.maximum(S, 0.0) + gain * (slab[:, :, f] - half)
-        return S, S.max(axis=1)
+    def increments(slab, emit):
+        return gain * (slab[:, :, :emit] - half)
 
-    return step
+    return increments
 
 
 def fast_crossings_on_array(
@@ -338,7 +341,8 @@ def fast_crossings_on_array(
     b_arr = np.asarray(b_grid, dtype=float)
     crossed = np.full((1, b_arr.size), -1, dtype=np.int64)
     t_last = t0 + data.shape[2] - 1 - w
-    _scan(data, t0, t_last, np.zeros(1), _subspace_step(w, d), w, b_arr, crossed, np.arange(1))
+    increments = _subspace_increments(w, d)
+    _scan(data, t0, t_last, np.zeros(1), increments, w, b_arr, crossed, np.arange(1))
     return crossed[0]
 
 
@@ -357,10 +361,11 @@ def _lockstep_crossings(
     draws its blocks from its own generator, with its own model's signal,
     exactly as :func:`generate_episode` lays them out, and drops out once it
     crosses the largest threshold, so no trial draws noise past that
-    crossing. The detector's scan runs column by column over the live
-    trials' slab: the race with no lookahead, the subspace statistic with
-    lookahead w, keeping the last w columns for the next slab. Crossings
-    equal those of ``spec.run`` on each trial's episode.
+    crossing. Each slab's increments for all live trials come at once, the
+    subspace statistic's from one :func:`window_increments` call; the CUSUM
+    then runs column by column: the race with no lookahead, the subspace
+    statistic with lookahead w, keeping the last w columns for the next
+    slab. Crossings equal those of ``spec.run`` on each trial's episode.
     """
     rngs, models = [], []
     for child in _as_seedseq(seed).spawn(trials):
@@ -371,14 +376,14 @@ def _lockstep_crossings(
     if any(m.k != k for m in models):
         raise ValueError("the lockstep engine needs a common k across trials")
     if isinstance(spec, OneShotSpec):
-        lookahead, step = 0, _race_step(spec.mu, spec.sigma2)
+        lookahead, increments = 0, _race_increments(spec.mu, spec.sigma2)
         S = np.zeros((trials, k))
     else:
         if k < 2:
             raise ValueError("need at least 2 sensors")
         if spec.w < 1:
             raise ValueError("w must be >= 1")
-        lookahead, step = spec.w, _subspace_step(spec.w, spec.d)
+        lookahead, increments = spec.w, _subspace_increments(spec.w, spec.d)
         S = np.zeros(trials)
     t_last = horizon - lookahead
     if t_last < 1:
@@ -394,7 +399,7 @@ def _lockstep_crossings(
         fresh = np.stack([_draw_blocks(models[i], rngs[i], drawn, 1) for i in live])
         slab = np.concatenate([carry, fresh], axis=2)
         drawn += _FAST_CHUNK
-        S, tick = _scan(slab, tick, t_last, S, step, lookahead, b_arr, crossed, live)
+        S, tick = _scan(slab, tick, t_last, S, increments, lookahead, b_arr, crossed, live)
         carry = slab[:, :, max(0, slab.shape[2] - lookahead) :]
         keep = crossed[live, -1] < 0
         if not keep.all():

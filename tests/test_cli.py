@@ -203,6 +203,17 @@ class TestDetect:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_overflowing_first_row_is_exit_3(self, tmp_path, capsys):
+        # the first row is scored but sits in no window: only its square overflows
+        path = simulate_noise_file(tmp_path, k=2, horizon=60, seed=15)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].split(",")[0] + ",1e200,0.5"
+        path.write_text("\n".join(lines) + "\n")
+        code = run(["detect", "--in", path, "--no-sync", "--w", 20, "--d", 1.5, "--b", 10,
+                    "--out", tmp_path / "r.csv"])
+        assert code == 3
+        assert "non-finite squared projection" in capsys.readouterr().err
+
 
 def _two_pass_detect(path, out_dir, *, w, tau_max, factor, prefix, b, rate, normalize):
     """``detect --factor/--prefix`` as two passes, the prefix scored on its own,

@@ -22,7 +22,7 @@ from sscusum.detect import (
     write_report_csv,
     write_trajectory_csv,
 )
-from sscusum.errors import DegenerateInputError, IndependenceViolationError
+from sscusum.errors import DegenerateInputError, IndependenceViolationError, NumericalError
 from sscusum.sync import joint_estimate
 
 E1 = np.array([1.0, 0.0])
@@ -141,6 +141,15 @@ class TestStreamingStep:
         assert emitted == [(1, 7.0), (2, 6.0), (3, 5.0), (4, 4.0), (5, 11.0), (6, 10.0)]
         assert (det.state.crossed_at, det.state.reported_at) == (1, 3)
         assert (det.state.d, det.state.b) == (2.0, 5.0)
+
+    def test_overflowing_released_frame_is_numerical_error(self):
+        # the first frame is scored but never in a window, so its square is
+        # the first place 1e200 overflows
+        det = SubspaceCusum(w=3, d=1.5, b=10.0)
+        frames = [frame(1, 1e200, 0.5)] + [frame(t, 0.1 * t, 1.0) for t in range(2, 5)]
+        assert [det.step(f) for f in frames[:3]] == [None, None, None]
+        with pytest.raises(NumericalError, match="non-finite squared projection"):
+            det.step(frames[3])
 
 
 class TestStreamingMatchesPipeline:

@@ -1,16 +1,21 @@
 """Sample covariance and the batched eigendecomposition direction kernel."""
 
+import multiprocessing
+import sys
+
 import numpy as np
 import pytest
 
 from oracles import covariance_triple_loop, jacobi_eigh
 from sscusum.core import MultiSensorFrame
+from sscusum import linalg
 from sscusum.errors import DimensionMismatchError, NumericalError, ZeroMatrixError
 from sscusum.linalg import (
     CovarianceWindow,
     canonicalize_sign,
     sample_covariance,
     top_singular_vector,
+    window_increments,
     window_top_vectors,
 )
 
@@ -162,3 +167,101 @@ class TestWindowTopVectors:
         windows[1, 2, 3] = bad
         with pytest.raises(NumericalError, match="non-finite"):
             window_top_vectors(windows)
+
+
+def _trial_blocks(trials, k, m, w, seed):
+    blocks = np.random.default_rng(seed).standard_normal((trials, k, m + w))
+    blocks[:, 0] *= 2.0  # a clear leading direction
+    return blocks
+
+
+class TestWindowIncrements:
+    @pytest.mark.parametrize("k, w", [(4, 9), (9, 4)])  # covariance side, Gram side
+    def test_trial_axis_equals_separate_calls(self, k, w):
+        m = 2 * linalg.TASK + 37  # three tasks per trial, the last one short
+        blocks = _trial_blocks(3, k, m, w, seed=13)
+        stacked = window_increments(blocks, w)
+        assert stacked.shape == (3, m)
+        for t, block in enumerate(blocks):
+            assert np.array_equal(stacked[t], window_increments(block, w))
+
+    @pytest.mark.parametrize("k, w", [(4, 9), (9, 4)])
+    def test_trial_axis_matches_jacobi(self, k, w, monkeypatch):
+        monkeypatch.setattr(linalg, "TASK", 16)  # 40 windows: tasks of 16, 16 and 8
+        m = 40
+        blocks = _trial_blocks(2, k, m, w, seed=14)
+        stacked = window_increments(blocks, w)
+        for t, block in enumerate(blocks):
+            for j in range(m):
+                _, vectors = jacobi_eigh(covariance_triple_loop(block[:, j + 1 : j + 1 + w].T))
+                assert stacked[t, j] == pytest.approx((vectors[:, 0] @ block[:, j]) ** 2, abs=1e-8)
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_overflowing_scored_column_is_numerical_error(self, trials):
+        # column 0 is scored but sits in no window, so no Gram check sees it
+        blocks = _trial_blocks(trials, 3, 30, 5, seed=15)
+        blocks[-1, 0, 0] = 1e200
+        with pytest.raises(NumericalError, match="non-finite squared projection"):
+            window_increments(blocks if trials > 1 else blocks[0], 5)
+
+
+class TestWorkerCount:
+    def test_results_do_not_depend_on_the_worker_count(self, workers, monkeypatch):
+        # more workers than CPUs, tasks of 7 windows and frequent thread
+        # switches: a task that wrote outside its own slice would show here
+        monkeypatch.setattr(linalg, "TASK", 7)
+        blocks = _trial_blocks(5, 6, 200, 4, seed=16)
+        workers(1)
+        serial = window_increments(blocks, 4)
+        workers(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert np.array_equal(window_increments(blocks, 4), serial)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_task_runs_on_the_callers_thread(self, workers):
+        workers(2)
+        window_increments(_trial_blocks(1, 3, linalg.TASK, 5, seed=18)[0], 5)
+        assert linalg._pool is None  # one task: no pool was started
+        window_increments(_trial_blocks(2, 3, linalg.TASK, 5, seed=18), 5)
+        assert linalg._pool is not None
+
+    def test_error_in_the_last_task_surfaces_and_pool_recovers(self, workers):
+        m = 3 * linalg.TASK + 5
+        blocks = _trial_blocks(2, 3, m, 5, seed=17)
+        bad = blocks.copy()
+        bad[-1, 1, -1] = np.nan  # only the last window of the last trial sees it
+        workers(1)
+        with pytest.raises(NumericalError) as serial:
+            window_increments(bad, 5)
+        expected = window_increments(blocks, 5)
+        workers(2)
+        with pytest.raises(NumericalError) as pooled:
+            window_increments(bad, 5)
+        assert str(pooled.value) == str(serial.value)
+        assert np.array_equal(window_increments(blocks, 5), expected)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+    def test_forked_child_starts_its_own_pool(self, workers):
+        workers(2)
+        blocks = _trial_blocks(2, 3, linalg.TASK, 5, seed=19)
+        expected = window_increments(blocks, 5)  # the parent's pool is running
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_increments_into, args=(queue, blocks))
+        child.start()
+        try:
+            got = queue.get(timeout=20)  # before join: a full queue blocks the child's exit
+        finally:
+            child.join(timeout=20)
+            if child.is_alive():
+                child.terminate()
+        assert np.array_equal(got, expected)
+        assert child.exitcode == 0
+
+
+def _increments_into(queue, blocks):
+    queue.put(window_increments(blocks, 5))

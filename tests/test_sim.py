@@ -358,6 +358,15 @@ class TestLockstepEngine:
         assert np.array_equal(lockstep, replay)
         assert taus == [0] * 16
 
+    def test_crossings_do_not_depend_on_the_worker_count(self, workers):
+        spec, model, grid = LOCKSTEP_CASES["subspace-edd"]
+        workers(1)
+        serial, _ = _trial_crossings(spec, model, grid, 12, 1000, 25)
+        workers(3)
+        pooled, _ = _trial_crossings(spec, model, grid, 12, 1000, 25)
+        assert np.array_equal(pooled, serial)
+        assert (serial[:, 0] >= 0).all()
+
     def test_one_shot_inputs_rejected_as_by_the_detector(self):
         with pytest.raises(DegenerateInputError):
             estimate_arl(OneShotSpec(mu=0.0), pure_noise_model(3), b=2.0, trials=3, seed=1, horizon=50)
