@@ -11,7 +11,8 @@ simulation (or from a known pre-change stretch of real data).
 import numpy as np
 
 from sscusum import drift_bounds, mean_shift_model, pure_noise_model
-from sscusum.sim import empirical_drift, fast_increments, generate_episode
+from sscusum.linalg import window_increments
+from sscusum.sim import empirical_drift, generate_episode
 
 sigma2 = 1.0
 
@@ -26,9 +27,9 @@ k, w, rho = 5, 200, 1.0
 bounds = drift_bounds(sigma2, rho, k, w)
 d = bounds.midpoint
 noise = generate_episode(pure_noise_model(k, sigma2), 30_200, seed=1)
-_, pre = fast_increments(noise, w)
+pre = window_increments(noise, w)
 signal = generate_episode(mean_shift_model(k, mu=np.sqrt(rho / k)), 30_200, seed=2)
-_, post = fast_increments(signal, w)
+post = window_increments(signal, w)
 print(f"  midpoint drift d = {d:.3f}")
 print(f"  pre-change increment mean  {pre.mean():.4f}  -> drift {pre.mean() - d:+.3f}")
 print(f"  post-change increment mean {post.mean():.4f}  -> drift {post.mean() - d:+.3f}")

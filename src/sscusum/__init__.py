@@ -35,16 +35,10 @@ from .detect import (
     subspace_cusum_step,
     subspace_increments,
 )
-from .linalg import (
-    CovarianceWindow,
-    sample_covariance,
-    top_singular_vector,
-    window_top_vectors,
-)
+from .linalg import top_singular_vector, window_top_vectors
 from .sim import (
     OneShotSpec,
     SubspaceSpec,
-    TrialResult,
     estimate_arl,
     estimate_edd,
     generate_episode,
@@ -53,6 +47,6 @@ from .sim import (
     pure_noise_model,
     uniform_onsets,
 )
-from .sync import JointEstimate, WaveformEstimate, joint_estimate, ml_delay
+from .sync import JointEstimate, WaveformEstimate, joint_estimate
 
 __version__ = "0.1.0"

@@ -90,6 +90,16 @@ def _check_unit(u: np.ndarray, k: int) -> np.ndarray:
     return u
 
 
+def _squared_projection(u: np.ndarray, x: np.ndarray) -> float:
+    """(u'x)^2 for one frame. A scored frame sits in no window, so its
+    overflow shows only here."""
+    p = float(np.vdot(u, x))
+    square = p * p
+    if not math.isfinite(square):
+        raise NumericalError("non-finite squared projection: the input overflows or holds nan/inf")
+    return square
+
+
 def llr_offset(sigma2: float, rho: float) -> float:
     """Drift term of the known-direction recursion: sigma2*(1+1/rho)*ln(1+rho)."""
     if rho <= 0 or sigma2 <= 0:
@@ -107,7 +117,7 @@ def cusum_step_known_u(
     """One update with the signal direction known exactly:
     S' = max(S, 0) + (u'x)^2 - sigma2*(1+1/rho)*ln(1+rho)."""
     u = _check_unit(u, frame.k)
-    inc = float(u @ frame.values) ** 2 - llr_offset(sigma2, rho)
+    inc = _squared_projection(u, frame.values) - llr_offset(sigma2, rho)
     return replace(state, S=max(state.S, 0.0) + inc)
 
 
@@ -128,7 +138,7 @@ def subspace_cusum_step(
             f"direction window starting at {u_window_start} overlaps frame t={frame.t}"
         )
     u_hat = _check_unit(u_hat, frame.k)
-    inc = float(u_hat @ frame.values) ** 2 - state.d
+    inc = _squared_projection(u_hat, frame.values) - state.d
     return replace(state, S=max(state.S, 0.0) + inc)
 
 
@@ -222,12 +232,7 @@ class SubspaceCusum:
             return None
         u = window_top_vectors(self._ring.T[None])[0]
         state = self.state
-        try:  # the released frame sits in no window, so its overflow shows only here
-            s = max(state.S, 0.0) + float(u @ released.values) ** 2 - state.d
-        except OverflowError:
-            raise NumericalError(
-                "non-finite squared projection: the input overflows or holds nan/inf"
-            ) from None
+        s = max(state.S, 0.0) + _squared_projection(u, released.values) - state.d
         crossed, reported = state.crossed_at, state.reported_at
         if crossed is None and s >= state.b:
             crossed, reported = released.t, released.t + self.lookahead

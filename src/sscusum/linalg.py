@@ -1,4 +1,4 @@
-"""Windowed sample covariance and dominant-direction extraction.
+"""Dominant-direction extraction from windows of samples.
 
 The detection statistic only needs the leading eigenvector of each window's
 covariance. One batched symmetric eigendecomposition (``numpy.linalg.eigh``)
@@ -23,25 +23,18 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import MultiSensorFrame
 from .errors import DimensionMismatchError, NumericalError, ZeroMatrixError
 
 __all__ = [
-    "CovarianceWindow",
-    "sample_covariance",
     "top_singular_vector",
     "window_top_vectors",
     "window_increments",
     "canonicalize_sign",
 ]
-
-_SYMMETRY_RTOL = 1e-12
 
 # Most windows one task hands to the batched kernel. At k=125, w=20, tasks of
 # 128 to 512 windows ran equally fast, and peak memory grew by about 2 MB per
@@ -86,52 +79,6 @@ def _run_tasks(task, spans: list) -> None:
             _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="sscusum-kernel")
     for _ in _pool.map(task, spans):  # map cancels the spans not started once one fails
         pass
-
-
-@dataclass(frozen=True)
-class CovarianceWindow:
-    """Unnormalized sum of outer products over a w-sample window."""
-
-    k: int
-    w: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (self.k, self.k):
-            raise DimensionMismatchError(f"matrix must be ({self.k}, {self.k})")
-        scale = np.max(np.abs(m))
-        if scale > 0 and np.max(np.abs(m - m.T)) > _SYMMETRY_RTOL * scale:
-            raise ValueError("matrix is not symmetric within 1e-12 relative")
-        object.__setattr__(self, "matrix", (m + m.T) / 2.0)
-
-
-def sample_covariance(
-    frames: Sequence[MultiSensorFrame] | np.ndarray,
-) -> CovarianceWindow:
-    """Accumulate ``sum_j x_j x_j^T`` over the window (no 1/w factor).
-
-    Accepts a sequence of frames or a (w, k) array with one sample per row.
-    """
-    if isinstance(frames, np.ndarray):
-        data = np.asarray(frames, dtype=float)
-        if data.ndim != 2:
-            raise DimensionMismatchError("expected a (w, k) array")
-    else:
-        frames = list(frames)
-        if not frames:
-            raise ValueError("empty window")
-        k = frames[0].k
-        for f in frames:
-            if f.k != k:
-                raise DimensionMismatchError(
-                    f"frame t={f.t} has k={f.k}, window has k={k}"
-                )
-        data = np.stack([f.values for f in frames])
-    w, k = data.shape
-    if w < 1:
-        raise ValueError("empty window")
-    return CovarianceWindow(k=k, w=w, matrix=data.T @ data)
 
 
 def canonicalize_sign(v: np.ndarray) -> np.ndarray:
@@ -205,8 +152,8 @@ def window_increments(block: np.ndarray, w: int) -> np.ndarray:
     return out if block.ndim == 3 else out[0]
 
 
-def top_singular_vector(cov: CovarianceWindow | np.ndarray) -> np.ndarray:
-    """Unit-norm leading direction of a covariance window, sign-canonicalized.
+def top_singular_vector(matrix: np.ndarray) -> np.ndarray:
+    """Unit-norm leading direction of a square covariance matrix, sign-canonicalized.
 
     For a symmetric nonnegative-definite matrix this is both the top
     eigenvector and the top singular vector.
@@ -215,7 +162,7 @@ def top_singular_vector(cov: CovarianceWindow | np.ndarray) -> np.ndarray:
         ZeroMatrixError: the matrix is zero, so no direction exists.
         NumericalError: the matrix is not finite.
     """
-    matrix = cov.matrix if isinstance(cov, CovarianceWindow) else np.asarray(cov, float)
+    matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got {matrix.shape}")
     _check_finite(matrix, "covariance")

@@ -18,7 +18,9 @@ pipeline over each trial's whole episode instead.
 
 A single run per trial serves an entire threshold grid: the statistic path
 does not depend on the threshold, so crossings for every b are read off the
-trajectory of the run against the largest one.
+trajectory of the run against the largest one. One ARL and one EDD summary
+turn a threshold's column of crossings into an estimate, for
+:func:`estimate_arl`, :func:`estimate_edd` and :func:`operating_curve` alike.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ from .errors import DegenerateInputError
 from .linalg import window_increments
 
 __all__ = [
-    "TrialResult",
-    "trial_records",
     "RunLengthEstimate",
     "CurvePoint",
     "SubspaceSpec",
@@ -52,32 +52,10 @@ __all__ = [
     "estimate_edd",
     "operating_curve",
     "empirical_drift",
-    "fast_increments",
-    "fast_crossings_on_array",
     "write_curve_csv",
 ]
 
 ModelSource = Callable[[np.random.Generator], ScenarioModel] | ScenarioModel
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    """One trial outcome. ``stopped_at`` is the reported (true) stop time."""
-
-    detector_id: str
-    stopped_at: int | None
-    change_point: int | None
-    false_alarm: bool
-
-    def __post_init__(self):
-        expected = self.stopped_at is not None and (
-            self.change_point is None or self.stopped_at <= self.change_point
-        )
-        if self.false_alarm != expected:
-            raise ValueError(
-                f"false_alarm={self.false_alarm} inconsistent with "
-                f"stopped_at={self.stopped_at}, change_point={self.change_point}"
-            )
 
 
 @dataclass(frozen=True)
@@ -254,18 +232,6 @@ def _as_seedseq(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def fast_increments(
-    streams: np.ndarray, w: int, t0: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized squared projections along one stream (no delay estimation).
-
-    Equivalent to :func:`sscusum.detect.subspace_increments` with
-    ``sync=False``; intended for long Monte Carlo validation runs.
-    """
-    increments = window_increments(np.asarray(streams, dtype=float), w)
-    return np.arange(t0, t0 + increments.size), increments
-
-
 def _scan(
     slab: np.ndarray,
     tick: int,
@@ -327,23 +293,6 @@ def _race_increments(mu: float, sigma2: float) -> Callable:
         return gain * (slab[:, :, :emit] - half)
 
     return increments
-
-
-def fast_crossings_on_array(
-    streams: np.ndarray, w: int, d: float, b_grid: Sequence[float], t0: int = 1
-) -> np.ndarray:
-    """Reported crossing times per threshold for one explicit episode (-1 if none).
-
-    Same statistic as the reference pipeline with ``sync=False``; used to
-    cross-check the lockstep scan against it.
-    """
-    data = np.asarray(streams, dtype=float)[None, :, :]
-    b_arr = np.asarray(b_grid, dtype=float)
-    crossed = np.full((1, b_arr.size), -1, dtype=np.int64)
-    t_last = t0 + data.shape[2] - 1 - w
-    increments = _subspace_increments(w, d)
-    _scan(data, t0, t_last, np.zeros(1), increments, w, b_arr, crossed, np.arange(1))
-    return crossed[0]
 
 
 def _lockstep_crossings(
@@ -448,69 +397,68 @@ def _trial_crossings(
     return reported, change_points
 
 
+def _arl_estimate(name: str, b: float, reported: np.ndarray, horizon: int) -> RunLengthEstimate:
+    """ARL from one threshold's reported stop times (-1: no alarm) under no
+    change; a trial that never alarms counts at the horizon."""
+    runs = np.where(reported < 0, horizon, reported).astype(float)
+    n = runs.size
+    censored = float(np.mean(reported < 0))
+    return RunLengthEstimate(
+        detector=name,
+        b=float(b),
+        value=float(runs.mean()),
+        se=float(runs.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf,
+        n_trials=n,
+        censored_frac=censored,
+        unreliable=censored > 0.5,
+    )
+
+
+def _edd_estimate(
+    name: str, b: float, reported: np.ndarray, change_points: Sequence[int]
+) -> RunLengthEstimate:
+    """EDD from one threshold's reported stop times (-1: no alarm): the mean
+    delay over the trials alarming after their change point. Alarms at or
+    before it are false alarms; ``n_trials`` counts the trials used."""
+    alarmed = reported >= 0
+    delays = reported - np.asarray(change_points)
+    late = alarmed & (delays > 0)
+    delays = delays[late].astype(float)
+    n = delays.size
+    censored = float(np.mean(~alarmed))
+    if n == 0:
+        value, se = math.nan, math.nan
+    else:
+        value = float(delays.mean())
+        se = float(delays.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+    return RunLengthEstimate(
+        detector=name,
+        b=float(b),
+        value=value,
+        se=se,
+        n_trials=n,
+        censored_frac=censored,
+        unreliable=censored > 0.5,
+        false_alarm_frac=float(np.mean(alarmed & ~late)),
+    )
+
+
 def estimate_arl(
     spec,
     model_source: ModelSource,
     b: float,
     trials: int,
     seed,
-    horizon: int | None = None,
-    target_arl: float | None = None,
+    horizon: int,
 ) -> RunLengthEstimate:
     """Mean reported stop time under a no-change model.
 
     Trials that never alarm are counted at the horizon (a conservative,
     downward-biased convention) and reported via ``censored_frac``; above 50%
-    censoring the estimate is flagged unreliable. The horizon defaults to 20
-    times ``target_arl`` when given.
+    censoring the estimate is flagged unreliable.
     """
-    if horizon is None:
-        if target_arl is None:
-            raise ValueError("supply horizon or target_arl")
-        horizon = int(20 * target_arl)
     reported, _ = _trial_crossings(spec, model_source, [b], trials, horizon, seed)
-    col = reported[:, 0].astype(float)
-    censored = col < 0
-    col[censored] = horizon
-    return RunLengthEstimate(
-        detector=spec.name,
-        b=float(b),
-        value=float(col.mean()),
-        se=float(col.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf,
-        n_trials=trials,
-        censored_frac=float(censored.mean()),
-        unreliable=bool(censored.mean() > 0.5),
-    )
-
-
-def trial_records(
-    detector_id: str,
-    reported: np.ndarray,
-    change_points: Sequence[int | None],
-) -> list[TrialResult]:
-    """Per-trial outcomes from reported stop times (-1 meaning no alarm)."""
-    out = []
-    for rep, tau in zip(reported, change_points):
-        stopped = None if rep < 0 else int(rep)
-        false_alarm = stopped is not None and (tau is None or stopped <= tau)
-        out.append(TrialResult(detector_id, stopped, tau, false_alarm))
-    return out
-
-
-def _edd_from_records(records: Sequence[TrialResult]) -> tuple[float, float, float, float, int]:
-    """(mean delay, se, censored_frac, false_alarm_frac, n_used)."""
-    n = len(records)
-    censored = sum(1 for r in records if r.stopped_at is None)
-    false = sum(1 for r in records if r.false_alarm)
-    delays = np.array(
-        [r.stopped_at - r.change_point for r in records if r.stopped_at is not None and not r.false_alarm],
-        dtype=float,
-    )
-    n_used = delays.size
-    if n_used == 0:
-        return math.nan, math.nan, censored / n, false / n, 0
-    se = float(delays.std(ddof=1) / math.sqrt(n_used)) if n_used > 1 else math.inf
-    return float(delays.mean()), se, censored / n, false / n, int(n_used)
+    return _arl_estimate(spec.name, b, reported[:, 0], horizon)
 
 
 def estimate_edd(
@@ -531,18 +479,7 @@ def estimate_edd(
     lookahead.
     """
     reported, taus = _trial_crossings(spec, model_source, [b], trials, horizon, seed)
-    records = trial_records(spec.name, reported[:, 0], taus)
-    mean, se, cens, fa, n_used = _edd_from_records(records)
-    return RunLengthEstimate(
-        detector=spec.name,
-        b=float(b),
-        value=mean,
-        se=se,
-        n_trials=n_used,
-        censored_frac=cens,
-        unreliable=bool(cens > 0.5),
-        false_alarm_frac=fa,
-    )
+    return _edd_estimate(spec.name, b, reported[:, 0], taus)
 
 
 def operating_curve(
@@ -566,19 +503,17 @@ def operating_curve(
     rep_edd, taus = _trial_crossings(spec, change_model, b_grid, trials, horizon_edd, edd_seed)
     points = []
     for j, b in enumerate(b_grid):
-        col = rep_arl[:, j].astype(float)
-        censored = col < 0
-        col[censored] = horizon_arl
-        edd, edd_se, edd_cens, _, _ = _edd_from_records(trial_records(spec.name, rep_edd[:, j], taus))
+        arl = _arl_estimate(spec.name, b, rep_arl[:, j], horizon_arl)
+        edd = _edd_estimate(spec.name, b, rep_edd[:, j], taus)
         points.append(
             CurvePoint(
                 detector=spec.name,
                 b=float(b),
-                arl=float(col.mean()),
-                arl_se=float(col.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf,
-                edd=edd,
-                edd_se=edd_se,
-                censored_frac=float(max(censored.mean(), edd_cens)),
+                arl=arl.value,
+                arl_se=arl.se,
+                edd=edd.value,
+                edd_se=edd.se,
+                censored_frac=max(arl.censored_frac, edd.censored_frac),
             )
         )
     return points
@@ -618,8 +553,8 @@ def empirical_drift(
     Runs the increment pipeline over one long pre-change episode and one
     long post-change episode (change at 0, so the post regime is stationary
     whenever the signal is). Useful when the closed-form interval is empty.
-    Without delay estimation the increments come from the vectorized scan
-    :func:`fast_increments`.
+    Without delay estimation the increments come from one
+    :func:`~sscusum.linalg.window_increments` call over the whole episode.
     """
     horizon = ticks + w + 2 * tau_max + 1
     s1, s2 = _as_seedseq(seed).spawn(2)
@@ -627,7 +562,7 @@ def empirical_drift(
     for model, child in ((noise_model, s1), (change_model, s2)):
         streams = generate_episode(model, horizon, child)
         if not sync:
-            _, inc = fast_increments(streams, w)
+            inc = window_increments(streams, w)
         else:
             _, inc = subspace_increments(
                 streams, w=w, tau_max=tau_max, sync=sync, **pipeline_kwargs

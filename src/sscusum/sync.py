@@ -26,7 +26,7 @@ from .errors import (
 )
 from .linalg import canonicalize_sign, window_top_vectors
 
-__all__ = ["WaveformEstimate", "JointEstimate", "ml_delay", "joint_estimate"]
+__all__ = ["WaveformEstimate", "JointEstimate", "joint_estimate"]
 
 
 @dataclass(frozen=True)
@@ -52,76 +52,6 @@ class WaveformEstimate:
         return self.s_hat.size
 
 
-def _shift_order(tau_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate shifts and the tie-break ordering (smallest |z|, then smallest z)."""
-    shifts = np.arange(-tau_max, tau_max + 1)
-    order = np.lexsort((shifts, np.abs(shifts)))
-    return shifts, order
-
-
-def _pick_shift(abs_corr: np.ndarray, shifts: np.ndarray, order: np.ndarray) -> tuple[int, bool]:
-    peak = abs_corr.max()
-    if peak == 0.0:
-        return 0, True
-    winners = abs_corr[order] == peak
-    return int(shifts[order[int(np.argmax(winners))]]), False
-
-
-def ml_delay(
-    sensor: np.ndarray,
-    template: WaveformEstimate,
-    tau_max: int,
-    sensor_origin: int | None = None,
-) -> int:
-    """Shift of ``sensor`` relative to ``template``, in ticks.
-
-    Maximizes ``|sum_m s_hat(origin+m) * sensor(origin+m+z)|`` over integer
-    shifts z in [-tau_max, tau_max]; the template is zero outside its window,
-    so every shift correlates against the full template support. The sensor
-    series must cover the window extended by tau_max on both sides.
-
-    Args:
-        sensor: 1-D sample series.
-        sensor_origin: tick of ``sensor[0]``; defaults to
-            ``template.origin_t - tau_max`` (a series handed over as exactly
-            the extended window).
-
-    Returns:
-        The maximizing shift; ties break toward the smallest |z|, then the
-        smallest z. If every correlation is exactly zero, returns 0 and emits
-        a :class:`ZeroCorrelationWarning`.
-    """
-    if tau_max < 0:
-        raise ValueError("tau_max must be >= 0")
-    s_hat = template.s_hat
-    w = template.w
-    if w < 1:
-        raise ValueError("analysis window must contain at least one sample")
-    x = np.asarray(sensor, dtype=float)
-    if x.ndim != 1:
-        raise DimensionMismatchError("sensor series must be 1-D")
-    origin = template.origin_t - tau_max if sensor_origin is None else int(sensor_origin)
-    lo = template.origin_t - tau_max - origin
-    hi = template.origin_t + w - 1 + tau_max - origin
-    if lo < 0 or hi >= x.size:
-        raise InsufficientLookaheadError(
-            f"sensor covers ticks [{origin}, {origin + x.size - 1}], "
-            f"need [{template.origin_t - tau_max}, {template.origin_t + w - 1 + tau_max}]"
-        )
-    segment = x[lo : hi + 1]
-    windows = sliding_window_view(segment, w)  # row s <-> shift z = s - tau_max
-    corr = windows @ s_hat
-    shifts, order = _shift_order(tau_max)
-    z, zero = _pick_shift(np.abs(corr), shifts, order)
-    if zero:
-        warnings.warn(
-            "all correlations are exactly zero; returning shift 0",
-            ZeroCorrelationWarning,
-            stacklevel=2,
-        )
-    return z
-
-
 @dataclass(frozen=True)
 class JointEstimate:
     delays: DelayProfile
@@ -138,13 +68,17 @@ def _batched_delays(
     """All-sensor shift estimation; one matmul against the shifted-template bank.
 
     ``ext`` holds each sensor over the window extended by tau_max on both
-    sides, so row i, column tau_max+m is the window sample m. Equivalent to
-    calling :func:`ml_delay` per sensor.
+    sides, so row i, column tau_max+m is the window sample m. Sensor i's
+    shift z in [-tau_max, tau_max] maximizes ``|sum_m s_hat[m] * ext[i,
+    tau_max + m + z]|``; ties break toward the smallest |z|, then the
+    smallest z. A sensor whose correlations are all exactly zero gets shift
+    0 and a :class:`ZeroCorrelationWarning`; the reference's shift is 0.
     """
     w = s_hat.size
     windows = sliding_window_view(ext, w, axis=1)  # (k, 2*tau_max+1, w)
     corr = windows @ s_hat                          # (k, 2*tau_max+1)
-    shifts, order = _shift_order(tau_max)
+    shifts = np.arange(-tau_max, tau_max + 1)
+    order = np.lexsort((shifts, np.abs(shifts)))  # smallest |z| first, then smallest z
     abs_corr = np.abs(corr)
     peaks = abs_corr.max(axis=1)
     first_winner = np.argmax(abs_corr[:, order] == peaks[:, None], axis=1)

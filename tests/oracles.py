@@ -6,6 +6,8 @@ the library, validated on hand-computable cases before being trusted.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -79,6 +81,50 @@ def scalar_cusum(samples, mu, sigma2):
         s = max(s, 0.0) + (mu / sigma2) * (x - mu / 2.0)
         out.append(s)
     return np.asarray(out)
+
+
+def run_lengths(reported, change_points, horizon):
+    """ARL and EDD of one threshold's reported stop times (-1: no alarm).
+
+    Each trial is classified in an explicit loop. ARL counts a trial that
+    never alarms at the horizon. EDD averages the delay over the trials
+    alarming after their change point; an alarm at or before it is a false
+    alarm. The mean and standard error of each collected list come from
+    numpy's ``mean`` and ``std``, so results can be compared exactly; the
+    standard error is inf for one value and NaN for none.
+    """
+    runs, delays = [], []
+    censored = false_alarms = 0
+    for rep, tau in zip(reported, change_points):
+        if rep < 0:
+            censored += 1
+            runs.append(float(horizon))
+            continue
+        runs.append(float(rep))
+        if rep <= tau:
+            false_alarms += 1
+        else:
+            delays.append(float(rep - tau))
+
+    def mean_se(values):
+        if not values:
+            return math.nan, math.nan
+        if len(values) == 1:
+            return values[0], math.inf
+        return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(len(values)))
+
+    n = len(runs)
+    arl, arl_se = mean_se(runs)
+    edd, edd_se = mean_se(delays)
+    return {
+        "arl": arl,
+        "arl_se": arl_se,
+        "edd": edd,
+        "edd_se": edd_se,
+        "censored_frac": censored / n,
+        "false_alarm_frac": false_alarms / n,
+        "n_used": len(delays),
+    }
 
 
 def covariance_triple_loop(samples: np.ndarray) -> np.ndarray:

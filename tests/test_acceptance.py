@@ -28,7 +28,7 @@ from sscusum.detect import (
     subspace_cusum_step,
     subspace_increments,
 )
-from sscusum.linalg import top_singular_vector
+from sscusum.linalg import top_singular_vector, window_increments
 from sscusum.sync import joint_estimate
 
 
@@ -133,7 +133,7 @@ def test_criterion_4_increment_mean_validation():
     horizon = n_samples + w
 
     pre = sim.generate_episode(sim.pure_noise_model(k, sigma2), horizon, seed=41)
-    _, inc = sim.fast_increments(pre, w)
+    inc = window_increments(pre, w)
     pre_mean = inc.mean()
     assert abs(pre_mean - sigma2) <= 0.02 * sigma2, f"pre-change mean {pre_mean:.4f}"
 
@@ -141,7 +141,7 @@ def test_criterion_4_increment_mean_validation():
     for rho, seed in ((1.0, 42), (2.0, 43)):
         model = sim.mean_shift_model(k, mu=math.sqrt(rho / k), sigma2=sigma2)
         post = sim.generate_episode(model, horizon, seed=seed)
-        _, inc = sim.fast_increments(post, w)
+        inc = window_increments(post, w)
         post_mean = inc.mean()
         predicted = sigma2 * (1 + rho * (1 - (1 + rho) * (k - 1) / (w * rho * rho)))
         assert abs(post_mean - predicted) <= 0.05 * predicted, (
@@ -163,14 +163,14 @@ def test_criterion_5_drift_sign():
     ticks = 20_000
 
     pre = sim.generate_episode(sim.pure_noise_model(k, sigma2), ticks + w, seed=51)
-    _, inc = sim.fast_increments(pre, w)
+    inc = window_increments(pre, w)
     pre_drift = inc.mean() - d
     pre_se = inc.std(ddof=1) / math.sqrt(inc.size)
     assert pre_drift < -3 * pre_se, f"pre-change drift {pre_drift:.4f} (se {pre_se:.4f})"
 
     model = sim.mean_shift_model(k, mu=math.sqrt(rho / k), sigma2=sigma2)
     post = sim.generate_episode(model, ticks + w, seed=52)
-    _, inc = sim.fast_increments(post, w)
+    inc = window_increments(post, w)
     post_drift = inc.mean() - d
     post_se = inc.std(ddof=1) / math.sqrt(inc.size)
     assert post_drift > 3 * post_se, f"post-change drift {post_drift:.4f} (se {post_se:.4f})"

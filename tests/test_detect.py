@@ -23,9 +23,14 @@ from sscusum.detect import (
     write_trajectory_csv,
 )
 from sscusum.errors import DegenerateInputError, IndependenceViolationError, NumericalError
+from sscusum.linalg import window_increments
 from sscusum.sync import joint_estimate
 
 E1 = np.array([1.0, 0.0])
+DIAGONAL = np.array([1.0, 1.0]) / math.sqrt(2.0)
+# the projection of (big, big) on DIAGONAL: 1e200 overflows only its square,
+# 1.5e308 the projection itself
+OVERFLOWING = [1e200, 1.5e308]
 
 
 def frame(t, *values):
@@ -54,6 +59,11 @@ class TestKnownRecursion:
         with pytest.raises(ValueError):
             cusum_step_known_u(CusumState(), frame(1, 1.0, 0.0), 1.01 * E1, 1.0, 1.0)
 
+    @pytest.mark.parametrize("big", OVERFLOWING)
+    def test_overflowing_frame_is_numerical_error(self, big):
+        with pytest.raises(NumericalError, match="non-finite squared projection"):
+            cusum_step_known_u(CusumState(), frame(1, big, big), DIAGONAL, 1.0, 1.0)
+
 
 class TestSubspaceStep:
     def test_accumulate(self):
@@ -74,6 +84,11 @@ class TestSubspaceStep:
             subspace_cusum_step(state, frame(10, 1.0, 0.0), E1, u_window_start=10)
         ok = subspace_cusum_step(state, frame(10, 1.0, 0.0), E1, u_window_start=11)
         assert ok.S == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("big", OVERFLOWING)
+    def test_overflowing_frame_is_numerical_error(self, big):
+        with pytest.raises(NumericalError, match="non-finite squared projection"):
+            subspace_cusum_step(CusumState(d=1.0), frame(1, big, big), DIAGONAL)
 
 
 class TestRunDetector:
@@ -150,6 +165,15 @@ class TestStreamingStep:
         assert [det.step(f) for f in frames[:3]] == [None, None, None]
         with pytest.raises(NumericalError, match="non-finite squared projection"):
             det.step(frames[3])
+
+    @pytest.mark.parametrize("big", OVERFLOWING)
+    def test_overflowing_projection_is_numerical_error(self, big):
+        det = SubspaceCusum(w=3, d=1.0, b=10.0)
+        frames = [frame(1, big, big)] + [frame(t, 1.0, 1.0) for t in range(2, 5)]
+        assert [det.step(f) for f in frames[:3]] == [None, None, None]
+        with pytest.raises(NumericalError, match="non-finite squared projection"):
+            det.step(frames[3])
+        assert det.state.crossed_at is None
 
 
 class TestStreamingMatchesPipeline:
@@ -262,12 +286,11 @@ class TestCalibrateDrift:
     def test_calibrated_drift_makes_prechange_increments_negative(self):
         # calibrate on one pure-noise run, then check a fresh long run at
         # 3 sigma of the Monte Carlo error (10^5 ticks via the fast scan)
-        from sscusum.sim import fast_increments, generate_episode, pure_noise_model
+        from sscusum.sim import generate_episode, pure_noise_model
 
         model = pure_noise_model(5, 1.0)
-        _, inc_cal = fast_increments(generate_episode(model, 20_050, seed=100), w=50)
-        d = calibrate_drift(inc_cal)
-        _, inc = fast_increments(generate_episode(model, 100_050, seed=101), w=50)
+        d = calibrate_drift(window_increments(generate_episode(model, 20_050, seed=100), 50))
+        inc = window_increments(generate_episode(model, 100_050, seed=101), 50)
         drift = inc.mean() - d
         se = inc.std(ddof=1) / math.sqrt(inc.size)
         assert drift < -3 * se

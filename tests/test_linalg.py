@@ -1,4 +1,4 @@
-"""Sample covariance and the batched eigendecomposition direction kernel."""
+"""The dominant-direction kernels: one square matrix, and batched windows."""
 
 import multiprocessing
 import sys
@@ -7,58 +7,14 @@ import numpy as np
 import pytest
 
 from oracles import covariance_triple_loop, jacobi_eigh
-from sscusum.core import MultiSensorFrame
 from sscusum import linalg
 from sscusum.errors import DimensionMismatchError, NumericalError, ZeroMatrixError
 from sscusum.linalg import (
-    CovarianceWindow,
     canonicalize_sign,
-    sample_covariance,
     top_singular_vector,
     window_increments,
     window_top_vectors,
 )
-
-
-def frames(*rows):
-    return [MultiSensorFrame(t=i, values=np.asarray(r, float)) for i, r in enumerate(rows)]
-
-
-class TestSampleCovariance:
-    def test_single_outer_product(self):
-        cov = sample_covariance(frames([1.0, 0.0]))
-        assert np.array_equal(cov.matrix, [[1.0, 0.0], [0.0, 0.0]])
-
-    def test_two_orthogonal_samples(self):
-        cov = sample_covariance(frames([1.0, 0.0], [0.0, 1.0]))
-        assert np.array_equal(cov.matrix, np.eye(2))
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(5)
-        data = rng.standard_normal((5, 3))
-        cov = sample_covariance(data)
-        assert np.allclose(cov.matrix, covariance_triple_loop(data), atol=1e-14)
-        assert cov.w == 5 and cov.k == 3
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            sample_covariance([])
-
-    def test_dimension_mismatch_rejected(self):
-        bad = frames([1.0, 0.0]) + frames([1.0, 0.0, 0.0])
-        with pytest.raises(DimensionMismatchError):
-            sample_covariance(bad)
-
-    def test_nonnegative_definite(self):
-        rng = np.random.default_rng(6)
-        data = rng.standard_normal((4, 6))
-        cov = sample_covariance(data)
-        values, _ = jacobi_eigh(cov.matrix)
-        assert values.min() >= -1e-10 * np.trace(cov.matrix)
-
-    def test_symmetry_validated(self):
-        with pytest.raises(ValueError):
-            CovarianceWindow(k=2, w=1, matrix=np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestTopSingularVector:
@@ -118,9 +74,9 @@ class TestTopSingularVector:
         assert np.array_equal(canonicalize_sign(np.array([-0.5, 0.5])), [0.5, -0.5])
         assert np.array_equal(canonicalize_sign(np.array([0.5, -0.5])), [0.5, -0.5])
 
-    def test_accepts_covariance_window(self):
-        cov = sample_covariance(frames([2.0, 0.0], [2.0, 0.0]))
-        assert np.allclose(top_singular_vector(cov), [1.0, 0.0])
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            top_singular_vector(np.ones((2, 3)))
 
 
 class TestWindowTopVectors:

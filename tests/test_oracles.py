@@ -1,9 +1,18 @@
 """The oracles get tested before anything relies on them."""
 
+import math
+
 import numpy as np
 import pytest
 
-from oracles import best_shift, correlation_scan, covariance_triple_loop, jacobi_eigh, scalar_cusum
+from oracles import (
+    best_shift,
+    correlation_scan,
+    covariance_triple_loop,
+    jacobi_eigh,
+    run_lengths,
+    scalar_cusum,
+)
 
 
 def test_jacobi_hand_2x2():
@@ -56,3 +65,27 @@ def test_covariance_triple_loop_hand_case():
     samples = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     expected = np.array([[2.0, 1.0], [1.0, 2.0]])
     assert np.array_equal(covariance_triple_loop(samples), expected)
+
+
+def test_run_lengths_hand_case():
+    # trial 0 alarms 5 ticks after its change, trial 1 never alarms, trial 2
+    # alarms 8 ticks after its change, trial 3 alarms before its change
+    got = run_lengths([5, -1, 12, 3], [0, 0, 4, 4], horizon=20)
+    # runs 5, 20, 12, 3: mean 10, squared deviations 25 + 100 + 4 + 49 = 178
+    assert got["arl"] == 10.0
+    assert got["arl_se"] == pytest.approx(math.sqrt(178 / 3) / 2, rel=1e-15)
+    # delays 5 and 8: mean 6.5, sample variance 4.5
+    assert got["edd"] == 6.5
+    assert got["edd_se"] == pytest.approx(1.5, rel=1e-15)
+    assert got["censored_frac"] == 0.25
+    assert got["false_alarm_frac"] == 0.25
+    assert got["n_used"] == 2
+
+
+def test_run_lengths_one_and_no_used_trial():
+    one = run_lengths([7, 2], [3, 3], horizon=9)
+    assert (one["edd"], one["edd_se"], one["n_used"]) == (4.0, math.inf, 1)
+    assert one["false_alarm_frac"] == 0.5
+    none = run_lengths([-1], [0], horizon=9)
+    assert math.isnan(none["edd"]) and math.isnan(none["edd_se"]) and none["n_used"] == 0
+    assert (none["arl"], none["arl_se"], none["censored_frac"]) == (9.0, math.inf, 1.0)

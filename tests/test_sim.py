@@ -1,20 +1,20 @@
 """Episode generation and the Monte Carlo run-length machinery."""
 
+import math
+
 import numpy as np
 import pytest
 
+from oracles import run_lengths
 from sscusum.core import ScenarioModel, Waveform
 from sscusum.detect import one_shot_detector
 from sscusum.errors import DegenerateInputError
 from sscusum.sim import (
     OneShotSpec,
     SubspaceSpec,
-    TrialResult,
     empirical_drift,
     estimate_arl,
     estimate_edd,
-    fast_crossings_on_array,
-    fast_increments,
     generate_episode,
     mean_shift_model,
     operating_curve,
@@ -23,8 +23,9 @@ from sscusum.sim import (
     uniform_onsets,
     write_curve_csv,
 )
-from sscusum.detect import subspace_increments
-from sscusum.sim import _trial_crossings
+from sscusum.detect import SEGMENT, subspace_increments
+from sscusum.linalg import window_increments
+from sscusum.sim import _arl_estimate, _edd_estimate, _trial_crossings
 
 
 class TestGenerateEpisode:
@@ -66,20 +67,6 @@ class TestGenerateEpisode:
             generate_episode(pure_noise_model(2), horizon=0, seed=1)
 
 
-class TestTrialResult:
-    def test_consistent_false_alarm(self):
-        TrialResult("x", stopped_at=5, change_point=10, false_alarm=True)
-        TrialResult("x", stopped_at=15, change_point=10, false_alarm=False)
-        TrialResult("x", stopped_at=None, change_point=None, false_alarm=False)
-        TrialResult("x", stopped_at=5, change_point=None, false_alarm=True)
-
-    def test_inconsistent_rejected(self):
-        with pytest.raises(ValueError):
-            TrialResult("x", stopped_at=5, change_point=10, false_alarm=False)
-        with pytest.raises(ValueError):
-            TrialResult("x", stopped_at=None, change_point=None, false_alarm=True)
-
-
 class TestUniformOnsets:
     def test_bounds_and_pinning(self):
         rng = np.random.default_rng(4)
@@ -119,11 +106,6 @@ class TestEstimateArl:
         b = estimate_arl(spec, model, b=4.0, trials=300, seed=9, horizon=4000)
         assert abs(a.value - b.value) < 3.0 * np.hypot(a.se, b.se)
         assert a.censored_frac == 0.0
-
-    def test_horizon_from_target(self):
-        spec = OneShotSpec(mu=1.0, sigma2=1.0)
-        est = estimate_arl(spec, pure_noise_model(4), b=2.0, trials=10, seed=10, target_arl=25)
-        assert est.value <= 500  # horizon = 20 * target
 
 
 class TestEstimateEdd:
@@ -224,30 +206,21 @@ class TestOperatingCurve:
 
 
 class TestFastEngine:
+    """One whole-block ``window_increments`` call scores the same bits as the
+    pipeline, which scores a long record a segment at a time."""
+
     def test_increments_match_reference(self):
         model = pure_noise_model(5)
-        streams = generate_episode(model, 500, seed=17)
+        streams = generate_episode(model, SEGMENT + 500, seed=17)
         _, ref = subspace_increments(streams, w=16, sync=False)
-        _, fast = fast_increments(streams, w=16)
-        assert np.allclose(ref, fast, atol=1e-8)
+        assert np.array_equal(window_increments(streams, 16), ref)
 
     def test_increments_match_reference_wide(self):
         # more sensors than window samples exercises the Gram-side path
         model = mean_shift_model(12, mu=0.4)
-        streams = generate_episode(model, 300, seed=18)
+        streams = generate_episode(model, SEGMENT + 300, seed=18)
         _, ref = subspace_increments(streams, w=8, sync=False)
-        _, fast = fast_increments(streams, w=8)
-        assert np.allclose(ref, fast, atol=1e-8)
-
-    def test_crossings_match_reference(self):
-        model = mean_shift_model(6, mu=0.6)
-        streams = generate_episode(model, 600, seed=19)
-        spec = SubspaceSpec(w=10, tau_max=0, d=1.2, sync=False)
-        grid = [1.0, 3.0, 6.0, 10.0]
-        report = spec.run(streams, b=grid[-1])
-        ref = [report.crossing_for(b)[1] or -1 for b in grid]
-        fast = fast_crossings_on_array(streams, 10, 1.2, grid).tolist()
-        assert ref == fast
+        assert np.array_equal(window_increments(streams, 8), ref)
 
     def test_fast_trials_deterministic(self):
         spec = SubspaceSpec(w=10, tau_max=5, d=1.1, sync=False)
@@ -373,3 +346,55 @@ class TestLockstepEngine:
         with pytest.raises(ValueError):
             estimate_arl(OneShotSpec(mu=0.5, sigma2=0.0), pure_noise_model(3), b=2.0,
                          trials=3, seed=1, horizon=50)
+
+
+def _summaries(reported, change_points, horizon):
+    """The library's ARL and EDD summaries of one crossing-matrix column, in
+    the oracle's keys."""
+    arl = _arl_estimate("x", 1.0, reported, horizon)
+    edd = _edd_estimate("x", 1.0, reported, change_points)
+    assert arl.n_trials == reported.size
+    assert arl.unreliable == (arl.censored_frac > 0.5)
+    assert edd.unreliable == (edd.censored_frac > 0.5)
+    assert edd.censored_frac == arl.censored_frac
+    return {
+        "arl": arl.value,
+        "arl_se": arl.se,
+        "edd": edd.value,
+        "edd_se": edd.se,
+        "censored_frac": arl.censored_frac,
+        "false_alarm_frac": edd.false_alarm_frac,
+        "n_used": edd.n_trials,
+    }
+
+
+def _assert_same(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        same = got[key] == want[key] or (math.isnan(got[key]) and math.isnan(want[key]))
+        assert same, f"{key}: {got[key]!r} != {want[key]!r}"
+
+
+class TestRunLengthSummary:
+    @pytest.mark.parametrize("case", ["one_shot-edd", "subspace-edd", "one_shot-arl"])
+    def test_matches_per_trial_oracle(self, case):
+        spec, model, grid = LOCKSTEP_CASES[case]
+        horizon = 1000
+        reported, taus = _trial_crossings(spec, model, grid, 12, horizon, 26)
+        for j in range(len(grid)):
+            col = reported[:, j]
+            _assert_same(_summaries(col, taus, horizon), run_lengths(col, taus, horizon))
+
+    @pytest.mark.parametrize(
+        "reported, change_points",
+        [
+            ([-1, -1, -1], [0, 0, 0]),  # all censored
+            ([3, 0, 5], [3, 4, 5]),  # all false alarms
+            ([-1, 9, 2], [0, 4, 6]),  # one trial used
+            ([7], [2]),  # one trial in all
+        ],
+        ids=["all-censored", "all-false-alarm", "one-used", "one-trial"],
+    )
+    def test_hand_built_columns(self, reported, change_points):
+        col = np.array(reported, dtype=np.int64)
+        _assert_same(_summaries(col, change_points, 40), run_lengths(col, change_points, 40))

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import best_shift, correlation_scan
 from sscusum.errors import InsufficientLookaheadError, ZeroCorrelationWarning, ZeroMatrixError
-from sscusum.sync import WaveformEstimate, joint_estimate, ml_delay
+from sscusum.sync import joint_estimate
 
 
 def shifted_series(template, origin_t, shift, cover_lo, cover_hi, gain=1.0):
@@ -19,56 +19,70 @@ def shifted_series(template, origin_t, shift, cover_lo, cover_hi, gain=1.0):
     return np.array([value(t) for t in range(cover_lo, cover_hi + 1)])
 
 
+def first_pass_delay(sensor, template, tau_max, sensor_origin, origin_t, window=True):
+    """Shift of ``sensor`` against ``template`` from joint_estimate's delay
+    search: its first pass correlates every sensor with the reference's
+    window, and the reference row here carries the template there."""
+    cover_hi = sensor_origin + len(sensor) - 1
+    reference = shifted_series(template, origin_t, 0, sensor_origin, cover_hi)
+    est = joint_estimate(
+        np.stack([reference, sensor]),
+        tau_max=tau_max,
+        t0=sensor_origin,
+        n_max=1,
+        window=(origin_t, len(template)) if window else None,
+    )
+    return int(est.delays.tau_hat[1])
+
+
 class TestMlDelay:
-    def setup_method(self):
-        self.template = WaveformEstimate(np.array([0.0, 1.0, 2.0, 1.0, 0.0]), origin_t=1)
+    """The maximum-likelihood delay search, through joint_estimate's first pass."""
+
+    template = np.array([0.0, 1.0, 2.0, 1.0, 0.0])  # ticks 1..5
 
     def test_recovers_pure_shift(self):
-        sensor = shifted_series(self.template.s_hat, 1, 3, -4, 10)
-        assert ml_delay(sensor, self.template, tau_max=5, sensor_origin=-4) == 3
+        sensor = shifted_series(self.template, 1, 3, -4, 10)
+        assert first_pass_delay(sensor, self.template, 5, -4, 1) == 3
 
     def test_sign_flip_recovered(self):
-        sensor = shifted_series(self.template.s_hat, 1, 2, -4, 10, gain=-1.0)
-        assert ml_delay(sensor, self.template, tau_max=5, sensor_origin=-4) == 2
+        sensor = shifted_series(self.template, 1, 2, -4, 10, gain=-1.0)
+        assert first_pass_delay(sensor, self.template, 5, -4, 1) == 2
 
     def test_matches_exhaustive_oracle_on_noise(self):
         rng = np.random.default_rng(0)
-        template = WaveformEstimate(rng.standard_normal(16), origin_t=10)
+        template = rng.standard_normal(16)  # ticks 10..25
         for trial in range(25):
             sensor = rng.standard_normal(16 + 8)  # covers ticks 6..29
-            got = ml_delay(sensor, template, tau_max=4, sensor_origin=6)
-            corr = correlation_scan(sensor, 6, template.s_hat, 10, 4)
-            assert got == best_shift(corr)
+            got = first_pass_delay(sensor, template, 4, 6, 10)
+            assert got == best_shift(correlation_scan(sensor, 6, template, 10, 4))
 
     def test_default_origin_is_extended_window(self):
-        sensor = shifted_series(self.template.s_hat, 1, 3, -4, 10)
-        # same series, origin implied as origin_t - tau_max = -4
-        assert ml_delay(sensor, self.template, tau_max=5) == 3
+        # without a window, the analysis window leaves tau_max headroom on both sides
+        sensor = shifted_series(self.template, 1, 3, -4, 10)
+        assert first_pass_delay(sensor, self.template, 5, -4, 1, window=False) == 3
 
     def test_tie_breaks_smallest_magnitude_then_smallest(self):
-        template = WaveformEstimate(np.array([1.0]), origin_t=0)
-        # corr(z) = sensor(z); equal magnitude at z = -2 and z = +2, larger than rest
-        sensor = np.array([0.0, 5.0, 0.0, 0.0, 0.0, -5.0, 0.0])  # ticks -3..3
-        assert ml_delay(sensor, template, tau_max=3, sensor_origin=-3) == -2
+        template = np.array([1.0, 0.0])  # ticks 0..1, so corr(z) = sensor(z)
+        # equal magnitude at z = -2 and z = +2, larger than the rest
+        sensor = np.array([0.0, 5.0, 0.0, 0.0, 0.0, -5.0, 0.0, 0.0])  # ticks -3..4
+        assert first_pass_delay(sensor, template, 3, -3, 0) == -2
 
     def test_all_zero_correlations_warns_and_returns_zero(self):
-        sensor = np.zeros(15)
         with pytest.warns(ZeroCorrelationWarning):
-            assert ml_delay(sensor, self.template, tau_max=5, sensor_origin=-4) == 0
+            assert first_pass_delay(np.zeros(15), self.template, 5, -4, 1) == 0
 
     def test_insufficient_coverage_rejected(self):
         with pytest.raises(InsufficientLookaheadError):
-            ml_delay(np.zeros(10), self.template, tau_max=5, sensor_origin=0)
+            first_pass_delay(np.zeros(10), self.template, 5, 0, 1)
 
     def test_output_always_within_bound(self):
         rng = np.random.default_rng(1)
         for trial in range(30):
             w = int(rng.integers(2, 20))
             tau_max = int(rng.integers(0, 6))
-            template = WaveformEstimate(rng.standard_normal(w), origin_t=0)
-            sensor = rng.standard_normal(w + 2 * tau_max)
-            z = ml_delay(sensor, template, tau_max=tau_max)
-            assert -tau_max <= z <= tau_max
+            streams = rng.standard_normal((4, w + 2 * tau_max))
+            tau = joint_estimate(streams, tau_max=tau_max, t0=0, n_max=1).delays.tau_hat
+            assert np.abs(tau).max() <= tau_max
 
 
 def burst_scenario(rng, k, w, tau_max, true_delays, alpha=None, sigma=0.0):
@@ -132,11 +146,10 @@ class TestJointEstimate:
         k, w, tau_max = 5, 30, 4
         streams = rng.standard_normal((k, w + 2 * tau_max))
         est = joint_estimate(streams, tau_max=tau_max, t0=0, n_max=1)
-        template = WaveformEstimate(streams[0, tau_max : tau_max + w], origin_t=tau_max)
+        template = streams[0, tau_max : tau_max + w]  # the reference's window, ticks tau_max..
         for i in range(1, k):
-            assert est.delays.tau_hat[i] == ml_delay(
-                streams[i], template, tau_max, sensor_origin=0
-            )
+            corr = correlation_scan(streams[i], 0, template, tau_max, tau_max)
+            assert est.delays.tau_hat[i] == best_shift(corr)
 
     def test_termination_bound(self):
         rng = np.random.default_rng(7)
