@@ -5,8 +5,10 @@ prints an empirical drift from a pre-change prefix, ``detect`` runs the
 asynchronous detector over a CSV and writes report/trajectory files, and
 ``curve`` sweeps thresholds into an (ARL, EDD) operating-curve CSV.
 
-Options may come from a ``key=value`` config file (``--config``); explicit
-flags win, and a key that no subcommand accepts is a validation error.
+Options may come from a ``key=value`` config file (``--config``): each value
+is parsed by its subcommand's flag, as ``--key=value``, and becomes that
+flag's default, so explicit flags win. A key that no subcommand accepts, or
+a value its flag rejects, is a validation error naming the file and line.
 Exit codes: 0 success, 1 validation, 2 I/O (including malformed or
 non-finite CSV cells), 3 numerical failure (a non-finite covariance, e.g.
 from overflow, or a failed eigendecomposition).
@@ -29,7 +31,7 @@ __all__ = ["main", "build_parser"]
 
 
 class _Parser(argparse.ArgumentParser):
-    config_keys: frozenset[str] = frozenset()  # options some subcommand accepts
+    commands: dict[str, _Parser]  # subcommand name -> its parser (top level only)
 
     def error(self, message):  # route usage problems to exit code 1
         raise ValidationError(message)
@@ -45,13 +47,13 @@ def _float_list(text: str) -> list[float]:
 
 _COMMON = {
     "k": dict(type=int, help="number of sensors"),
-    "sigma2": dict(type=float, help="noise variance (default 1.0)"),
+    "sigma2": dict(type=float, default=1.0, help="noise variance (default 1.0)"),
     "mu": dict(type=float, help="common post-change amplitude"),
     "alpha": dict(type=_float_list, help="comma-separated per-sensor amplitudes"),
     "w": dict(type=int, help="lookahead window length (ticks)"),
-    "tau_max": dict(type=int, help="relative-delay bound (ticks)"),
-    "delta": dict(type=int, help="delay-convergence tolerance (ticks, default 1)"),
-    "n_max": dict(type=int, help="max joint-estimation passes (default 10)"),
+    "tau_max": dict(type=int, default=0, help="relative-delay bound (ticks)"),
+    "delta": dict(type=int, default=1, help="delay-convergence tolerance (ticks, default 1)"),
+    "n_max": dict(type=int, default=10, help="max joint-estimation passes (default 10)"),
     "d": dict(type=float, help="drift parameter"),
     "factor": dict(type=float, help="calibration multiplier (default 1.5)"),
     "b": dict(type=float, help="alarm threshold"),
@@ -64,10 +66,12 @@ _COMMON = {
 }
 
 
-def _add(parser: argparse.ArgumentParser, *names: str) -> None:
+def _add(parser: argparse.ArgumentParser, *names: str, **defaults) -> None:
+    """Add the shared options ``names``; ``defaults`` overrides their defaults."""
     for name in names:
         flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, dest=name, default=None, **_COMMON[name])
+        parser.add_argument(flag, dest=name, **{"default": None, **_COMMON[name]})
+    parser.set_defaults(**defaults)
 
 
 def build_parser() -> _Parser:
@@ -76,11 +80,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="write a synthetic episode CSV")
-    _add(p, "k", "sigma2", "mu", "alpha", "onsets", "tau_max", "w", "horizon", "seed")
+    _add(p, "k", "sigma2", "mu", "alpha", "onsets", "tau_max", "w", "horizon", "seed",
+         tau_max=None)
     p.add_argument("--out", required=False, default=None, help="output CSV path")
 
     p = sub.add_parser("calibrate", help="print an empirical drift value")
-    _add(p, "w", "tau_max", "delta", "n_max", "factor", "rate")
+    _add(p, "w", "tau_max", "delta", "n_max", "factor", factor=1.5)
     p.add_argument("--in", dest="in_path", default=None, help="input sensor CSV")
     p.add_argument("--prefix", type=int, default=None, help="pre-change prefix length (ticks)")
     p.add_argument("--sync", dest="sync", action="store_true", default=None)
@@ -104,23 +109,20 @@ def build_parser() -> _Parser:
         p, "k", "sigma2", "mu", "w", "tau_max", "delta", "n_max", "d",
         "b_grid", "trials", "horizon", "seed",
     )
-    p.add_argument("--detector", choices=["subspace", "oneshot", "both"], default=None)
+    p.add_argument("--detector", choices=["subspace", "oneshot", "both"], default="both")
     p.add_argument("--b-grid-oneshot", dest="b_grid_oneshot", type=_float_list, default=None)
     p.add_argument("--horizon-edd", dest="horizon_edd", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--sync", dest="sync", action="store_true", default=None)
     p.add_argument("--no-sync", dest="sync", action="store_false")
-    parser.config_keys = frozenset(
-        action.dest for cmd in sub.choices.values() for action in cmd._actions
-    ) - {"help"}
+    parser.commands = sub.choices
     return parser
 
 
-def _load_config(path: str | None, known: frozenset[str]) -> dict[str, str]:
-    """``key=value`` lines; a key no subcommand accepts is a validation error."""
-    if path is None:
-        return {}
-    values: dict[str, str] = {}
+def _load_config(path: str, known: set[str]) -> dict[str, tuple[int, str]]:
+    """``key=value`` lines as ``key -> (line number, value)``; a key no
+    subcommand accepts is a validation error."""
+    values: dict[str, tuple[int, str]] = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -132,53 +134,54 @@ def _load_config(path: str | None, known: frozenset[str]) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         if key not in known:
             raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value.strip()
+        values[key] = (lineno, value.strip())
     return values
 
 
-_CONFIG_PARSERS = {
-    "alpha": _float_list,
-    "b_grid": _float_list,
-    "b_grid_oneshot": _float_list,
-    "onsets": _int_list,
-    "sync": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "normalize": lambda s: s.lower() in ("1", "true", "yes", "on"),
-}
+# the spellings a config file may give an on/off flag (--sync/--no-sync, --normalize)
+_SWITCH = dict.fromkeys(["1", "true", "yes", "on"], True) | dict.fromkeys(
+    ["0", "false", "no", "off"], False
+)
 
 
-def _resolve(args: argparse.Namespace, config: dict[str, str]) -> argparse.Namespace:
-    """Fill flag values that were left unset from the config file.
+def _config_value(command: _Parser, action: argparse.Action, raw: str):
+    """``raw`` parsed and checked as ``--flag=raw``, the flag it stands for."""
+    if action.nargs == 0:
+        if raw.lower() not in _SWITCH:
+            raise ValidationError(f"{action.dest} takes one of {', '.join(_SWITCH)}, got {raw!r}")
+        return _SWITCH[raw.lower()]
+    return getattr(command.parse_args([f"{action.option_strings[0]}={raw}"]), action.dest)
+
+
+def _parse(parser: _Parser, argv) -> argparse.Namespace:
+    """Parse ``argv``. A ``--config`` file's values become the subcommand's
+    defaults and ``argv`` is parsed again, so explicit flags win.
 
     Keys that only other subcommands accept are skipped.
     """
-    for key, raw in config.items():
-        if not hasattr(args, key):
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    known = {a.dest for cmd in parser.commands.values() for a in cmd._actions} - {"help"}
+    command = parser.commands[args.command]
+    actions = {action.dest: action for action in command._actions}
+    defaults = {}
+    for key, (lineno, raw) in _load_config(args.config, known).items():
+        if key not in actions:
             continue
-        if getattr(args, key) is not None:
-            continue  # explicit flag wins
-        parse = _CONFIG_PARSERS.get(key)
-        if parse is None:
-            for candidate in (int, float, str):
-                try:
-                    parse = candidate
-                    candidate(raw)
-                    break
-                except ValueError:
-                    continue
-        setattr(args, key, parse(raw))
-    return args
+        try:
+            defaults[key] = _config_value(command, actions[key], raw)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.config}:{lineno}: {exc}") from None
+    command.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
-            flag = "--" + name.replace("_", "-").replace("in_path", "in")
+            flag = "--" + name.replace("_", "-").replace("in-path", "in")
             raise ValidationError(f"missing required option {flag}")
-
-
-def _default(args, name, value):
-    if getattr(args, name) is None:
-        setattr(args, name, value)
 
 
 def _positive(args, *names):
@@ -213,7 +216,6 @@ def _build_model(args) -> ScenarioModel:
 
 def cmd_simulate(args) -> int:
     _require(args, "k", "horizon", "seed", "out")
-    _default(args, "sigma2", 1.0)
     if args.k < 1:
         raise ValidationError("--k must be >= 1")
     if args.sigma2 < 0:
@@ -270,10 +272,6 @@ def _increments(args, t0: int, streams: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def cmd_calibrate(args) -> int:
     _require(args, "in_path", "w")
-    _default(args, "tau_max", 0)
-    _default(args, "factor", 1.5)
-    _default(args, "delta", 1)
-    _default(args, "n_max", 10)
     _positive(args, "w", "factor")
     t0, streams = _load_streams(args)
     _, increments = _increments(args, t0, streams[:, : _prefix(args, streams)])
@@ -283,12 +281,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_detect(args) -> int:
     _require(args, "in_path", "w", "b", "out")
-    _default(args, "tau_max", 0)
-    _default(args, "delta", 1)
-    _default(args, "n_max", 10)
-    _positive(args, "w")
-    if args.b <= 0:
-        raise ValidationError("--b must be positive")
+    _positive(args, "w", "b", "rate", "factor")
     t0, streams = _load_streams(args)
     if args.d is None:
         if args.factor is None:
@@ -319,13 +312,8 @@ def cmd_detect(args) -> int:
 
 def cmd_curve(args) -> int:
     _require(args, "k", "mu", "w", "trials", "horizon", "seed", "out")
-    _default(args, "sigma2", 1.0)
-    _default(args, "tau_max", 0)
-    _default(args, "delta", 1)
-    _default(args, "n_max", 10)
-    _default(args, "detector", "both")
-    _positive(args, "k", "w", "trials", "horizon", "sigma2")
-    horizon_edd = args.horizon_edd or args.horizon
+    _positive(args, "k", "w", "trials", "horizon", "horizon_edd", "sigma2")
+    horizon_edd = args.horizon if args.horizon_edd is None else args.horizon_edd
     sync = _sync(args)
     ss = np.random.SeedSequence(int(args.seed))
     seed_sub, seed_os, seed_drift = ss.spawn(3)
@@ -379,8 +367,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _resolve(args, _load_config(args.config, parser.config_keys))
+        args = _parse(parser, argv)
         return _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -296,16 +296,17 @@ def normalize_stream(raw, stats_prefix: int | None = None) -> np.ndarray:
     known pre-change stretch) while still transforming the whole series.
 
     Raises:
-        DegenerateInputError: empty, non-finite, or constant input.
+        DegenerateInputError: empty, non-finite, or constant input, or a
+            ``stats_prefix`` below 1.
     """
     x = np.asarray(raw, dtype=float)
     if x.size == 0:
         raise DegenerateInputError("cannot normalize an empty series")
     if not np.all(np.isfinite(x)):
         raise DegenerateInputError("series contains non-finite values")
+    if stats_prefix is not None and stats_prefix < 1:
+        raise DegenerateInputError(f"stats prefix must be >= 1, got {stats_prefix}")
     ref = x if stats_prefix is None else x[: int(stats_prefix)]
-    if ref.size == 0:
-        raise DegenerateInputError("stats prefix selects no samples")
     centered = x - ref.mean()
     scale = np.max(np.abs(ref - ref.mean()))
     if scale == 0.0:

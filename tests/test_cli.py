@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sscusum import sim
-from sscusum.cli import main
+from sscusum.cli import build_parser, main
 from sscusum.core import normalize_stream, read_sensor_csv, write_sensor_csv
 from sscusum.detect import async_pipeline, calibrate_drift, subspace_increments
 
@@ -96,6 +96,10 @@ class TestCalibrate:
         assert run(["calibrate", "--in", path, "--w", 50, "--prefix", 20]) == 1
         assert "too short" in capsys.readouterr().err
 
+    def test_missing_input_names_its_flag(self, capsys):
+        assert run(["calibrate", "--w", 10]) == 1
+        assert "missing required option --in\n" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert run(["calibrate", "--in", tmp_path / "absent.csv", "--w", 10]) == 2
 
@@ -114,6 +118,15 @@ class TestCalibrate:
         normed = float(capsys.readouterr().out.strip().splitlines()[-1])
         assert raw > 10 * normed  # the hot sensor dominated the raw statistic
         assert normed < 1.0  # normalized amplitudes sit within [-1, 1]
+
+    def test_rate_is_not_a_calibrate_flag(self, tmp_path):
+        # calibrate prints a drift, not a time; the shared seismic preset's
+        # rate key (read by detect) still loads under calibrate
+        record = simulate_noise_file(tmp_path, k=3, horizon=700)
+        assert run(["calibrate", "--in", record, "--w", 30, "--rate", 250]) == 1
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        assert run(["--config", configs / "seismic.cfg", "calibrate", "--in", record,
+                    "--prefix", 500]) == 0
 
 
 class TestDetect:
@@ -170,6 +183,23 @@ class TestDetect:
     def test_requires_d_or_factor(self, tmp_path):
         path = simulate_noise_file(tmp_path, k=2, horizon=100, seed=12)
         assert run(["detect", "--in", path, "--w", 10, "--b", 5, "--out", tmp_path / "r.csv"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--d", 1.2, "--rate", 0],
+            ["--d", 1.2, "--rate", -250],
+            ["--factor", -1.5, "--prefix", 200],
+            ["--d", 1.2, "--normalize", "--norm-prefix", -390],
+        ],
+        ids=["zero-rate", "negative-rate", "negative-factor", "negative-norm-prefix"],
+    )
+    def test_out_of_range_value_is_validation_error(self, tmp_path, capsys, flags):
+        path = simulate_noise_file(tmp_path, k=2, horizon=400, seed=10)
+        report = tmp_path / "report.csv"
+        assert run(["detect", "--in", path, "--w", 10, "--b", 8, "--out", report] + flags) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not report.exists()
 
     def test_non_finite_csv_is_io_error_with_line(self, tmp_path, capsys):
         bad = tmp_path / "nan.csv"
@@ -281,6 +311,15 @@ class TestCurve:
                     "--horizon", 200, "--b-grid", "", "--seed", 1, "--out", tmp_path / "c.csv"])
         assert code == 1
 
+    def test_zero_horizon_edd_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        code = run(["curve", "--k", 3, "--mu", 0.8, "--w", 8, "--no-sync", "--trials", 2,
+                    "--horizon", 300, "--horizon-edd", 0, "--b-grid", "2", "--d", 1.3,
+                    "--seed", 1, "--out", out])
+        assert code == 1
+        assert "--horizon-edd must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_auto_drift_calibration(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         code = run(["curve", "--k", 3, "--mu", 0.9, "--w", 8, "--no-sync", "--trials", 10,
@@ -291,6 +330,63 @@ class TestCurve:
 
 
 class TestConfigFile:
+    # one line each, after a base preset that both curve and detect accept
+    BASE = ("k = 3\nmu = 0.8\nw = 8\nd = 1.3\nb = 8\nb-grid = 2\n"
+            "seed = 1\ntrials = 2\nhorizon = 300\n")
+
+    @pytest.mark.parametrize(
+        "line, command",
+        [
+            ("w = 20.5", "curve"),
+            ("k = 3.0", "curve"),
+            ("seed = abc", "curve"),
+            ("detector = bogus", "curve"),
+            ("sync = maybe", "curve"),
+            ("normalize = yes please", "detect"),
+        ],
+    )
+    def test_bad_value_rejected_with_its_line(self, tmp_path, capsys, line, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(self.BASE + line + "\n")
+        out = tmp_path / "out.csv"
+        argv = ["--config", cfg, command, "--out", out]
+        if command == "detect":
+            argv += ["--in", simulate_noise_file(tmp_path, k=3, horizon=200)]
+        assert run(argv) == 1
+        assert f"{cfg}:10: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_sync_flag_beats_config_sync(self, tmp_path, capsys):
+        record = simulate_noise_file(tmp_path, k=3, horizon=400, seed=6)
+        cfg = tmp_path / "sync.cfg"
+        cfg.write_text("sync = true\ntau-max = 3\nw = 20\n")
+        capsys.readouterr()
+        drifts = []
+        for argv in (
+            ["--config", cfg, "calibrate", "--no-sync"],
+            ["calibrate", "--no-sync", "--tau-max", 3, "--w", 20],
+            ["--config", cfg, "calibrate"],
+        ):
+            assert run(argv + ["--in", record]) == 0
+            drifts.append(capsys.readouterr().out)
+        assert drifts[0] == drifts[1] != drifts[2]
+
+    def test_every_curve_key_matches_its_flag(self, tmp_path):
+        values = {
+            "k": 3, "sigma2": 1.5, "mu": 0.8, "w": 8, "tau-max": 2, "delta": 2, "n-max": 3,
+            "d": 1.3, "b-grid": "2,4", "b-grid-oneshot": "1,2", "detector": "both",
+            "trials": 4, "horizon": 400, "horizon-edd": 150, "seed": 5,
+        }
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items())
+                       + f"sync = on\nout = {tmp_path / 'config.csv'}\n")
+        curve_keys = {a.dest for a in build_parser().commands["curve"]._actions} - {"help"}
+        assert {key.replace("-", "_") for key in values} | {"sync", "out"} == curve_keys
+        assert run(["--config", cfg, "curve"]) == 0
+        flags = [item for key, value in values.items() for item in (f"--{key}", value)]
+        assert run(["curve", *flags, "--sync", "--out", tmp_path / "flags.csv"]) == 0
+        assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+
     def test_config_supplies_defaults_and_flags_win(self, tmp_path):
         cfg = tmp_path / "preset.cfg"
         cfg.write_text("# preset\nk = 2\nsigma2 = 0\nmu = 1\nonsets = 3,5\nhorizon = 6\n")

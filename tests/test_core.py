@@ -60,6 +60,12 @@ class TestNormalizeStream:
         # mean 1, max-abs 1 over the prefix; the tail just rides along
         assert np.allclose(out, [-1.0, 1.0, 99.0])
 
+    def test_prefix_below_one_rejected(self):
+        # a negative prefix must not slice from the end (x[:-8] is 2 of 10 samples)
+        for prefix in (0, -8):
+            with pytest.raises(DegenerateInputError, match="stats prefix"):
+                normalize_stream(np.arange(10.0), stats_prefix=prefix)
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=40),
