@@ -185,10 +185,13 @@ def _require(args, *names):
 
 
 def _positive(args, *names):
+    """Each of ``names`` is positive; ``--tau-max``, which every command takes, is >= 0."""
     for name in names:
         value = getattr(args, name, None)
         if value is not None and value <= 0:
             raise ValidationError(f"--{name.replace('_', '-')} must be positive, got {value}")
+    if getattr(args, "tau_max", None) is not None and args.tau_max < 0:
+        raise ValidationError(f"--tau-max must be >= 0, got {args.tau_max}")
 
 
 def _build_model(args) -> ScenarioModel:

@@ -13,7 +13,8 @@ running statistic reaches b":
 
 Every direction comes from the batched eigendecomposition kernel in
 :mod:`sscusum.linalg`: the streaming detector calls it with one window per
-frame, the asynchronous pipeline with every window of a sync segment at once.
+frame, the asynchronous pipeline with every window of a chunk of sync
+segments at once.
 
 Drift selection comes in two forms: a closed-form admissible interval from
 the large-window theory, and an empirical rule (factor times the observed
@@ -39,9 +40,10 @@ from .errors import (
     DimensionMismatchError,
     IndependenceViolationError,
     NumericalError,
+    ZeroMatrixError,
 )
 from .linalg import window_increments, window_top_vectors
-from .sync import joint_estimate
+from .sync import _joint_fit
 
 __all__ = [
     "CusumState",
@@ -63,8 +65,8 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-# Most ticks one segment scores without delay estimation: bounds the memory
-# of a long record, whose windows are scored a segment at a time.
+# Most ticks one call scores: a segment without delay estimation, a chunk of
+# sync segments with it. Bounds the memory of a long record.
 SEGMENT = 4096
 
 _UNIT_NORM_ATOL = 1e-9
@@ -432,10 +434,11 @@ def _segment_increments(
     projections of its ticks, and its delay profile (None without sync).
 
     Delays are constant over a segment, so its ticks form one aligned
-    (k, ticks + w) block whose future windows go through the batched
-    direction kernel in one call. Without delay estimation a segment is at
-    most :data:`SEGMENT` ticks, so a long record never holds every
-    window at once.
+    (k, ticks + w) block. One batched joint-estimation call fits a chunk of
+    segments and one :func:`window_increments` call scores their blocks.
+    Chunks double from one segment up to :data:`SEGMENT` ticks (one segment
+    without sync), so a run that stops early scores at most about twice the
+    segments it needed; a segment's error is raised once the run reaches it.
     """
     data = np.asarray(streams, dtype=float)
     if data.ndim != 2:
@@ -467,19 +470,33 @@ def _segment_increments(
         )
 
     rows = np.arange(k)[:, None]
-    tau = np.zeros(k, dtype=int)
-    profile = None
     segment = sync_every if sync else SEGMENT
-    for start in range(t_first, t_last + 1, segment):
-        stop = min(start + segment - 1, t_last)
-        if sync:
-            profile = joint_estimate(
-                data, tau_max=tau_max, delta=delta, n_max=n_max,
-                window=(start + 1, w), t0=t0, reference=reference,
-            ).delays
-            tau = profile.tau_hat
-        cols = (start - t0) + tau[:, None] + np.arange(stop - start + 1 + w)[None, :]
-        yield start, window_increments(data[rows, cols], w), profile
+    starts = np.arange(t_first, t_last + 1, segment)
+    lengths = np.minimum(starts + segment, t_last + 1) - starts
+    most = max(1, SEGMENT // segment) if sync else 1
+    lo, size = 0, 1
+    while lo < starts.size:
+        chunk = slice(lo, lo + size)
+        try:
+            if sync:
+                profiles = _joint_fit(
+                    data, starts[chunk] + 1, w, tau_max=tau_max, delta=delta, n_max=n_max,
+                    t0=t0, reference=reference,
+                )[0]
+                tau = np.stack([p.tau_hat for p in profiles])
+            else:
+                profiles, tau = [None], np.zeros((1, k), dtype=int)
+            m = lengths[chunk].max()  # a shorter last segment is padded, then cut
+            cols = (starts[chunk] - t0)[:, None, None] + tau[:, :, None] + np.arange(m + w)
+            inc = window_increments(data[rows, np.minimum(cols, n - 1)], w)
+        except (ZeroMatrixError, NumericalError):
+            if size == 1:
+                raise
+            size = 1  # replay the chunk a segment at a time, up to the failing one
+            continue
+        for start, length, row, profile in zip(starts[chunk], lengths[chunk], inc, profiles):
+            yield int(start), row[:length], profile
+        lo, size = lo + size, min(2 * size, most)
 
 
 def async_pipeline(
@@ -506,8 +523,9 @@ def async_pipeline(
     every ``sync_every`` emitted ticks (default: once per window length).
     Leading ticks without tau_max headroom on both sides are skipped and
     recorded, and the run needs streams covering at least one emittable tick.
-    An all-zero future window scores an increment of 0. The run scores one
-    sync segment at a time and stops scoring at the first crossing.
+    An all-zero future window scores an increment of 0. The run scores a
+    chunk of sync segments at a time and stops after the chunk that holds
+    the first crossing.
 
     Raises:
         NumericalError: a window covariance is not finite.

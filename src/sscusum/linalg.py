@@ -38,8 +38,8 @@ __all__ = [
 
 # Most windows one task hands to the batched kernel. At k=125, w=20, tasks of
 # 128 to 512 windows ran equally fast, and peak memory grew by about 2 MB per
-# doubling; 256 also keeps a 200-tick sync segment in one task, which runs on
-# the caller's thread.
+# doubling; 256 also keeps a 200-tick sync segment in one task, and the
+# pipeline scores a chunk of segments per call, one task each.
 TASK = 256
 
 

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import DelayProfile
 from .errors import (
@@ -60,41 +59,82 @@ class JointEstimate:
 
 
 def _batched_delays(
-    ext: np.ndarray,
-    s_hat: np.ndarray,
-    tau_max: int,
-    reference: int,
+    ext: np.ndarray, s_hat: np.ndarray, tau_max: int, reference: int, starts: np.ndarray
 ) -> np.ndarray:
-    """All-sensor shift estimation; one matmul against the shifted-template bank.
+    """Every sensor's shift in every window of a stack, by direct correlation sums.
 
-    ``ext`` holds each sensor over the window extended by tau_max on both
-    sides, so row i, column tau_max+m is the window sample m. Sensor i's
-    shift z in [-tau_max, tau_max] maximizes ``|sum_m s_hat[m] * ext[i,
-    tau_max + m + z]|``; ties break toward the smallest |z|, then the
-    smallest z. A sensor whose correlations are all exactly zero gets shift
-    0 and a :class:`ZeroCorrelationWarning`; the reference's shift is 0.
+    ``ext[j]`` holds each sensor over window j (starting at tick
+    ``starts[j]``) extended by tau_max on both sides, and ``s_hat[j]`` is its
+    template. Sensor i's shift z in [-tau_max, tau_max] maximizes
+    ``|sum_m s_hat[j, m] * ext[j, i, tau_max + m + z]|``, one ``np.correlate``
+    per sensor; ties break toward the smallest |z|, then the smallest z. A
+    sensor whose correlations are all exactly zero gets shift 0 and a
+    :class:`ZeroCorrelationWarning` naming its window's start tick; the
+    reference's shift is 0.
     """
-    w = s_hat.size
-    windows = sliding_window_view(ext, w, axis=1)  # (k, 2*tau_max+1, w)
-    corr = windows @ s_hat                          # (k, 2*tau_max+1)
+    corr = np.zeros(ext.shape[:2] + (2 * tau_max + 1,))  # (B, k, 2*tau_max+1)
+    for j, i in np.ndindex(*ext.shape[:2]):
+        if i != reference:
+            corr[j, i] = np.correlate(ext[j, i], s_hat[j], "valid")
     shifts = np.arange(-tau_max, tau_max + 1)
     order = np.lexsort((shifts, np.abs(shifts)))  # smallest |z| first, then smallest z
     abs_corr = np.abs(corr)
-    peaks = abs_corr.max(axis=1)
-    first_winner = np.argmax(abs_corr[:, order] == peaks[:, None], axis=1)
-    tau = shifts[order[first_winner]]
-    zero_rows = np.flatnonzero(peaks == 0.0)
-    zero_rows = zero_rows[zero_rows != reference]
-    if zero_rows.size:
+    peaks = abs_corr.max(axis=2)
+    tau = shifts[order[np.argmax(abs_corr[:, :, order] == peaks[:, :, None], axis=2)]]
+    zero = peaks == 0.0
+    zero[:, reference] = False
+    for j in np.flatnonzero(zero.any(axis=1)):
         warnings.warn(
-            f"all correlations are exactly zero for sensors {zero_rows.tolist()}; "
-            "their shifts default to 0",
+            f"all correlations are exactly zero for sensors {np.flatnonzero(zero[j]).tolist()} "
+            f"in the window starting at tick {starts[j]}; their shifts default to 0",
             ZeroCorrelationWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
-        tau[zero_rows] = 0
-    tau[reference] = 0
+    tau[zero] = 0
+    tau[:, reference] = 0
     return tau
+
+
+def _joint_fit(
+    data: np.ndarray, starts: np.ndarray, w: int, *, tau_max: int, delta: int, n_max: int,
+    t0: int, reference: int,
+) -> tuple[list[DelayProfile], np.ndarray, np.ndarray]:
+    """The joint loop of :func:`joint_estimate` over a stack of fit windows.
+
+    Window j is ``(starts[j], w)``; ``data`` covers each with tau_max
+    headroom on both sides. A row drops out of the pass loop once its delta
+    test fires or it reaches ``n_max``, so each row's profile, direction and
+    template equal those of a one-window call. Returns the delay profiles
+    and the (B, k) directions and (B, w) templates.
+
+    Raises:
+        ZeroMatrixError: some window's aligned samples are all zero.
+        NumericalError: some window's covariance or Gram matrix is not finite.
+    """
+    k = data.shape[0]
+    rows = np.arange(k)[:, None]
+    ext = data[rows, (starts - tau_max - t0)[:, None, None] + np.arange(w + 2 * tau_max)]
+    s_hat = ext[:, reference, tau_max : tau_max + w].copy()
+    tau = np.zeros((len(starts), k), dtype=int)  # the first pass's delta test compares to 0
+    u_hat = np.empty((len(starts), k))
+    passes = np.zeros(len(starts), dtype=int)
+    converged = np.zeros(len(starts), dtype=bool)
+    live = np.arange(len(starts))
+    while live.size:
+        passes[live] += 1
+        new_tau = _batched_delays(ext[live], s_hat[live], tau_max, reference, starts[live])
+        converged[live] = np.abs(new_tau - tau[live]).max(axis=1) < delta
+        tau[live] = new_tau
+        aligned = ext[live[:, None, None], rows, tau_max + new_tau[:, :, None] + np.arange(w)]
+        u = window_top_vectors(aligned)
+        if not u.any(axis=1).all():
+            raise ZeroMatrixError("cannot extract a direction from the zero matrix")
+        u_hat[live] = u = np.stack([canonicalize_sign(v) for v in u])
+        s_hat[live] = (aligned.transpose(0, 2, 1) @ u[:, :, None])[:, :, 0]
+        live = live[~converged[live] & (passes[live] < n_max)]
+    profiles = [DelayProfile(tau[j], tau_max, int(passes[j]), bool(converged[j]), reference)
+                for j in range(len(starts))]
+    return profiles, u_hat, s_hat
 
 
 def joint_estimate(
@@ -114,7 +154,8 @@ def joint_estimate(
     re-aligns the window, extracts the dominant direction of the aligned
     sample covariance, and rebuilds the template as the direction-weighted
     sum of the aligned streams. The loop stops when no delay moved by
-    ``delta`` or more, or after ``n_max`` passes.
+    ``delta`` or more, or after ``n_max`` passes. This is the one-window
+    call of :func:`_joint_fit`.
 
     Args:
         streams: (k, L) array covering ticks [t0, t0 + L - 1].
@@ -150,35 +191,12 @@ def joint_estimate(
             f"window [{start}, {start + w - 1}] plus tau_max={tau_max} headroom "
             f"exceeds the covered ticks [{t0}, {t0 + n - 1}]"
         )
-    ext = data[:, lo : hi + 1]  # (k, w + 2*tau_max)
-    rows = np.arange(k)[:, None]
-    offsets = np.arange(w)[None, :]
-
-    s_hat = ext[reference, tau_max : tau_max + w].copy()
-    tau = np.zeros(k, dtype=int)
-    prev: np.ndarray | None = None  # stands in for the "infinitely far" start
-    u_hat = None
-    iterations = 0
-    while (prev is None or np.abs(tau - prev).max() >= delta) and iterations < n_max:
-        iterations += 1
-        new_tau = _batched_delays(ext, s_hat, tau_max, reference)
-        prev, tau = tau, new_tau
-        aligned = ext[rows, tau_max + tau[:, None] + offsets]  # (k, w)
-        u_hat = canonicalize_sign(window_top_vectors(aligned[None])[0])
-        if not u_hat.any():
-            raise ZeroMatrixError("cannot extract a direction from the zero matrix")
-        s_hat = aligned.T @ u_hat
-    converged = prev is not None and np.abs(tau - prev).max() < delta
-
-    profile = DelayProfile(
-        tau_hat=tau,
-        tau_max=tau_max,
-        iterations=iterations,
-        converged=bool(converged),
+    (profile,), u_hat, s_hat = _joint_fit(
+        data, np.array([start]), w, tau_max=tau_max, delta=delta, n_max=n_max, t0=t0,
         reference=reference,
     )
     return JointEstimate(
         delays=profile,
-        waveform=WaveformEstimate(s_hat=s_hat, origin_t=start),
-        u_hat=u_hat,
+        waveform=WaveformEstimate(s_hat=s_hat[0], origin_t=start),
+        u_hat=u_hat[0],
     )

@@ -329,6 +329,30 @@ class TestCurve:
         assert "calibrated drift" in capsys.readouterr().out
 
 
+class TestNegativeTauMax:
+    """A negative --tau-max is rejected before any draw, naming the flag."""
+
+    SIMULATE = ["simulate", "--k", 2, "--mu", 1, "--horizon", 20, "--seed", 1]
+    CURVE = ["curve", "--k", 3, "--mu", 0.8, "--w", 8, "--trials", 2, "--horizon", 300,
+             "--b-grid", "2", "--d", 1.3, "--seed", 1]
+
+    @pytest.mark.parametrize("command", ["simulate", "curve"])
+    def test_flag_is_validation_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        argv = getattr(self, command.upper()) + ["--tau-max", -3, "--out", out]
+        assert run(argv) == 1
+        assert "error: --tau-max must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_value_is_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("tau-max = -1\n")
+        out = tmp_path / "out.csv"
+        assert run(["--config", cfg] + self.CURVE + ["--out", out]) == 1
+        assert "error: --tau-max must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConfigFile:
     # one line each, after a base preset that both curve and detect accept
     BASE = ("k = 3\nmu = 0.8\nw = 8\nd = 1.3\nb = 8\nb-grid = 2\n"

@@ -1,6 +1,7 @@
 """CUSUM recursions, drivers, drift selection, and the asynchronous pipeline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,9 +23,15 @@ from sscusum.detect import (
     write_report_csv,
     write_trajectory_csv,
 )
-from sscusum.errors import DegenerateInputError, IndependenceViolationError, NumericalError
+from sscusum.errors import (
+    DegenerateInputError,
+    IndependenceViolationError,
+    NumericalError,
+    ZeroCorrelationWarning,
+    ZeroMatrixError,
+)
 from sscusum.linalg import window_increments
-from sscusum.sync import joint_estimate
+from sscusum.sync import _joint_fit, joint_estimate
 
 E1 = np.array([1.0, 0.0])
 DIAGONAL = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -444,6 +451,106 @@ def _delayed_record(k, n, tau_max, seed):
     source = rng.standard_normal(n + 2 * tau_max)
     shifts = rng.integers(0, 2 * tau_max + 1, size=k)
     return np.stack([source[s : s + n] for s in shifts]) + rng.standard_normal((k, n))
+
+
+def _segment_replay(streams, w, tau_max, sync_every, t0=1):
+    """Per-segment replay of the sync pipeline: one ``joint_estimate`` and
+    one ``window_increments`` call for each sync segment in turn."""
+    k, n = streams.shape
+    t_first, t_last = t0 + tau_max, t0 + n - 1 - w - tau_max
+    rows = np.arange(k)[:, None]
+    delays, increments = [], []
+    for start in range(t_first, t_last + 1, sync_every):
+        stop = min(start + sync_every - 1, t_last)
+        profile = joint_estimate(streams, tau_max=tau_max, window=(start + 1, w), t0=t0).delays
+        cols = (start - t0) + profile.tau_hat[:, None] + np.arange(stop - start + 1 + w)
+        delays.append((start, profile))
+        increments.append(window_increments(streams[rows, cols], w))
+    return delays, np.concatenate(increments)
+
+
+class TestChunkedSyncPipeline:
+    """The sync pipeline fits and scores a chunk of segments per call; every
+    output equals a replay one segment at a time."""
+
+    @pytest.mark.parametrize(
+        "k, w, sync_every, n",
+        [
+            (3, 8, 5, 200),  # sync_every below w: chunks of 1, 2, 4, 8, 16 and 7 segments
+            (3, 8, 1000, 15000),  # above w: chunks of 1, 2, 4, 4 and 4 (SEGMENT ticks hold 4)
+            (6, 4, 3, 101),  # k > w
+        ],
+    )
+    def test_equals_per_segment_replay(self, k, w, sync_every, n):
+        tau_max = 3
+        streams = _delayed_record(k, n, tau_max, seed=k + w + sync_every)
+        streams[:, n // 2 :] *= 1.5
+        delays, increments = _segment_replay(streams, w, tau_max, sync_every)
+        assert (n - w - 2 * tau_max) % sync_every != 0  # the record ends in a short segment
+        full = async_pipeline(streams, w=w, tau_max=tau_max, d=1.5, sync_every=sync_every,
+                              full_trajectory=True)
+        assert [t for t, _ in full.delays] == [t for t, _ in delays]
+        for (_, got), (_, want) in zip(full.delays, delays):
+            assert np.array_equal(got.tau_hat, want.tau_hat)
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert np.array_equal(full.increments, increments)
+        ticks = np.arange(1 + tau_max, 1 + tau_max + increments.size)
+        want = cusum_report(ticks, increments, d=1.5, b=math.inf, lookahead=w)
+        assert np.array_equal(full.report.statistic, want.statistic)
+
+        # a crossing past the first three segments falls inside a chunk of several
+        first_three = 3 * sync_every
+        b = float(full.report.statistic[:first_three].max()) + 1.0
+        crossed = full.report.crossing_for(b)[0]
+        assert crossed is not None and crossed - ticks[0] >= first_three
+        stopped = async_pipeline(streams, w=w, tau_max=tau_max, d=1.5, b=b,
+                                 sync_every=sync_every)
+        last = crossed - ticks[0]
+        assert stopped.report.crossed_at == crossed
+        assert np.array_equal(stopped.report.statistic, full.report.statistic[: last + 1])
+        assert np.array_equal(stopped.increments, full.increments[: last + 1])
+        assert [t for t, _ in stopped.delays] == [t for t, _ in full.delays if t <= crossed]
+
+    def test_chunks_double_up_to_segment_ticks(self, monkeypatch):
+        sizes = []
+
+        def counting(data, starts, *args, **kwargs):
+            sizes.append(len(starts))
+            return _joint_fit(data, starts, *args, **kwargs)
+
+        monkeypatch.setattr("sscusum.detect._joint_fit", counting)
+        streams = _delayed_record(3, 15000, 3, seed=7)
+        subspace_increments(streams, w=8, tau_max=3, sync=True, sync_every=1000)
+        assert sizes == [1, 2, 4, 4, 4]  # 15 segments; 4,096 ticks hold 4
+        sizes.clear()
+        subspace_increments(streams[:, :200], w=8, tau_max=3, sync=True, sync_every=5)
+        assert sizes == [1, 2, 4, 8, 16, 7]
+
+    @pytest.mark.parametrize(
+        "fill, error",
+        [(1e200, NumericalError), (0.0, ZeroMatrixError)],
+    )
+    def test_stopping_run_crosses_before_a_failing_segment(self, fill, error):
+        # k=3, w=8, tau_max=3, sync_every=5: segment j starts at tick 4 + 5j,
+        # and segments 3-6 (ticks 19-38) form the third chunk
+        rng = np.random.default_rng(3)
+        streams = rng.standard_normal((3, 120))
+        streams[:, 20:31] += 6 * rng.standard_normal(11)  # a burst at ticks 21-31
+        streams[:, 31:45] = fill  # ticks 32-45: segment 6's fit window and its headroom
+        kwargs = dict(w=8, tau_max=3, d=1.0, sync_every=5)
+        # the record cut after segment 3's last sample scores segments 0-3 alone
+        head = async_pipeline(streams[:, :34], **kwargs, full_trajectory=True)
+        b = 100.0
+        crossed = head.report.crossing_for(b)[0]
+        assert 19 <= crossed <= 23  # in segment 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroCorrelationWarning)
+            stopped = async_pipeline(streams, **kwargs, b=b)
+            assert stopped.report.crossed_at == crossed
+            last = crossed - 4
+            assert np.array_equal(stopped.report.statistic, head.report.statistic[: last + 1])
+            with pytest.raises(error):
+                async_pipeline(streams, **kwargs, b=b, full_trajectory=True)
 
 
 class TestPrefixIdentity:

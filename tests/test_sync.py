@@ -5,7 +5,7 @@ import pytest
 
 from oracles import best_shift, correlation_scan
 from sscusum.errors import InsufficientLookaheadError, ZeroCorrelationWarning, ZeroMatrixError
-from sscusum.sync import joint_estimate
+from sscusum.sync import _joint_fit, joint_estimate
 
 
 def shifted_series(template, origin_t, shift, cover_lo, cover_hi, gain=1.0):
@@ -68,7 +68,8 @@ class TestMlDelay:
         assert first_pass_delay(sensor, template, 3, -3, 0) == -2
 
     def test_all_zero_correlations_warns_and_returns_zero(self):
-        with pytest.warns(ZeroCorrelationWarning):
+        message = r"sensors \[1\] in the window starting at tick 1; their shifts default to 0"
+        with pytest.warns(ZeroCorrelationWarning, match=message):
             assert first_pass_delay(np.zeros(15), self.template, 5, -4, 1) == 0
 
     def test_insufficient_coverage_rejected(self):
@@ -179,3 +180,52 @@ class TestJointEstimate:
             joint_estimate(np.zeros((1, 30)), tau_max=2, t0=0)
         with pytest.raises(ValueError):
             joint_estimate(np.ones((2, 9)), tau_max=4, t0=0)  # window collapses to 1
+
+
+def _noisy_record(rng, k, n, tau_max, noise):
+    """A common noise source seen at per-sensor shifts, plus sensor noise."""
+    source = rng.standard_normal(n + 2 * tau_max)
+    shifts = rng.integers(0, 2 * tau_max + 1, size=k)
+    return np.stack([source[s : s + n] for s in shifts]) + noise * rng.standard_normal((k, n))
+
+
+class TestBatchedJointLoop:
+    """The batched pass loop over a stack of fit windows, row for row
+    against one-window calls."""
+
+    @pytest.mark.parametrize(
+        "k, w, tau_max, n_max, seed",
+        [(4, 12, 3, 3, 0), (6, 4, 2, 4, 0)],  # the second has k > w
+    )
+    def test_rows_equal_one_window_calls(self, k, w, tau_max, n_max, seed):
+        rng = np.random.default_rng(seed)
+        data = _noisy_record(rng, k, 300, tau_max, noise=1.5)
+        starts = np.arange(10, 280 - w, 9)
+        profiles, u_hat, s_hat = _joint_fit(
+            data, starts, w, tau_max=tau_max, delta=1, n_max=n_max, t0=1, reference=0
+        )
+        passes = [p.iterations for p in profiles]
+        assert len(set(passes)) > 1  # rows converge at different passes
+        assert any(p.iterations == n_max and not p.converged for p in profiles)
+        for j, start in enumerate(starts):
+            one = joint_estimate(data, tau_max=tau_max, n_max=n_max, window=(start, w), t0=1)
+            assert np.array_equal(profiles[j].tau_hat, one.delays.tau_hat)
+            assert profiles[j].iterations == one.delays.iterations
+            assert profiles[j].converged == one.delays.converged
+            assert np.array_equal(u_hat[j], one.u_hat)
+            assert np.array_equal(s_hat[j], one.waveform.s_hat)
+
+    def test_zero_sensor_in_one_row_warns_with_its_start(self):
+        rng = np.random.default_rng(9)
+        data = rng.standard_normal((3, 120))
+        data[2, 40:70] = 0.0  # covers the second window with its headroom, and no other
+        with pytest.warns(ZeroCorrelationWarning) as caught:
+            profiles, _, _ = _joint_fit(
+                data, np.array([12, 46, 80]), 20, tau_max=5, delta=1, n_max=10, t0=1,
+                reference=0,
+            )
+        messages = [str(w.message) for w in caught]
+        assert messages and all(
+            "sensors [2] in the window starting at tick 46;" in m for m in messages
+        )
+        assert profiles[1].tau_hat[2] == 0
