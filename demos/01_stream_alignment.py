@@ -1,20 +1,15 @@
 #!/usr/bin/env python3
-"""Streams, lookahead buffering, and alignment of asynchronous sensors.
+"""Streams, lookahead, and alignment of asynchronous sensors.
 
 A detector that scores sample t with a direction estimated from samples
-t+1..t+w can only emit once those future samples exist; the lookahead buffer
-handles that bookkeeping. Alignment then undoes known relative delays.
+t+1..t+w can only emit once those future samples exist: `SubspaceCusum`
+keeps them itself, and answers each frame with the tick it can now score.
+Alignment then undoes known relative delays by plain indexing.
 """
 
 import numpy as np
 
-from sscusum import (
-    DelayProfile,
-    LookaheadBuffer,
-    MultiSensorFrame,
-    align_frames,
-    normalize_stream,
-)
+from sscusum import DelayProfile, SubspaceCusum, frames_from_array, normalize_stream
 
 rng = np.random.default_rng(0)
 
@@ -25,13 +20,13 @@ print("raw     :", np.round(raw, 2))
 print("scaled  :", np.round(norm, 2))
 print(f"mean -> {norm.mean():+.2e}, max |.| -> {np.max(np.abs(norm)):.1f}")
 
-print("\n== lookahead buffering (w = 3) ==")
-buf = LookaheadBuffer(w=3)
-for t in range(1, 9):
-    released = buf.push(MultiSensorFrame(t, rng.standard_normal(2)))
-    tag = f"released t={released.t}" if released else "buffering"
-    print(f"absorbed t={t}: {tag}")
-print("future window of the last release:", [f.t for f in buf.future_window()])
+print("\n== streaming lookahead (w = 3) ==")
+det = SubspaceCusum(w=3, d=1.0)
+for frame in frames_from_array(rng.standard_normal((2, 8)), t0=1):
+    emitted = det.step(frame)
+    tag = "filling the window" if emitted is None else f"scored t={emitted[0]}, S={emitted[1]:+.3f}"
+    print(f"pushed t={frame.t}: {tag}")
+print("each tick is scored once its w = 3 successors have arrived")
 
 print("\n== alignment ==")
 # sensor 2 sees everything two ticks later; aligning pulls its stream forward
@@ -42,5 +37,7 @@ streams = np.stack([base, np.roll(base, 2)])
 profile = DelayProfile(np.array([0, 2]), tau_max=3)
 print("sensor 1:", streams[0])
 print("sensor 2:", streams[1])
-aligned = np.stack([align_frames(streams, t, profile, t0=0).values for t in range(n - 2)]).T
-print("aligned :", aligned[1][: n - 2], "(sensor 2 after shifting by +2)")
+# column t of the aligned block holds stream i at tick t + tau_hat[i]
+ticks = np.arange(n - profile.tau_hat.max())
+aligned = streams[np.arange(k)[:, None], ticks + profile.tau_hat[:, None]]
+print("aligned :", aligned[1], "(sensor 2 after shifting by +2)")

@@ -8,12 +8,10 @@ curves.
 
 from .core import (
     DelayProfile,
-    LookaheadBuffer,
     MultiSensorFrame,
     ScenarioModel,
     SpikedStats,
     Waveform,
-    align_frames,
     frames_from_array,
     normalize_stream,
     read_sensor_csv,
@@ -23,16 +21,12 @@ from .detect import (
     AsyncDetection,
     CusumState,
     DriftBounds,
-    KnownSubspaceCusum,
     StoppingReport,
     SubspaceCusum,
     async_pipeline,
     calibrate_drift,
-    cusum_step_known_u,
     drift_bounds,
     one_shot_detector,
-    run_detector,
-    subspace_cusum_step,
     subspace_increments,
 )
 from .linalg import top_singular_vector, window_top_vectors

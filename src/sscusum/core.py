@@ -1,5 +1,6 @@
-"""Domain types and stream plumbing: frames, lookahead buffering, alignment,
-scenario descriptions, and the normalization used before detection.
+"""Domain types and stream plumbing: frames, delay profiles, scenario
+descriptions, the normalization used before detection, and the sensor CSV
+schema.
 
 Time is integer ticks throughout; all delays are integer sample shifts.
 Sensor indices are 0-based in code (sensor 0 is the default synchronization
@@ -11,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -21,19 +21,15 @@ from .errors import (
     CsvFormatError,
     DegenerateInputError,
     DimensionMismatchError,
-    InsufficientLookaheadError,
-    StreamOrderError,
 )
 
 __all__ = [
     "MultiSensorFrame",
-    "LookaheadBuffer",
     "DelayProfile",
     "Waveform",
     "ScenarioModel",
     "SpikedStats",
     "normalize_stream",
-    "align_frames",
     "frames_from_array",
     "read_sensor_csv",
     "write_sensor_csv",
@@ -68,71 +64,6 @@ class MultiSensorFrame:
         return self.values.shape[0]
 
 
-class LookaheadBuffer:
-    """Sliding store that releases the frame at time t only once the w frames
-    at t+1..t+w have been absorbed.
-
-    After a release the buffer holds exactly those w future frames, so the
-    released tick plus w always equals the newest absorbed tick. Frames must
-    arrive with consecutive, strictly increasing ticks; gaps are rejected
-    rather than imputed.
-
-    Single-writer, single-reader; no internal locking.
-    """
-
-    def __init__(self, w: int):
-        if w < 0:
-            raise ValueError("lookahead w must be >= 0")
-        self.w = int(w)
-        self._frames: deque[MultiSensorFrame] = deque()
-        self.emitted_t: int | None = None
-        self._last_absorbed: int | None = None
-        self._k: int | None = None
-
-    def __len__(self) -> int:
-        return len(self._frames)
-
-    @property
-    def frames(self) -> tuple[MultiSensorFrame, ...]:
-        """Currently buffered frames, oldest first."""
-        return tuple(self._frames)
-
-    @property
-    def newest_t(self) -> int | None:
-        return self._last_absorbed
-
-    def push(self, frame: MultiSensorFrame) -> MultiSensorFrame | None:
-        """Absorb one frame; return the frame that becomes releasable, if any."""
-        if self._k is None:
-            self._k = frame.k
-        elif frame.k != self._k:
-            raise DimensionMismatchError(
-                f"frame t={frame.t} has k={frame.k}, stream has k={self._k}"
-            )
-        if self._last_absorbed is not None:
-            if frame.t <= self._last_absorbed:
-                raise StreamOrderError(
-                    f"tick {frame.t} arrived after tick {self._last_absorbed}"
-                )
-            if frame.t != self._last_absorbed + 1:
-                raise StreamOrderError(
-                    f"gap in stream: expected tick {self._last_absorbed + 1}, got {frame.t}"
-                )
-        self._last_absorbed = frame.t
-        self._frames.append(frame)
-        if len(self._frames) == self.w + 1:
-            released = self._frames.popleft()
-            self.emitted_t = released.t
-            return released
-        return None
-
-    def future_window(self) -> list[MultiSensorFrame]:
-        """The w frames strictly after the last released tick (newest last)."""
-        if self.emitted_t is None:
-            raise InsufficientLookaheadError("no frame has been released yet")
-        return list(self._frames)
-
-
 @dataclass(frozen=True)
 class DelayProfile:
     """Per-sensor delays relative to the reference sensor, in ticks.
@@ -165,10 +96,6 @@ class DelayProfile:
     @property
     def k(self) -> int:
         return self.tau_hat.shape[0]
-
-    @classmethod
-    def zero(cls, k: int, tau_max: int, reference: int = 0) -> "DelayProfile":
-        return cls(np.zeros(k, dtype=int), tau_max, reference=reference)
 
 
 class Waveform:
@@ -205,10 +132,6 @@ class Waveform:
             ok = (idx >= 0) & (idx < table.size)
             return np.where(ok, table[np.clip(idx, 0, table.size - 1)], 0.0)
 
-        return cls(fn)
-
-    @classmethod
-    def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "Waveform":
         return cls(fn)
 
 
@@ -312,38 +235,6 @@ def normalize_stream(raw, stats_prefix: int | None = None) -> np.ndarray:
     if scale == 0.0:
         raise DegenerateInputError("series is constant over the normalization window")
     return centered / scale
-
-
-def align_frames(
-    streams: np.ndarray,
-    t: int,
-    delays: DelayProfile,
-    t0: int = 0,
-) -> MultiSensorFrame:
-    """Build the time-shifted frame with component i equal to stream i at
-    tick ``t + delays.tau_hat[i]``.
-
-    ``streams`` is a (k, n) array whose column j holds tick ``t0 + j``.
-
-    Raises:
-        InsufficientLookaheadError: a shifted index falls outside the array.
-    """
-    streams = np.asarray(streams, dtype=float)
-    if streams.ndim != 2:
-        raise DimensionMismatchError("streams must be a (k, n) array")
-    k, n = streams.shape
-    if delays.k != k:
-        raise DimensionMismatchError(
-            f"delay profile has k={delays.k}, streams have k={k}"
-        )
-    idx = (t - t0) + delays.tau_hat
-    if np.any(idx < 0) or np.any(idx >= n):
-        bad = int(np.argmax((idx < 0) | (idx >= n)))
-        raise InsufficientLookaheadError(
-            f"sensor {bad} needs tick {t + int(delays.tau_hat[bad])}, "
-            f"buffered range is [{t0}, {t0 + n - 1}]"
-        )
-    return MultiSensorFrame(t=t, values=streams[np.arange(k), idx])
 
 
 def frames_from_array(

@@ -1,11 +1,9 @@
 """CUSUM detector family and drift selection.
 
-Three detectors share the stopping rule "alarm at the first tick where the
+Two detectors share the stopping rule "alarm at the first tick where the
 running statistic reaches b":
 
-* a CUSUM for a known signal direction, whose drift term is the exact
-  log-likelihood-ratio offset;
-* the subspace variant, which scores each sample against a direction
+* the subspace detector, which scores each sample against a direction
   estimated from the w samples strictly after it (so an alarm crossed at
   tick t actually consumed data through t + w, and is reported at t + w);
 * a decentralized one-shot baseline, where every sensor runs its own scalar
@@ -25,21 +23,17 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import (
-    DelayProfile,
-    LookaheadBuffer,
-    MultiSensorFrame,
-)
+from .core import DelayProfile, MultiSensorFrame
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
-    IndependenceViolationError,
     NumericalError,
+    StreamOrderError,
     ZeroMatrixError,
 )
 from .linalg import window_increments, window_top_vectors
@@ -50,11 +44,7 @@ __all__ = [
     "DriftBounds",
     "StoppingReport",
     "AsyncDetection",
-    "cusum_step_known_u",
-    "subspace_cusum_step",
-    "KnownSubspaceCusum",
     "SubspaceCusum",
-    "run_detector",
     "one_shot_detector",
     "drift_bounds",
     "calibrate_drift",
@@ -69,8 +59,6 @@ __all__ = [
 # sync segments with it. Bounds the memory of a long record.
 SEGMENT = 4096
 
-_UNIT_NORM_ATOL = 1e-9
-
 
 @dataclass(frozen=True)
 class CusumState:
@@ -83,15 +71,6 @@ class CusumState:
     reported_at: int | None = None
 
 
-def _check_unit(u: np.ndarray, k: int) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (k,):
-        raise DimensionMismatchError(f"direction must have shape ({k},)")
-    if abs(np.linalg.norm(u) - 1.0) > _UNIT_NORM_ATOL:
-        raise ValueError(f"direction norm {np.linalg.norm(u)!r} is not 1 within 1e-9")
-    return u
-
-
 def _squared_projection(u: np.ndarray, x: np.ndarray) -> float:
     """(u'x)^2 for one frame. A scored frame sits in no window, so its
     overflow shows only here."""
@@ -100,48 +79,6 @@ def _squared_projection(u: np.ndarray, x: np.ndarray) -> float:
     if not math.isfinite(square):
         raise NumericalError("non-finite squared projection: the input overflows or holds nan/inf")
     return square
-
-
-def llr_offset(sigma2: float, rho: float) -> float:
-    """Drift term of the known-direction recursion: sigma2*(1+1/rho)*ln(1+rho)."""
-    if rho <= 0 or sigma2 <= 0:
-        raise ValueError("require rho > 0 and sigma2 > 0")
-    return sigma2 * (1.0 + 1.0 / rho) * math.log1p(rho)
-
-
-def cusum_step_known_u(
-    state: CusumState,
-    frame: MultiSensorFrame,
-    u: np.ndarray,
-    sigma2: float,
-    rho: float,
-) -> CusumState:
-    """One update with the signal direction known exactly:
-    S' = max(S, 0) + (u'x)^2 - sigma2*(1+1/rho)*ln(1+rho)."""
-    u = _check_unit(u, frame.k)
-    inc = _squared_projection(u, frame.values) - llr_offset(sigma2, rho)
-    return replace(state, S=max(state.S, 0.0) + inc)
-
-
-def subspace_cusum_step(
-    state: CusumState,
-    frame: MultiSensorFrame,
-    u_hat: np.ndarray,
-    u_window_start: int | None = None,
-) -> CusumState:
-    """One update with an estimated direction: S' = max(S, 0) + (u'x)^2 - d.
-
-    ``u_window_start`` is the first tick of the window that produced
-    ``u_hat``; passing it enforces the independence contract (the window must
-    lie strictly after the scored frame).
-    """
-    if u_window_start is not None and u_window_start <= frame.t:
-        raise IndependenceViolationError(
-            f"direction window starting at {u_window_start} overlaps frame t={frame.t}"
-        )
-    u_hat = _check_unit(u_hat, frame.k)
-    inc = _squared_projection(u_hat, frame.values) - state.d
-    return replace(state, S=max(state.S, 0.0) + inc)
 
 
 @dataclass(frozen=True)
@@ -180,104 +117,64 @@ class StoppingReport:
         return t, t + self.lookahead
 
 
-class KnownSubspaceCusum:
-    """CUSUM with the signal direction, noise power, and SNR known."""
-
-    name = "known_u"
-    lookahead = 0
-
-    def __init__(self, u: np.ndarray, sigma2: float, rho: float, b: float = math.inf):
-        self.u = np.asarray(u, dtype=float)
-        self.sigma2 = float(sigma2)
-        self.rho = float(rho)
-        self.d = llr_offset(sigma2, rho)
-        self.state = CusumState(d=self.d, b=float(b))
-
-    def step(self, frame: MultiSensorFrame) -> tuple[int, float]:
-        self.state = cusum_step_known_u(self.state, frame, self.u, self.sigma2, self.rho)
-        if self.state.S >= self.state.b and self.state.crossed_at is None:
-            self.state = replace(self.state, crossed_at=frame.t, reported_at=frame.t)
-        return frame.t, self.state.S
-
-
 class SubspaceCusum:
-    """Streaming subspace detector built on a lookahead buffer.
+    """Streaming subspace detector that is its own lookahead buffer.
 
-    Each pushed frame is absorbed; once a frame's w future samples are all
-    buffered it is released, a direction is extracted from that future
-    window, and the statistic advances. The buffer is the structural
-    guarantee that the direction never sees the scored sample. The future
-    window itself is kept as a (w, k) ring of samples: the covariance does
-    not depend on sample order, so each frame overwrites the oldest row.
+    The last w frames are kept in a (w, k) ring. Ticks are consecutive, so
+    when frame t arrives its slot still holds frame t - w: that frame is
+    copied out, frame t takes its place, and the copy is scored against the
+    dominant direction of the ring, which now holds exactly the w frames
+    t - w + 1..t. The ring is the structural guarantee that the direction
+    never sees the scored sample, and the covariance does not depend on the
+    order of its rows. The first w frames only fill the ring.
     """
-
-    name = "subspace"
 
     def __init__(self, w: int, d: float, b: float = math.inf):
         if w < 1:
             raise ValueError("subspace detector needs lookahead w >= 1")
         self.lookahead = int(w)
-        self.buffer = LookaheadBuffer(w)
         self.state = CusumState(d=float(d), b=float(b))
         self._ring: np.ndarray | None = None
+        self._first = self._newest = 0
 
     @property
     def d(self) -> float:
         return self.state.d
 
     def step(self, frame: MultiSensorFrame) -> tuple[int, float] | None:
-        released = self.buffer.push(frame)
+        """Absorb frame t; return (t - w, S) once frame t - w has its w
+        future frames, else None.
+
+        Raises:
+            DimensionMismatchError: the frame's k differs from the stream's.
+            StreamOrderError: a duplicate, backward or gapped tick.
+        Both leave the ring and the state as they were.
+        """
+        t, w = frame.t, self.lookahead
         if self._ring is None:
-            self._ring = np.empty((self.lookahead, frame.k))
-        self._ring[frame.t % self.lookahead] = frame.values  # ticks are consecutive
-        if released is None:
+            self._ring, self._first = np.empty((w, frame.k)), t
+        elif frame.k != self._ring.shape[1]:
+            raise DimensionMismatchError(
+                f"frame t={t} has k={frame.k}, stream has k={self._ring.shape[1]}"
+            )
+        elif t != self._newest + 1:
+            raise StreamOrderError(
+                f"tick {t} arrived after tick {self._newest}; ticks must be consecutive"
+            )
+        self._newest = t
+        slot = self._ring[t % w]
+        released = slot.copy()  # frame t - w
+        slot[:] = frame.values
+        if t - w < self._first:
             return None
         u = window_top_vectors(self._ring.T[None])[0]
         state = self.state
-        s = max(state.S, 0.0) + _squared_projection(u, released.values) - state.d
+        s = max(state.S, 0.0) + _squared_projection(u, released) - state.d
         crossed, reported = state.crossed_at, state.reported_at
         if crossed is None and s >= state.b:
-            crossed, reported = released.t, released.t + self.lookahead
+            crossed, reported = t - w, t
         self.state = CusumState(s, state.d, state.b, crossed, reported)
-        return released.t, s
-
-
-def run_detector(
-    frames: Iterable[MultiSensorFrame],
-    detector,
-    *,
-    full_trajectory: bool = False,
-) -> StoppingReport:
-    """Drive a detector over a frame stream and collect its stopping report.
-
-    Stops at the first threshold crossing unless ``full_trajectory`` is set;
-    an exhausted stream yields a no-alarm report with the path intact.
-    """
-    ticks: list[int] = []
-    values: list[float] = []
-    crossed: int | None = None
-    for frame in frames:
-        emitted = detector.step(frame)
-        if emitted is None:
-            continue
-        t, s = emitted
-        ticks.append(t)
-        values.append(s)
-        if crossed is None and s >= detector.state.b:
-            crossed = t
-            if not full_trajectory:
-                break
-    reported = None if crossed is None else crossed + detector.lookahead
-    return StoppingReport(
-        detector=detector.name,
-        b=detector.state.b,
-        d=detector.d,
-        lookahead=detector.lookahead,
-        crossed_at=crossed,
-        reported_at=reported,
-        ticks=np.asarray(ticks, dtype=int),
-        statistic=np.asarray(values, dtype=float),
-    )
+        return t - w, s
 
 
 def one_shot_detector(

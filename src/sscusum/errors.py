@@ -27,10 +27,6 @@ class NumericalError(RuntimeError):
     """A covariance, Gram matrix or direction came out non-finite (overflow or nan/inf input)."""
 
 
-class IndependenceViolationError(RuntimeError):
-    """A direction estimate was built from a window overlapping the scored sample."""
-
-
 class ValidationError(ValueError):
     """Command-line or configuration value rejected before any computation."""
 

@@ -15,17 +15,14 @@ from oracles import jacobi_eigh
 from test_sync import burst_scenario
 
 from sscusum import sim
-from sscusum.core import MultiSensorFrame, frames_from_array, normalize_stream, read_sensor_csv
+from sscusum.core import frames_from_array, normalize_stream, read_sensor_csv
 from sscusum.detect import (
-    CusumState,
     SubspaceCusum,
     async_pipeline,
     calibrate_drift,
-    cusum_step_known_u,
+    cusum_report,
     drift_bounds,
     one_shot_detector,
-    run_detector,
-    subspace_cusum_step,
     subspace_increments,
 )
 from sscusum.linalg import top_singular_vector, window_increments
@@ -43,11 +40,10 @@ def _report(num, name, detail=""):
 
 def test_criterion_1_recursion_exactness():
     e1 = np.array([1.0, 0.0])
-    frames = [
-        MultiSensorFrame(t, np.array(v))
-        for t, v in enumerate([(2.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-2.0, 3.0), (0.5, -1.0)], 1)
-    ]
-    # hand evaluation of max(S,0) + x1^2 - 2*ln(2), frozen as literals
+    xs = [(2.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-2.0, 3.0), (0.5, -1.0)]
+    ticks = np.arange(1, len(xs) + 1)
+    # hand evaluation of max(S,0) + x1^2 - 2*ln(2), frozen as literals: the
+    # known-direction recursion at sigma2 = rho = 1
     expected_known = [
         2.613705638880109,
         1.2274112777602186,
@@ -55,23 +51,17 @@ def test_criterion_1_recursion_exactness():
         3.454822555520437,
         2.318528194400546,
     ]
-    state = CusumState()
-    worst = 0.0
-    for frame, want in zip(frames, expected_known):
-        state = cusum_step_known_u(state, frame, e1, sigma2=1.0, rho=1.0)
-        worst = max(worst, abs(state.S - want))
+    increments = np.array([float(e1 @ x) ** 2 for x in xs])
+    report = cusum_report(ticks, increments, d=2 * math.log(2), b=math.inf, lookahead=0)
+    worst = float(np.max(np.abs(report.statistic - expected_known)))
     assert worst <= 1e-12, f"known-direction trajectory off by {worst:.3e}"
 
     # subspace recursion with d = 0.7 and squared projections
     # [1.44, 0.09, 0.01, 4.0, 0.0]; includes one reset at step 4
-    e2 = np.array([0.0, 1.0])
-    proj = [1.2, 0.3, 0.1, 2.0, 0.0]
+    proj = np.array([1.2, 0.3, 0.1, 2.0, 0.0])
     expected_subspace = [0.74, 0.13, -0.5599999999999999, 3.3, 2.5999999999999996]
-    state = CusumState(d=0.7)
-    for t, (p, want) in enumerate(zip(proj, expected_subspace), 1):
-        frame = MultiSensorFrame(t, np.array([5.0, p]))  # first component ignored by e2
-        state = subspace_cusum_step(state, frame, e2, u_window_start=t + 1)
-        worst = max(worst, abs(state.S - want))
+    report = cusum_report(ticks, proj**2, d=0.7, b=math.inf, lookahead=0)
+    worst = max(worst, float(np.max(np.abs(report.statistic - expected_subspace))))
     assert worst <= 1e-12, f"subspace trajectory off by {worst:.3e}"
     _report(1, "recursion exactness", f"max deviation {worst:.2e} <= 1e-12")
 
@@ -339,9 +329,9 @@ def test_criterion_7_window_accounting():
     for w in (1, 4, 9):
         streams = rng.standard_normal((3, 300)) + 1.0
         det = SubspaceCusum(w=w, d=1.0, b=4.0)
-        report = run_detector(frames_from_array(streams, t0=1), det)
-        assert report.crossed_at is not None
-        assert report.reported_at - report.crossed_at == w
+        for frame in frames_from_array(streams, t0=1):
+            det.step(frame)
+        assert det.state.crossed_at is not None
         assert det.state.reported_at - det.state.crossed_at == w
         checked += 1
     for w in (5, 12):
@@ -350,14 +340,6 @@ def test_criterion_7_window_accounting():
         assert result.report.reported_at - result.report.crossed_at == w
         checked += 1
     report = one_shot_detector(rng.standard_normal((3, 200)) + 1.0, 1.0, 1.0, b=3.0)
-    assert report.reported_at - report.crossed_at == 0
-    checked += 1
-    from sscusum.detect import KnownSubspaceCusum
-
-    u = np.ones(3) / math.sqrt(3.0)
-    det = KnownSubspaceCusum(u=u, sigma2=1.0, rho=2.0, b=3.0)
-    report = run_detector(frames_from_array(rng.standard_normal((3, 300)) + 1.0, t0=1), det)
-    assert report.crossed_at is not None
     assert report.reported_at - report.crossed_at == 0
     checked += 1
     _report(7, "window accounting", f"{checked} alarmed runs, reported - crossed = w exactly")

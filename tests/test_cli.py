@@ -33,7 +33,7 @@ class TestSimulate:
              "--horizon", 6, "--seed", 1, "--out", out]
         )
         assert code == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["t", "s1", "s2"]
         values = np.array([[float(c) for c in row[1:]] for row in rows[1:]]).T
         assert values[0].tolist() == [0, 0, 0, 1, 1, 1]
@@ -43,7 +43,7 @@ class TestSimulate:
         out = tmp_path / "mu.csv"
         run(["simulate", "--k", 2, "--sigma2", 0, "--mu", 1, "--onsets", "3,5",
              "--horizon", 6, "--seed", 1, "--out", out])
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[6][2] == repr(1.0)  # second sensor steps to mu
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -142,7 +142,7 @@ class TestDetect:
         code = run(["detect", "--in", out, "--w", 20, "--tau-max", 5, "--factor", 1.5,
                     "--prefix", 140, "--b", 15, "--out", report, "--trajectory-out", traj])
         assert code == 0
-        rows = list(csv.DictReader(report.open()))
+        rows = list(csv.DictReader(report.read_text().splitlines()))
         assert rows[0]["detector"] == "subspace"
         crossed = int(rows[0]["crossed_at"])
         assert crossed > 150
@@ -154,7 +154,7 @@ class TestDetect:
         report = tmp_path / "report.csv"
         code = run(["detect", "--in", path, "--w", 15, "--d", 1.5, "--b", 1e6, "--out", report])
         assert code == 0
-        rows = list(csv.DictReader(report.open()))
+        rows = list(csv.DictReader(report.read_text().splitlines()))
         assert rows[0]["crossed_at"] == ""
 
     def test_rate_flag_adds_seconds(self, tmp_path):
@@ -302,7 +302,7 @@ class TestCurve:
         assert run(argv + ["--out", out_a]) == 0
         assert run(argv + ["--out", out_b]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
-        rows = list(csv.DictReader(out_a.open()))
+        rows = list(csv.DictReader(out_a.read_text().splitlines()))
         assert {r["detector"] for r in rows} == {"subspace", "one_shot"}
         assert len(rows) == 4
 
@@ -417,13 +417,13 @@ class TestConfigFile:
         out = tmp_path / "episode.csv"
         code = run(["--config", cfg, "simulate", "--seed", 1, "--out", out])
         assert code == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert len(rows) == 7  # header + 6 ticks
 
         out2 = tmp_path / "episode2.csv"
         code = run(["--config", cfg, "simulate", "--seed", 1, "--horizon", 8, "--out", out2])
         assert code == 0
-        assert len(list(csv.reader(out2.open()))) == 9
+        assert len(list(csv.reader(out2.read_text().splitlines()))) == 9
 
     def test_malformed_config_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

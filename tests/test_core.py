@@ -1,4 +1,4 @@
-"""Frames, buffering, alignment, normalization, scenarios, CSV schema."""
+"""Frames, delay profiles, normalization, scenarios, CSV schema."""
 
 import csv
 
@@ -11,12 +11,10 @@ import sscusum.core
 from oracles import read_sensor_csv_naive
 from sscusum.core import (
     DelayProfile,
-    LookaheadBuffer,
     MultiSensorFrame,
     ScenarioModel,
     SpikedStats,
     Waveform,
-    align_frames,
     frames_from_array,
     normalize_stream,
     read_sensor_csv,
@@ -26,8 +24,6 @@ from sscusum.errors import (
     CsvFormatError,
     DegenerateInputError,
     DimensionMismatchError,
-    InsufficientLookaheadError,
-    StreamOrderError,
 )
 
 
@@ -94,103 +90,6 @@ class TestMultiSensorFrame:
         assert MultiSensorFrame(t=3, values=np.zeros(4)).k == 4
 
 
-class TestLookaheadBuffer:
-    def test_release_schedule(self):
-        buf = LookaheadBuffer(w=2)
-        assert buf.push(MultiSensorFrame(1, np.zeros(2))) is None
-        assert buf.push(MultiSensorFrame(2, np.zeros(2))) is None
-        out = buf.push(MultiSensorFrame(3, np.zeros(2)))
-        assert out is not None and out.t == 1
-
-    def test_zero_window_immediate(self):
-        buf = LookaheadBuffer(w=0)
-        out = buf.push(MultiSensorFrame(5, np.zeros(2)))
-        assert out is not None and out.t == 5
-
-    def test_duplicate_rejected(self):
-        buf = LookaheadBuffer(w=2)
-        buf.push(MultiSensorFrame(5, np.zeros(2)))
-        with pytest.raises(StreamOrderError):
-            buf.push(MultiSensorFrame(5, np.zeros(2)))
-
-    def test_gap_rejected(self):
-        buf = LookaheadBuffer(w=2)
-        buf.push(MultiSensorFrame(1, np.zeros(2)))
-        with pytest.raises(StreamOrderError):
-            buf.push(MultiSensorFrame(3, np.zeros(2)))
-
-    def test_out_of_order_rejected(self):
-        buf = LookaheadBuffer(w=1)
-        buf.push(MultiSensorFrame(4, np.zeros(2)))
-        with pytest.raises(StreamOrderError):
-            buf.push(MultiSensorFrame(2, np.zeros(2)))
-
-    def test_dimension_locked(self):
-        buf = LookaheadBuffer(w=1)
-        buf.push(MultiSensorFrame(1, np.zeros(2)))
-        with pytest.raises(DimensionMismatchError):
-            buf.push(MultiSensorFrame(2, np.zeros(3)))
-
-    def test_release_plus_w_equals_newest(self):
-        w = 3
-        buf = LookaheadBuffer(w=w)
-        for t in range(1, 20):
-            out = buf.push(MultiSensorFrame(t, np.zeros(2)))
-            if out is not None:
-                assert out.t + w == buf.newest_t
-
-    def test_conservation_at_steady_state(self):
-        w = 4
-        buf = LookaheadBuffer(w=w)
-        absorbed = emitted = 0
-        for t in range(1, 30):
-            absorbed += 1
-            if buf.push(MultiSensorFrame(t, np.zeros(2))) is not None:
-                emitted += 1
-        assert absorbed - emitted == w
-        assert len(buf) == w
-
-    def test_future_window_is_strictly_after_release(self):
-        w = 3
-        buf = LookaheadBuffer(w=w)
-        with pytest.raises(InsufficientLookaheadError):
-            buf.future_window()
-        released = None
-        for t in range(1, 6):
-            out = buf.push(MultiSensorFrame(t, np.full(2, float(t))))
-            released = out or released
-        window = buf.future_window()
-        assert [f.t for f in window] == [released.t + 1 + i for i in range(w)]
-
-
-class TestAlignFrames:
-    def test_basic_shift(self):
-        streams = np.array([[10.0, 11.0, 12.0, 13.0], [20.0, 21.0, 22.0, 23.0]])
-        profile = DelayProfile(np.array([0, 2]), tau_max=2)
-        frame = align_frames(streams, t=0, delays=profile, t0=0)
-        assert frame.values.tolist() == [10.0, 22.0]
-
-    def test_zero_delays_identity(self):
-        rng = np.random.default_rng(1)
-        streams = rng.standard_normal((3, 8))
-        profile = DelayProfile.zero(3, tau_max=4)
-        for t in range(8):
-            frame = align_frames(streams, t=t, delays=profile, t0=0)
-            assert np.array_equal(frame.values, streams[:, t])
-
-    def test_negative_delay(self):
-        streams = np.arange(20.0).reshape(2, 10)  # x1(t)=t, x2(t)=10+t over ticks 0..9
-        profile = DelayProfile(np.array([0, -1]), tau_max=3)
-        frame = align_frames(streams, t=3, delays=profile, t0=0)
-        assert frame.values.tolist() == [3.0, 12.0]
-
-    def test_insufficient_lookahead(self):
-        streams = np.zeros((2, 5))
-        profile = DelayProfile(np.array([0, 3]), tau_max=3)
-        with pytest.raises(InsufficientLookaheadError):
-            align_frames(streams, t=3, delays=profile, t0=0)
-
-
 class TestDelayProfile:
     def test_reference_entry_must_be_zero(self):
         with pytest.raises(ValueError):
@@ -211,7 +110,7 @@ class TestWaveform:
         assert step(np.array([-2, -1, 0, 1, 5])).tolist() == [0, 0, 0, 1, 1]
 
     def test_negative_ticks_forced_to_zero(self):
-        w = Waveform.from_callable(lambda m: np.ones_like(m, dtype=float))
+        w = Waveform(lambda m: np.ones_like(m, dtype=float))
         assert w(np.array([-3, -1])).tolist() == [0.0, 0.0]
         assert w(np.array([0, 2])).tolist() == [1.0, 1.0]
 
