@@ -17,6 +17,7 @@ from overflow, or a failed eigendecomposition).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -41,27 +42,38 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
+def _finite(text: str) -> float:
+    """A float flag's value: any number but nan and +-inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text.strip()!r}")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+    return [_finite(x) for x in text.split(",") if x.strip() != ""]
 
 
 _COMMON = {
     "k": dict(type=int, help="number of sensors"),
-    "sigma2": dict(type=float, default=1.0, help="noise variance (default 1.0)"),
-    "mu": dict(type=float, help="common post-change amplitude"),
+    "sigma2": dict(type=_finite, default=1.0, help="noise variance (default 1.0)"),
+    "mu": dict(type=_finite, help="common post-change amplitude"),
     "alpha": dict(type=_float_list, help="comma-separated per-sensor amplitudes"),
     "w": dict(type=int, help="lookahead window length (ticks)"),
     "tau_max": dict(type=int, default=0, help="relative-delay bound (ticks)"),
     "delta": dict(type=int, default=1, help="delay-convergence tolerance (ticks, default 1)"),
     "n_max": dict(type=int, default=10, help="max joint-estimation passes (default 10)"),
-    "d": dict(type=float, help="drift parameter"),
-    "factor": dict(type=float, help="calibration multiplier (default 1.5)"),
-    "b": dict(type=float, help="alarm threshold"),
+    "d": dict(type=_finite, help="drift parameter"),
+    "factor": dict(type=_finite, help="calibration multiplier (default 1.5)"),
+    "b": dict(type=_finite, help="alarm threshold"),
     "b_grid": dict(type=_float_list, help="comma-separated increasing thresholds"),
     "trials": dict(type=int, help="Monte Carlo trials per threshold"),
     "horizon": dict(type=int, help="episode length (ticks)"),
     "seed": dict(type=int, help="RNG seed"),
-    "rate": dict(type=float, help="sampling rate in Hz (adds seconds to reports)"),
+    "rate": dict(type=_finite, help="sampling rate in Hz (adds seconds to reports)"),
     "onsets": dict(type=_int_list, help="comma-separated per-sensor onset ticks"),
 }
 
@@ -252,11 +264,12 @@ def _prefix(args, streams: np.ndarray) -> int:
         raise ValidationError(
             f"--prefix {prefix} exceeds the {streams.shape[1]} ticks in the file"
         )
-    needed = 2 * args.tau_max + args.w + 1
+    headroom = args.tau_max if _sync(args) else 0  # as the pass it feeds
+    needed = 2 * headroom + args.w + 1
     if prefix < needed:
         raise ValidationError(
             f"--prefix {prefix} is too short for one window "
-            f"(need >= {needed} with w={args.w}, tau-max={args.tau_max})"
+            f"(need >= {needed} with w={args.w}, tau-max={args.tau_max}, sync={_sync(args)})"
         )
     return prefix
 

@@ -104,18 +104,6 @@ class StoppingReport:
     def no_alarm(self) -> bool:
         return self.crossed_at is None
 
-    def crossing_for(self, b: float) -> tuple[int | None, int | None]:
-        """First crossing of an alternative threshold, read off the stored path.
-
-        Only valid for b at or below the run's own threshold unless the run
-        kept its full trajectory.
-        """
-        hits = np.flatnonzero(self.statistic >= b)
-        if hits.size == 0:
-            return None, None
-        t = int(self.ticks[hits[0]])
-        return t, t + self.lookahead
-
 
 class SubspaceCusum:
     """Streaming subspace detector that is its own lookahead buffer.
@@ -323,32 +311,36 @@ class AsyncDetection:
 
 
 def _segment_increments(
-    streams: np.ndarray, *, w: int, tau_max: int, sync: bool, delta: int = 1, n_max: int = 10,
+    stack: np.ndarray, *, w: int, tau_max: int, sync: bool, delta: int = 1, n_max: int = 10,
     sync_every: int | None = None, t0: int = 1, reference: int = 0,
-) -> Iterator[tuple[int, np.ndarray, DelayProfile | None]]:
+) -> Iterator[tuple[int, np.ndarray, list[DelayProfile] | None]]:
     """Check a pipeline run's arguments, then yield ``(start, increments,
-    delays)`` for each sync segment in turn: its first tick, the squared
-    projections of its ticks, and its delay profile (None without sync).
+    delays)`` for each sync segment in turn: its first tick, the (T, ticks)
+    squared projections of its ticks in each of the T records of the
+    (T, k, n) ``stack``, and the records' T delay profiles (None without
+    sync). One record is the (1, k, n) stack.
 
     Delays are constant over a segment, so its ticks form one aligned
-    (k, ticks + w) block. One batched joint-estimation call fits a chunk of
-    segments and one :func:`window_increments` call scores their blocks.
-    Chunks double from one segment up to :data:`SEGMENT` ticks (one segment
-    without sync), so a run that stops early scores at most about twice the
-    segments it needed; a segment's error is raised once the run reaches it.
+    (k, ticks + w) block per record. One batched joint-estimation call fits
+    a chunk of segments in every record and one :func:`window_increments`
+    call scores their blocks. Chunks double from one segment up to
+    :data:`SEGMENT` trial-ticks (one segment without sync), so a run that
+    stops early scores at most about twice the segments it needed; a
+    segment's error, in any record, is raised once the run reaches it.
+    Each record's delays and increments equal those of its own call.
     """
-    data = np.asarray(streams, dtype=float)
-    if data.ndim != 2:
+    data = np.asarray(stack, dtype=float)
+    if data.ndim != 3:
         raise DimensionMismatchError("streams must be a (k, n) array")
-    k, n = data.shape
+    T, k, n = data.shape
     if k < 2:
         raise ValueError("need at least 2 sensors")
     if w < 1:
         raise ValueError("w must be >= 1")
     if sync and w < 2:
         raise ValueError("delay estimation needs a window of at least 2 samples")
-    if tau_max < 0:
-        raise ValueError("tau_max must be >= 0")
+    if tau_max < 0 or delta < 0 or n_max < 1:
+        raise ValueError("require tau_max >= 0, delta >= 0, n_max >= 1")
     if not 0 <= reference < k:
         raise ValueError(f"reference index {reference} out of range")
     sync_every = w if sync_every is None else int(sync_every)
@@ -367,32 +359,36 @@ def _segment_increments(
         )
 
     rows = np.arange(k)[:, None]
+    trials = np.arange(T)[:, None, None, None]
     segment = sync_every if sync else SEGMENT
     starts = np.arange(t_first, t_last + 1, segment)
     lengths = np.minimum(starts + segment, t_last + 1) - starts
-    most = max(1, SEGMENT // segment) if sync else 1
+    most = max(1, SEGMENT // (segment * T)) if sync else 1
     lo, size = 0, 1
     while lo < starts.size:
         chunk = slice(lo, lo + size)
+        m = lengths[chunk].max()  # a shorter last segment is padded, then cut
         try:
             if sync:
                 profiles = _joint_fit(
                     data, starts[chunk] + 1, w, tau_max=tau_max, delta=delta, n_max=n_max,
                     t0=t0, reference=reference,
                 )[0]
-                tau = np.stack([p.tau_hat for p in profiles])
-            else:
-                profiles, tau = [None], np.zeros((1, k), dtype=int)
-            m = lengths[chunk].max()  # a shorter last segment is padded, then cut
-            cols = (starts[chunk] - t0)[:, None, None] + tau[:, :, None] + np.arange(m + w)
-            inc = window_increments(data[rows, np.minimum(cols, n - 1)], w)
+                tau = np.stack([p.tau_hat for p in profiles]).reshape(T, -1, k, 1)
+                cols = (starts[chunk] - t0)[:, None, None] + tau + np.arange(m + w)
+                block = data[trials, rows, np.minimum(cols, n - 1)].reshape(-1, k, m + w)
+            else:  # a chunk is one segment inside the records: a view, not a gather
+                first = starts[lo] - t0
+                profiles, block = None, data[:, :, first : first + m + w]
+            inc = window_increments(block, w).reshape(T, -1, m)
         except (ZeroMatrixError, NumericalError):
             if size == 1:
                 raise
             size = 1  # replay the chunk a segment at a time, up to the failing one
             continue
-        for start, length, row, profile in zip(starts[chunk], lengths[chunk], inc, profiles):
-            yield int(start), row[:length], profile
+        for c, (start, length) in enumerate(zip(starts[chunk], lengths[chunk])):
+            delays = None if profiles is None else profiles[c :: inc.shape[1]]
+            yield int(start), inc[:, c, :length], delays
         lo, size = lo + size, min(2 * size, most)
 
 
@@ -435,12 +431,12 @@ def async_pipeline(
     values: list[float] = []
     increments: list[np.ndarray] = []
     segments = _segment_increments(
-        streams, w=w, tau_max=tau_max, sync=sync, delta=delta, n_max=n_max,
-        sync_every=sync_every, t0=t0, reference=reference,
+        np.asarray(streams, dtype=float)[None], w=w, tau_max=tau_max, sync=sync, delta=delta,
+        n_max=n_max, sync_every=sync_every, t0=t0, reference=reference,
     )
-    for start, inc, profile in segments:
-        if profile is not None:
-            delays_log.append((start, profile))
+    for start, (inc,), profiles in segments:
+        if profiles is not None:
+            delays_log.append((start, profiles[0]))
         hit = _cusum_path(inc - d, values, b, stop=not full_trajectory)
         if crossed is None and hit is not None:
             crossed = start + hit
@@ -475,8 +471,10 @@ def subspace_increments(
     :func:`async_pipeline` scores it but without running the CUSUM.
     ``kwargs`` are that function's delay-estimation and tick arguments.
     """
-    segments = list(_segment_increments(streams, w=w, tau_max=tau_max, sync=sync, **kwargs))
-    increments = np.concatenate([inc for _, inc, _ in segments])
+    segments = list(_segment_increments(
+        np.asarray(streams, dtype=float)[None], w=w, tau_max=tau_max, sync=sync, **kwargs
+    ))
+    increments = np.concatenate([inc for _, (inc,), _ in segments])
     t_first = segments[0][0]
     return np.arange(t_first, t_first + increments.size), increments
 

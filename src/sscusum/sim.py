@@ -9,12 +9,13 @@ depend on execution order, and a whole experiment is a pure function of
 
 Noise has one layout: a trial's generator yields consecutive (k, 256)
 blocks, so any prefix of an episode is the episode of that shorter horizon.
-The Monte Carlo advances all trials of the one-shot race and of the
-subspace detector without delay estimation in lockstep over those blocks,
+One Monte Carlo engine advances all trials in lockstep over those blocks,
 drawing a trial's noise only until it crosses the largest threshold; the
 samples it scores are exactly the ones :func:`generate_episode` returns for
-the same seed. The delay-estimating subspace detector runs the segmented
-pipeline over each trial's whole episode instead.
+the same seed. The subspace detector, with delay estimation or without,
+scores the live trials' slabs through the segmented pipeline's own segment
+scorer, so batch runs and the Monte Carlo share one scorer; the one-shot
+race scores its columns directly.
 
 A single run per trial serves an entire threshold grid: the statistic path
 does not depend on the threshold, so crossings for every b are read off the
@@ -33,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import ScenarioModel, Waveform
-from .detect import StoppingReport, async_pipeline, one_shot_detector, subspace_increments
+from .detect import _segment_increments, subspace_increments
 from .errors import DegenerateInputError
 from .linalg import window_increments
 
@@ -85,10 +86,11 @@ class CurvePoint:
 class SubspaceSpec:
     """Asynchronous subspace detector configuration for simulation runs.
 
-    :meth:`run` drives the segmented pipeline from :mod:`sscusum.detect`
-    over one episode. Without delay estimation (``sync=False``) the Monte
-    Carlo runs the same statistic in the lockstep engine, with identical
-    crossings; with it, every trial runs the pipeline.
+    The Monte Carlo scores it with the segmented pipeline's own segment
+    scorer (:mod:`sscusum.detect`), all live trials at once, so its
+    crossings equal those of :func:`~sscusum.detect.async_pipeline` with
+    these settings on each trial's episode, with delay estimation or
+    without.
     """
 
     w: int
@@ -101,31 +103,16 @@ class SubspaceSpec:
 
     name = "subspace"
 
-    def run(self, streams: np.ndarray, b: float) -> StoppingReport:
-        return async_pipeline(
-            streams,
-            w=self.w,
-            tau_max=self.tau_max,
-            d=self.d,
-            b=b,
-            delta=self.delta,
-            n_max=self.n_max,
-            sync=self.sync,
-            sync_every=self.sync_every,
-        ).report
-
 
 @dataclass(frozen=True)
 class OneShotSpec:
-    """Per-sensor scalar CUSUM race with the mean shift known exactly."""
+    """Per-sensor scalar CUSUM race with the mean shift known exactly, as
+    :func:`~sscusum.detect.one_shot_detector` runs it."""
 
     mu: float
     sigma2: float = 1.0
 
     name = "one_shot"
-
-    def run(self, streams: np.ndarray, b: float) -> StoppingReport:
-        return one_shot_detector(streams, self.mu, self.sigma2, b)
 
 
 _FAST_CHUNK = 256  # fixed: every trial's noise is drawn in (k, _FAST_CHUNK) blocks
@@ -232,52 +219,9 @@ def _as_seedseq(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _scan(
-    slab: np.ndarray,
-    tick: int,
-    t_last: int,
-    S: np.ndarray,
-    increments: Callable,
-    lookahead: int,
-    b_arr: np.ndarray,
-    crossed: np.ndarray,
-    live: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Advance a detector over every emittable tick of ``slab``.
-
-    ``slab`` is (T, k, cols) holding ticks tick..tick+cols-1 for the T live
-    trials; column f is scored once the ``lookahead`` columns after it are
-    in the slab. ``increments(slab, emit)`` gives the drift-corrected
-    increments of the first ``emit`` columns, column last; the CUSUM then
-    runs column by column. Crossings go into ``crossed`` (rows indexed by
-    ``live``) as reported times, the crossing tick plus the lookahead.
-    Returns the updated state and the first unprocessed tick.
-    """
-    emit = max(0, min(slab.shape[2] - lookahead, t_last - tick + 1))
-    if emit == 0:
-        return S, tick
-    inc = increments(slab, emit)
-    for f in range(emit):
-        S = np.maximum(S, 0.0) + inc[..., f]
-        hits = (S if S.ndim == 1 else S.max(axis=1))[:, None] >= b_arr
-        if hits.any():
-            rows, cols = np.nonzero(hits & (crossed[live] < 0))
-            crossed[live[rows], cols] = tick + f + lookahead
-    return S, tick + emit
-
-
-def _subspace_increments(w: int, d: float) -> Callable:
-    """Subspace CUSUM increments (T, emit) for every live trial (state: (T,)):
-    one kernel call scores the slab's windows for all of them."""
-
-    def increments(slab, emit):
-        return window_increments(slab[:, :, : emit + w], w) - d
-
-    return increments
-
-
 def _race_increments(mu: float, sigma2: float) -> Callable:
-    """One-shot race increments (T, k, emit) for every live trial (state: (T, k)).
+    """One-shot race increments for every live trial (state: (T, k)): one
+    ``(tick, increments (T, k, emit))`` pair per slab.
 
     The arithmetic is that of :func:`sscusum.detect.one_shot_detector`, so
     crossings agree with it bit for bit.
@@ -289,71 +233,10 @@ def _race_increments(mu: float, sigma2: float) -> Callable:
     gain = mu / sigma2
     half = mu / 2.0
 
-    def increments(slab, emit):
-        return gain * (slab[:, :, :emit] - half)
+    def increments(slab, tick, emit):
+        return [(tick, gain * (slab[:, :, :emit] - half))]
 
     return increments
-
-
-def _lockstep_crossings(
-    spec,
-    model_source: ModelSource,
-    b_grid: Sequence[float],
-    trials: int,
-    horizon: int,
-    seed,
-) -> tuple[np.ndarray, list[int]]:
-    """Lockstep Monte Carlo for the one-shot race and the subspace detector
-    without delay estimation.
-
-    Trials advance together one (k, 256) noise block at a time; each trial
-    draws its blocks from its own generator, with its own model's signal,
-    exactly as :func:`generate_episode` lays them out, and drops out once it
-    crosses the largest threshold, so no trial draws noise past that
-    crossing. Each slab's increments for all live trials come at once, the
-    subspace statistic's from one :func:`window_increments` call; the CUSUM
-    then runs column by column: the race with no lookahead, the subspace
-    statistic with lookahead w, keeping the last w columns for the next
-    slab. Crossings equal those of ``spec.run`` on each trial's episode.
-    """
-    rngs, models = [], []
-    for child in _as_seedseq(seed).spawn(trials):
-        rng = np.random.default_rng(child)
-        models.append(_resolve_model(model_source, rng))
-        rngs.append(rng)
-    k = models[0].k
-    if any(m.k != k for m in models):
-        raise ValueError("the lockstep engine needs a common k across trials")
-    if isinstance(spec, OneShotSpec):
-        lookahead, increments = 0, _race_increments(spec.mu, spec.sigma2)
-        S = np.zeros((trials, k))
-    else:
-        if k < 2:
-            raise ValueError("need at least 2 sensors")
-        if spec.w < 1:
-            raise ValueError("w must be >= 1")
-        lookahead, increments = spec.w, _subspace_increments(spec.w, spec.d)
-        S = np.zeros(trials)
-    t_last = horizon - lookahead
-    if t_last < 1:
-        raise ValueError("horizon too short for one lookahead window")
-    b_arr = np.asarray(b_grid, dtype=float)
-    crossed = np.full((trials, b_arr.size), -1, dtype=np.int64)
-
-    live = np.arange(trials)
-    carry = np.empty((trials, k, 0))
-    tick = 1
-    drawn = 0  # ticks generated so far
-    while live.size and tick <= t_last:
-        fresh = np.stack([_draw_blocks(models[i], rngs[i], drawn, 1) for i in live])
-        slab = np.concatenate([carry, fresh], axis=2)
-        drawn += _FAST_CHUNK
-        S, tick = _scan(slab, tick, t_last, S, increments, lookahead, b_arr, crossed, live)
-        carry = slab[:, :, max(0, slab.shape[2] - lookahead) :]
-        keep = crossed[live, -1] < 0
-        if not keep.all():
-            live, S, carry = live[keep], S[keep], carry[keep]
-    return crossed, [m.change_point for m in models]
 
 
 def _trial_crossings(
@@ -364,37 +247,92 @@ def _trial_crossings(
     horizon: int,
     seed,
 ) -> tuple[np.ndarray, list[int]]:
-    """Reported stop times per (trial, threshold); -1 marks no alarm.
+    """Reported stop times per (trial, threshold) and the trials' change
+    points; -1 marks no alarm.
 
-    The one-shot race and the subspace detector without delay estimation
-    run in the lockstep engine. Any other detector runs once per trial at
-    the largest threshold over the whole episode, and smaller crossings are
-    read from the stored statistic path.
+    The lockstep engine. Trials advance together one (k, 256) noise block at
+    a time; each trial draws its blocks from its own generator, with its own
+    model's signal, exactly as :func:`generate_episode` lays them out, and
+    drops out once it crosses the largest threshold, so no trial draws noise
+    past that crossing. The slab of live trials starts ``headroom`` ticks
+    before the first unscored tick (tau_max with delay estimation, else 0).
+    Once it holds a whole number of sync segments and the w + headroom
+    columns after them (or the episode's remaining ticks), the subspace
+    detector scores those segments for all live trials through the
+    pipeline's segment scorer, :func:`sscusum.detect._segment_increments`,
+    a chunk at a time, and stops once every live trial has crossed; so its
+    segments start at the ticks where the pipeline's start on the whole
+    episode. The race scores every column at once with no lookahead. The CUSUM runs column by
+    column, and a crossing is reported at the crossing tick plus the
+    lookahead (w, or 0 for the race). Crossings equal those of the
+    single-episode detector on each trial's episode. A segment error in any
+    live trial of a slab aborts the run.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    b_grid = list(b_grid)
-    if not b_grid:
+    b_arr = np.asarray(b_grid, dtype=float)
+    if b_arr.size == 0:
         raise ValueError("threshold grid is empty")
-    if any(b2 <= b1 for b1, b2 in zip(b_grid, b_grid[1:])):
+    if (np.diff(b_arr) <= 0).any():
         raise ValueError("threshold grid must be strictly increasing")
-    if isinstance(spec, OneShotSpec) or (isinstance(spec, SubspaceSpec) and not spec.sync):
-        return _lockstep_crossings(spec, model_source, b_grid, trials, horizon, seed)
-    b_max = b_grid[-1]
-    reported = np.full((trials, len(b_grid)), -1, dtype=np.int64)
-    change_points: list[int] = []
-    children = _as_seedseq(seed).spawn(trials)
-    for i, child in enumerate(children):
+    rngs, models = [], []
+    for child in _as_seedseq(seed).spawn(trials):
         rng = np.random.default_rng(child)
-        model = _resolve_model(model_source, rng)
-        change_points.append(model.change_point)
-        streams = generate_episode(model, horizon, rng)
-        run = spec.run(streams, b_max)
-        for j, b in enumerate(b_grid):
-            _, rep = run.crossing_for(b)
-            if rep is not None:
-                reported[i, j] = rep
-    return reported, change_points
+        models.append(_resolve_model(model_source, rng))
+        rngs.append(rng)
+    k = models[0].k
+    if any(m.k != k for m in models):
+        raise ValueError("the lockstep engine needs a common k across trials")
+    if isinstance(spec, OneShotSpec):
+        lookahead = headroom = 0
+        every, increments = 1, _race_increments(spec.mu, spec.sigma2)
+        S = np.zeros((trials, k))
+    else:
+        lookahead, headroom = spec.w, spec.tau_max if spec.sync else 0
+        every = (spec.w if spec.sync_every is None else spec.sync_every) if spec.sync else 1
+
+        def increments(slab, tick, emit):
+            segments = _segment_increments(
+                slab[:, :, : emit + lookahead + 2 * headroom], w=spec.w, tau_max=spec.tau_max,
+                sync=spec.sync, delta=spec.delta, n_max=spec.n_max,
+                sync_every=spec.sync_every, t0=tick - headroom,
+            )
+            return ((start, inc - spec.d) for start, inc, _ in segments)
+
+        S = np.zeros(trials)
+    t_last = horizon - lookahead - headroom
+    if t_last < 1 + headroom:
+        raise ValueError("horizon too short for one lookahead window")
+    crossed = np.full((trials, b_arr.size), -1, dtype=np.int64)
+
+    live = np.arange(trials)
+    slab = np.empty((trials, k, 0))  # ticks tick - headroom .. drawn of the live trials
+    tick = 1 + headroom
+    drawn = 0  # ticks generated so far
+    while live.size and tick <= t_last:
+        fresh = np.stack([_draw_blocks(models[i], rngs[i], drawn, 1) for i in live])
+        slab = np.concatenate([slab, fresh], axis=2)
+        drawn += _FAST_CHUNK
+        reach = drawn - lookahead - headroom  # the last tick the slab can score
+        emit = min(reach, t_last) - tick + 1
+        if reach < t_last:
+            emit -= emit % max(every, 1)  # whole segments; the scorer rejects every < 1
+        if emit <= 0:
+            continue
+        for start, inc in increments(slab, tick, emit):
+            for f in range(inc.shape[-1]):
+                S = np.maximum(S, 0.0) + inc[..., f]
+                hits = (S if S.ndim == 1 else S.max(axis=1))[:, None] >= b_arr
+                if hits.any():
+                    rows, cols = np.nonzero(hits & (crossed[live] < 0))
+                    crossed[live[rows], cols] = start + f + lookahead
+            if (crossed[live, -1] >= 0).all():
+                break  # every live trial is done: score no further segment
+        slab, tick = slab[:, :, emit:], tick + emit
+        keep = crossed[live, -1] < 0
+        if not keep.all():
+            live, S, slab = live[keep], S[keep], slab[keep]
+    return crossed, [m.change_point for m in models]
 
 
 def _arl_estimate(name: str, b: float, reported: np.ndarray, horizon: int) -> RunLengthEstimate:

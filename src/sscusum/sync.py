@@ -101,19 +101,24 @@ def _joint_fit(
 ) -> tuple[list[DelayProfile], np.ndarray, np.ndarray]:
     """The joint loop of :func:`joint_estimate` over a stack of fit windows.
 
-    Window j is ``(starts[j], w)``; ``data`` covers each with tau_max
-    headroom on both sides. A row drops out of the pass loop once its delta
-    test fires or it reaches ``n_max``, so each row's profile, direction and
-    template equal those of a one-window call. Returns the delay profiles
-    and the (B, k) directions and (B, w) templates.
+    ``data`` is a (T, k, n) stack of T records (one record is the
+    (1, k, n) stack). Window j is ``(starts[j], w)`` in every record; each
+    record covers it with tau_max headroom on both sides. The T * S rows are
+    trial-major: row ``t * S + j`` is window j of record t. A row drops out
+    of the pass loop once its delta test fires or it reaches ``n_max``, so
+    each row's profile, direction and template equal those of a one-window
+    call. Returns the delay profiles and the (T * S, k) directions and
+    (T * S, w) templates.
 
     Raises:
         ZeroMatrixError: some window's aligned samples are all zero.
         NumericalError: some window's covariance or Gram matrix is not finite.
     """
-    k = data.shape[0]
+    k = data.shape[1]
     rows = np.arange(k)[:, None]
-    ext = data[rows, (starts - tau_max - t0)[:, None, None] + np.arange(w + 2 * tau_max)]
+    ext = data[:, rows, (starts - tau_max - t0)[:, None, None] + np.arange(w + 2 * tau_max)]
+    ext = ext.reshape(-1, k, w + 2 * tau_max)
+    starts = np.tile(starts, data.shape[0])
     s_hat = ext[:, reference, tau_max : tau_max + w].copy()
     tau = np.zeros((len(starts), k), dtype=int)  # the first pass's delta test compares to 0
     u_hat = np.empty((len(starts), k))
@@ -192,7 +197,7 @@ def joint_estimate(
             f"exceeds the covered ticks [{t0}, {t0 + n - 1}]"
         )
     (profile,), u_hat, s_hat = _joint_fit(
-        data, np.array([start]), w, tau_max=tau_max, delta=delta, n_max=n_max, t0=t0,
+        data[None], np.array([start]), w, tau_max=tau_max, delta=delta, n_max=n_max, t0=t0,
         reference=reference,
     )
     return JointEstimate(

@@ -83,6 +83,15 @@ def scalar_cusum(samples, mu, sigma2):
     return np.asarray(out)
 
 
+def first_crossing(ticks, statistic, b):
+    """The first tick whose statistic reaches b, by an explicit scan; None
+    if no tick does."""
+    for t, s in zip(ticks, statistic):
+        if s >= b:
+            return int(t)
+    return None
+
+
 def run_lengths(reported, change_points, horizon):
     """ARL and EDD of one threshold's reported stop times (-1: no alarm).
 

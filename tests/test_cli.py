@@ -96,6 +96,18 @@ class TestCalibrate:
         assert run(["calibrate", "--in", path, "--w", 50, "--prefix", 20]) == 1
         assert "too short" in capsys.readouterr().err
 
+    def test_prefix_headroom_only_when_syncing(self, tmp_path, capsys):
+        # without sync the pass needs w + 1 ticks; with it, 2 * tau_max more
+        path = simulate_noise_file(tmp_path, k=3, horizon=200, seed=7)
+        argv = ["calibrate", "--in", path, "--w", 10, "--prefix", 30]
+        capsys.readouterr()
+        assert run(argv + ["--no-sync", "--tau-max", 50]) == 0
+        no_sync = capsys.readouterr().out
+        assert run(argv + ["--tau-max", 0]) == 0
+        assert capsys.readouterr().out == no_sync
+        assert run(argv + ["--sync", "--tau-max", 50]) == 1
+        assert "need >= 111" in capsys.readouterr().err
+
     def test_missing_input_names_its_flag(self, capsys):
         assert run(["calibrate", "--w", 10]) == 1
         assert "missing required option --in\n" in capsys.readouterr().err
@@ -199,6 +211,16 @@ class TestDetect:
         report = tmp_path / "report.csv"
         assert run(["detect", "--in", path, "--w", 10, "--b", 8, "--out", report] + flags) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("sync", ["--sync", "--no-sync"])
+    @pytest.mark.parametrize("flags", [["--delta", -1], ["--n-max", 0]], ids=["delta", "n-max"])
+    def test_bad_delay_loop_setting_is_validation_error(self, tmp_path, capsys, flags, sync):
+        path = simulate_noise_file(tmp_path, k=3, horizon=300, seed=10)
+        report = tmp_path / "report.csv"
+        argv = ["detect", "--in", path, "--w", 10, "--tau-max", 2, "--b", 8, "--d", 1.5, sync]
+        assert run(argv + ["--out", report] + flags) == 1
+        assert "delta >= 0, n_max >= 1" in capsys.readouterr().err
         assert not report.exists()
 
     def test_non_finite_csv_is_io_error_with_line(self, tmp_path, capsys):
@@ -327,6 +349,51 @@ class TestCurve:
                     "--detector", "subspace", "--seed", 14, "--out", out])
         assert code == 0
         assert "calibrated drift" in capsys.readouterr().out
+
+
+class TestNonFiniteValues:
+    """Every float flag, and each value of a float list, must be a finite
+    number."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("detect", "--d", "nan"),
+            ("detect", "--b", "nan"),
+            ("detect", "--b", "inf"),
+            ("detect", "--factor", "nan"),
+            ("detect", "--rate", "-inf"),
+            ("curve", "--b-grid", "2,nan"),
+            ("curve", "--b-grid-oneshot", "inf,3"),
+            ("curve", "--sigma2", "inf"),
+            ("simulate", "--mu", "nan"),
+            ("simulate", "--alpha", "1,-inf,1"),
+            ("detect", "--d", "abc"),
+        ],
+    )
+    def test_flag_is_validation_error(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out.csv"
+        argv = {
+            "detect": ["detect", "--in", simulate_noise_file(tmp_path), "--w", 10, "--d", 1.5,
+                       "--b", 8, "--prefix", 200],
+            "curve": ["curve", "--k", 3, "--mu", 0.8, "--w", 8, "--trials", 2,
+                      "--horizon", 300, "--b-grid", "2", "--d", 1.3, "--seed", 1],
+            "simulate": ["simulate", "--k", 3, "--horizon", 50, "--seed", 1],
+        }[command]
+        capsys.readouterr()
+        assert run(argv + [f"{flag}={value}", "--out", out]) == 1
+        assert f"error: argument {flag}: expected a finite number, got" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_value_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("k = 3\nmu = 0.8\nb-grid = 2,nan\n")
+        out = tmp_path / "out.csv"
+        argv = ["--config", cfg, "curve", "--w", 8, "--trials", 2, "--horizon", 300,
+                "--d", 1.3, "--seed", 1, "--out", out]
+        assert run(argv) == 1
+        assert f"{cfg}:3: argument --b-grid: expected a finite number, got 'nan'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNegativeTauMax:

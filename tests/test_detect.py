@@ -7,10 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import covariance_triple_loop, jacobi_eigh, scalar_cusum
+from oracles import covariance_triple_loop, first_crossing, jacobi_eigh, scalar_cusum
 from sscusum.core import MultiSensorFrame, frames_from_array
 from sscusum.detect import (
     SubspaceCusum,
+    _segment_increments,
     async_pipeline,
     calibrate_drift,
     cusum_report,
@@ -442,6 +443,15 @@ class TestAsyncPipeline:
         with pytest.raises(ValueError):
             async_pipeline(np.zeros((2, 10)), w=8, tau_max=2, d=1.0, b=1.0, sync=True)
 
+    @pytest.mark.parametrize("sync", [True, False])
+    @pytest.mark.parametrize("bad", [dict(delta=-1), dict(n_max=0)], ids=["delta", "n_max"])
+    def test_bad_delay_loop_settings_rejected(self, bad, sync):
+        streams = np.random.default_rng(11).standard_normal((3, 100))
+        with pytest.raises(ValueError, match=r"delta >= 0, n_max >= 1"):
+            async_pipeline(streams, w=8, tau_max=2, d=1.0, sync=sync, **bad)
+        with pytest.raises(ValueError, match=r"delta >= 0, n_max >= 1"):
+            subspace_increments(streams, w=8, tau_max=2, sync=sync, **bad)
+
 
 def _naive_pipeline(streams, w, tau_max, d, sync_every, t0=1):
     """Tick-by-tick oracle: delays from joint_estimate at each sync tick,
@@ -486,7 +496,7 @@ class TestSegmentedPipeline:
         assert np.allclose(result.report.statistic, path, rtol=0, atol=1e-8)
 
         b = float(np.quantile(path, 0.8))
-        crossed = result.report.crossing_for(b)[0]
+        crossed = first_crossing(result.report.ticks, result.report.statistic, b)
         stopped = async_pipeline(streams, w=w, tau_max=tau_max, d=d, b=b, sync_every=sync_every)
         assert stopped.report.crossed_at == crossed
         assert stopped.report.ticks[-1] == crossed
@@ -561,7 +571,7 @@ class TestChunkedSyncPipeline:
         # a crossing past the first three segments falls inside a chunk of several
         first_three = 3 * sync_every
         b = float(full.report.statistic[:first_three].max()) + 1.0
-        crossed = full.report.crossing_for(b)[0]
+        crossed = first_crossing(full.report.ticks, full.report.statistic, b)
         assert crossed is not None and crossed - ticks[0] >= first_three
         stopped = async_pipeline(streams, w=w, tau_max=tau_max, d=1.5, b=b,
                                  sync_every=sync_every)
@@ -601,7 +611,7 @@ class TestChunkedSyncPipeline:
         # the record cut after segment 3's last sample scores segments 0-3 alone
         head = async_pipeline(streams[:, :34], **kwargs, full_trajectory=True)
         b = 100.0
-        crossed = head.report.crossing_for(b)[0]
+        crossed = first_crossing(head.report.ticks, head.report.statistic, b)
         assert 19 <= crossed <= 23  # in segment 3
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ZeroCorrelationWarning)
@@ -611,6 +621,47 @@ class TestChunkedSyncPipeline:
             assert np.array_equal(stopped.report.statistic, head.report.statistic[: last + 1])
             with pytest.raises(error):
                 async_pipeline(streams, **kwargs, b=b, full_trajectory=True)
+
+
+class TestTrialStack:
+    """A (T, k, n) stack through the segment scorer: each record's delays,
+    pass counts and increments equal its own call bit for bit, although the
+    stack's chunks hold fewer segments."""
+
+    @pytest.mark.parametrize(
+        "sync, sync_every, n",
+        [(True, 5, 200), (True, 1000, 9000), (False, None, 9000)],
+    )
+    def test_records_equal_one_record_calls(self, monkeypatch, sync, sync_every, n):
+        sizes = []
+
+        def counting(data, starts, *args, **kwargs):
+            sizes.append((data.shape[0], len(starts)))
+            return _joint_fit(data, starts, *args, **kwargs)
+
+        monkeypatch.setattr("sscusum.detect._joint_fit", counting)
+        stack = np.stack([_delayed_record(3, n, 3, seed=60 + t) for t in range(3)])
+        stack[1, :, n // 2 :] *= 2.0  # the records differ in their delays and their scale
+        kwargs = dict(w=8, tau_max=3, sync=sync, sync_every=sync_every, t0=4)
+        got = list(_segment_increments(stack, **kwargs))
+        if sync_every == 1000:  # 4,096 trial-ticks hold one 3-record segment
+            assert sizes == [(3, 1)] * len(got)
+        for t, record in enumerate(stack):
+            want = list(_segment_increments(record[None], **kwargs))
+            assert [start for start, _, _ in got] == [start for start, _, _ in want]
+            for (_, inc, profiles), (_, (one,), alone) in zip(got, want):
+                assert inc.shape[0] == 3
+                assert inc[t].tobytes() == one.tobytes()
+                if not sync:
+                    assert profiles is None and alone is None
+                    continue
+                assert len(profiles) == 3
+                assert np.array_equal(profiles[t].tau_hat, alone[0].tau_hat)
+                assert (profiles[t].iterations, profiles[t].converged) == (
+                    alone[0].iterations, alone[0].converged)
+        if sync:
+            taus = {p.tau_hat.tobytes() for _, _, profiles in got for p in profiles}
+            assert len(taus) > 1
 
 
 class TestPrefixIdentity:

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import run_lengths
+from oracles import first_crossing, run_lengths
 from sscusum.core import ScenarioModel, Waveform
-from sscusum.detect import one_shot_detector
+from sscusum.detect import async_pipeline, one_shot_detector
 from sscusum.errors import DegenerateInputError
 from sscusum.sim import (
     OneShotSpec,
@@ -250,17 +250,25 @@ class TestEmpiricalDrift:
 
 
 def _replay(spec, model_source, b_grid, trials, horizon, seed):
-    """Reported stop times from one whole episode per trial through
-    ``spec.run`` at the largest threshold, read with ``crossing_for``."""
+    """Reported stop times from one whole episode per trial through the
+    single-episode detector at the largest threshold; each threshold's
+    first crossing is read off the statistic path."""
     out = np.full((trials, len(b_grid)), -1, dtype=np.int64)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         rng = np.random.default_rng(child)
         model = model_source(rng) if callable(model_source) else model_source
-        report = spec.run(generate_episode(model, horizon, rng), b_grid[-1])
+        streams = generate_episode(model, horizon, rng)
+        if isinstance(spec, OneShotSpec):
+            report = one_shot_detector(streams, spec.mu, spec.sigma2, b_grid[-1])
+        else:
+            report = async_pipeline(
+                streams, w=spec.w, tau_max=spec.tau_max, d=spec.d, b=b_grid[-1],
+                delta=spec.delta, n_max=spec.n_max, sync=spec.sync, sync_every=spec.sync_every,
+            ).report
         for j, b in enumerate(b_grid):
-            reported = report.crossing_for(b)[1]
-            if reported is not None:
-                out[i, j] = reported
+            crossed = first_crossing(report.ticks, report.statistic, b)
+            if crossed is not None:
+                out[i, j] = crossed + report.lookahead
     return out
 
 
@@ -283,8 +291,10 @@ def _two_waveforms(k, mu, tau_max):
 
 # (spec, model, grid): no-change (ARL) and change (EDD) models for both
 # detectors, and subspace cases with more sensors than window samples and
-# with a window longer than one 256-tick noise block; each largest
-# threshold leaves some trials censored at the horizon
+# with a window longer than one 256-tick noise block; with delay estimation,
+# ARL and EDD, sync segments shorter than the window, segments longer than a
+# noise block, and more sensors than window samples. Each largest threshold
+# leaves some trials censored at the horizon
 LOCKSTEP_CASES = {
     "one_shot-arl": (OneShotSpec(mu=0.5), pure_noise_model(4), [2.0, 4.0, 6.0]),
     "one_shot-edd": (OneShotSpec(mu=0.5), random_delay_factory(4, 0.15, 1.0, 6), [2.0, 6.0, 10.0]),
@@ -302,17 +312,33 @@ LOCKSTEP_CASES = {
     "subspace-long-window-arl": (
         SubspaceSpec(w=300, tau_max=0, d=1.1, sync=False), pure_noise_model(3), [2.0, 5.0, 20.0],
     ),
+    "sync-arl": (SubspaceSpec(w=10, tau_max=3, d=1.9), pure_noise_model(6), [4.0, 15.0, 45.0]),
+    "sync-edd": (
+        SubspaceSpec(w=10, tau_max=6, d=2.35),
+        random_delay_factory(6, 0.3, 1.0, 6),
+        [4.0, 40.0, 160.0],
+    ),
+    "sync-short-segment-arl": (
+        SubspaceSpec(w=10, tau_max=3, d=2.2, sync_every=4), pure_noise_model(6), [4.0, 15.0, 40.0],
+    ),
+    "sync-long-segment-arl": (
+        SubspaceSpec(w=10, tau_max=3, d=1.1, sync_every=300), pure_noise_model(6),
+        [4.0, 12.0, 30.0],
+    ),
+    "sync-wide-arl": (SubspaceSpec(w=6, tau_max=2, d=2.7), pure_noise_model(12), [4.0, 15.0, 55.0]),
 }
 
 
 class TestLockstepEngine:
     @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
-    def test_crossings_equal_per_trial_replay(self, case):
+    def test_crossings_equal_per_trial_replay(self, case, workers):
         spec, model, grid = LOCKSTEP_CASES[case]
         horizon = 1000  # not a multiple of the 256-tick noise block
-        lockstep, _ = _trial_crossings(spec, model, grid, 12, horizon, 23)
         replay = _replay(spec, model, grid, 12, horizon, 23)
-        assert np.array_equal(lockstep, replay)
+        for n in (1, 3):
+            workers(n)
+            lockstep, _ = _trial_crossings(spec, model, grid, 12, horizon, 23)
+            assert np.array_equal(lockstep, replay), f"{n} workers"
         assert (replay[:, -1] < 0).any()  # censored at the horizon
         assert (replay[:, 0] >= 0).all()
 
@@ -321,8 +347,9 @@ class TestLockstepEngine:
         [
             (OneShotSpec(mu=0.3), [1.0, 3.0, 6.0]),
             (SubspaceSpec(w=10, tau_max=4, d=1.5, sync=False), [1.0, 4.0, 8.0]),
+            (SubspaceSpec(w=10, tau_max=4, d=2.2), [1.0, 4.0, 8.0]),
         ],
-        ids=["one_shot", "subspace"],
+        ids=["one_shot", "subspace", "sync"],
     )
     def test_each_trial_carries_its_own_waveform(self, spec, grid):
         factory = _two_waveforms(5, 0.3, 4)
@@ -332,13 +359,14 @@ class TestLockstepEngine:
         assert taus == [0] * 16
 
     def test_crossings_do_not_depend_on_the_worker_count(self, workers):
-        spec, model, grid = LOCKSTEP_CASES["subspace-edd"]
+        cases = [LOCKSTEP_CASES[case] for case in ("subspace-edd", "sync-edd")]
         workers(1)
-        serial, _ = _trial_crossings(spec, model, grid, 12, 1000, 25)
+        serial = [_trial_crossings(*case, 12, 1000, 25)[0] for case in cases]
         workers(3)
-        pooled, _ = _trial_crossings(spec, model, grid, 12, 1000, 25)
-        assert np.array_equal(pooled, serial)
-        assert (serial[:, 0] >= 0).all()
+        pooled = [_trial_crossings(*case, 12, 1000, 25)[0] for case in cases]
+        for one, many in zip(serial, pooled):
+            assert np.array_equal(many, one)
+            assert (one[:, 0] >= 0).all()
 
     def test_one_shot_inputs_rejected_as_by_the_detector(self):
         with pytest.raises(DegenerateInputError):

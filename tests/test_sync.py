@@ -202,7 +202,7 @@ class TestBatchedJointLoop:
         data = _noisy_record(rng, k, 300, tau_max, noise=1.5)
         starts = np.arange(10, 280 - w, 9)
         profiles, u_hat, s_hat = _joint_fit(
-            data, starts, w, tau_max=tau_max, delta=1, n_max=n_max, t0=1, reference=0
+            data[None], starts, w, tau_max=tau_max, delta=1, n_max=n_max, t0=1, reference=0
         )
         passes = [p.iterations for p in profiles]
         assert len(set(passes)) > 1  # rows converge at different passes
@@ -215,13 +215,34 @@ class TestBatchedJointLoop:
             assert np.array_equal(u_hat[j], one.u_hat)
             assert np.array_equal(s_hat[j], one.waveform.s_hat)
 
+    def test_stack_rows_equal_one_window_calls(self):
+        # T = 3 records; row t * S + j is window j of record t
+        rng = np.random.default_rng(4)
+        w, tau_max, n_max = 12, 3, 3
+        stack = np.stack([_noisy_record(rng, 4, 300, tau_max, noise=1.5) for _ in range(3)])
+        starts = np.arange(10, 280 - w, 23)
+        profiles, u_hat, s_hat = _joint_fit(
+            stack, starts, w, tau_max=tau_max, delta=1, n_max=n_max, t0=1, reference=0
+        )
+        assert len(profiles) == u_hat.shape[0] == s_hat.shape[0] == 3 * len(starts)
+        assert len({p.iterations for p in profiles}) > 1
+        for t, record in enumerate(stack):
+            for j, start in enumerate(starts):
+                row = t * len(starts) + j
+                one = joint_estimate(record, tau_max=tau_max, n_max=n_max, window=(start, w), t0=1)
+                assert np.array_equal(profiles[row].tau_hat, one.delays.tau_hat)
+                assert profiles[row].iterations == one.delays.iterations
+                assert profiles[row].converged == one.delays.converged
+                assert np.array_equal(u_hat[row], one.u_hat)
+                assert np.array_equal(s_hat[row], one.waveform.s_hat)
+
     def test_zero_sensor_in_one_row_warns_with_its_start(self):
         rng = np.random.default_rng(9)
         data = rng.standard_normal((3, 120))
         data[2, 40:70] = 0.0  # covers the second window with its headroom, and no other
         with pytest.warns(ZeroCorrelationWarning) as caught:
             profiles, _, _ = _joint_fit(
-                data, np.array([12, 46, 80]), 20, tau_max=5, delta=1, n_max=10, t0=1,
+                data[None], np.array([12, 46, 80]), 20, tau_max=5, delta=1, n_max=10, t0=1,
                 reference=0,
             )
         messages = [str(w.message) for w in caught]
