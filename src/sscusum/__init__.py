@@ -29,7 +29,7 @@ from .detect import (
     one_shot_detector,
     subspace_increments,
 )
-from .linalg import top_singular_vector, window_top_vectors
+from .linalg import window_top_vectors
 from .sim import (
     OneShotSpec,
     SubspaceSpec,

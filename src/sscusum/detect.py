@@ -9,6 +9,10 @@ running statistic reaches b":
 * a decentralized one-shot baseline, where every sensor runs its own scalar
   CUSUM with known mean shift and the first local alarm stops the system.
 
+The race's increments and the array CUSUM over a stack of records are
+written once here; the Monte Carlo in :mod:`sscusum.sim` runs the same two
+functions.
+
 Every direction comes from the batched eigendecomposition kernel in
 :mod:`sscusum.linalg`: the streaming detector calls it with one window per
 frame, the asynchronous pipeline with every window of a chunk of sync
@@ -120,6 +124,7 @@ class SubspaceCusum:
     def __init__(self, w: int, d: float, b: float = math.inf):
         if w < 1:
             raise ValueError("subspace detector needs lookahead w >= 1")
+        _check_rule(d, b)
         self.lookahead = int(w)
         self.state = CusumState(d=float(d), b=float(b))
         self._ring: np.ndarray | None = None
@@ -165,6 +170,41 @@ class SubspaceCusum:
         return t - w, s
 
 
+def _check_rule(d: float, b: float) -> None:
+    """Reject a drift that is not finite and a nan threshold; b = inf is
+    valid and never stops the run."""
+    if not math.isfinite(d) or math.isnan(b):
+        raise ValueError(f"need a finite drift d and a threshold b that is not nan; got {d}, {b}")
+
+
+def _race_increments(data: np.ndarray, mu: float, sigma2: float) -> np.ndarray:
+    """One-shot race increments (mu/sigma2)*(x - mu/2) of every reading in
+    ``data``: the exact Gaussian log-likelihood ratio for a known mean shift."""
+    if not (math.isfinite(mu) and math.isfinite(sigma2)):
+        raise ValueError(f"mu and sigma2 must be finite, got mu={mu}, sigma2={sigma2}")
+    if mu == 0:
+        raise DegenerateInputError("mu = 0 gives a degenerate likelihood ratio")
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be positive")
+    return mu / sigma2 * (data - mu / 2.0)
+
+
+def _scan(S: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """Run S' = max(S, 0) + x over the columns of ``inc``, updating the state
+    ``S`` in place, and return the (T, m) statistic path.
+
+    A (T,) subspace state takes (T, m) drift-corrected increments, and its
+    path is S. A (T, k) race state takes (T, k, m) increments, and its path
+    is max_i S_i.
+    """
+    path = np.empty((inc.shape[0], inc.shape[-1]))
+    for j in range(inc.shape[-1]):
+        np.maximum(S, 0.0, out=S)
+        S += inc[..., j]
+        path[:, j] = S if S.ndim == 1 else S.max(axis=1)
+    return path
+
+
 def one_shot_detector(
     streams: np.ndarray,
     mu: float,
@@ -179,38 +219,25 @@ def one_shot_detector(
     Each sensor i runs S_i' = max(S_i, 0) + (mu/sigma2)*(x_i - mu/2), the
     exact Gaussian log-likelihood ratio for a known mean shift mu. The
     recorded statistic is max_i S_i.
+
+    Raises:
+        NumericalError: a reading is nan or inf, or its increment overflows.
     """
-    if mu == 0:
-        raise DegenerateInputError("mu = 0 gives a degenerate likelihood ratio")
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    _check_rule(0.0, b)
     data = np.atleast_2d(np.asarray(streams, dtype=float))
     k, n = data.shape
-    gain = mu / sigma2
-    half = mu / 2.0
-    s = np.zeros(k)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+        inc = _race_increments(data, mu, sigma2)
+    if not np.isfinite(inc).all():
+        raise NumericalError("non-finite one-shot increment: the input overflows or holds nan/inf")
     ticks = np.arange(t0, t0 + n)
-    values = np.empty(n)
-    crossed: int | None = None
-    stop_idx = n
-    for j in range(n):
-        s = np.maximum(s, 0.0) + gain * (data[:, j] - half)
-        m = float(s.max())
-        values[j] = m
-        if crossed is None and m >= b:
-            crossed = int(ticks[j])
-            if not full_trajectory:
-                stop_idx = j + 1
-                break
+    values = _scan(np.zeros((1, k)), inc[None])[0]
+    hits = np.flatnonzero(values >= b)
+    crossed = int(ticks[hits[0]]) if hits.size else None
+    stop = n if crossed is None or full_trajectory else hits[0] + 1
     return StoppingReport(
-        detector="one_shot",
-        b=float(b),
-        d=0.0,
-        lookahead=0,
-        crossed_at=crossed,
-        reported_at=crossed,
-        ticks=ticks[:stop_idx],
-        statistic=values[:stop_idx],
+        detector="one_shot", b=float(b), d=0.0, lookahead=0, crossed_at=crossed,
+        reported_at=crossed, ticks=ticks[:stop], statistic=values[:stop],
     )
 
 
@@ -285,6 +312,7 @@ def cusum_report(
     Equal to the report of :func:`async_pipeline` run with this ``d`` and
     ``b`` and ``full_trajectory=True`` on the same streams.
     """
+    _check_rule(d, b)
     values: list[float] = []
     hit = _cusum_path(np.asarray(increments, dtype=float) - d, values, b, stop=False)
     crossed = None if hit is None else int(ticks[hit])
@@ -426,6 +454,7 @@ def async_pipeline(
     Returns an :class:`AsyncDetection`; its report carries the crossing pair
     (crossed_at, crossed_at + w) and the statistic path.
     """
+    _check_rule(d, b)
     delays_log: list[tuple[int, DelayProfile]] = []
     crossed = None
     values: list[float] = []

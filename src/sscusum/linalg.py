@@ -1,13 +1,15 @@
 """Dominant-direction extraction from windows of samples.
 
 The detection statistic only needs the leading eigenvector of each window's
-covariance. One batched symmetric eigendecomposition (``numpy.linalg.eigh``)
-serves every detector path: it has no iteration budget to exhaust, so near
-ties between the top two eigenvalues cost nothing extra. Scaling of the
-matrix is irrelevant to the direction, which is why the covariance is kept
-as a plain unnormalized sum of outer products. On the covariance side
-(k <= w) the kernel returns ``eigh``'s top eigenvector without
-renormalizing it: ``eigh`` already returns it unit-norm and finite.
+covariance. One batched symmetric eigendecomposition (``numpy.linalg.eigh``),
+:func:`window_top_vectors`, is the one eigen entry point: every detector
+path, the delay fit and a single window (the one-window stack) go through
+it. It has no iteration budget to exhaust, so near ties between the top two
+eigenvalues cost nothing extra. Scaling of the matrix is irrelevant to the
+direction, which is why the covariance is kept as a plain unnormalized sum
+of outer products. On the covariance side (k <= w) the kernel returns
+``eigh``'s top eigenvector without renormalizing it: ``eigh`` already
+returns it unit-norm and finite.
 
 :func:`window_increments` cuts its windows into tasks of at most
 :data:`TASK` windows and runs them on a thread pool sized to the CPUs the
@@ -27,10 +29,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionMismatchError, NumericalError, ZeroMatrixError
+from .errors import NumericalError
 
 __all__ = [
-    "top_singular_vector",
     "window_top_vectors",
     "window_increments",
     "canonicalize_sign",
@@ -82,9 +83,10 @@ def _run_tasks(task, spans: list) -> None:
 
 
 def canonicalize_sign(v: np.ndarray) -> np.ndarray:
-    """Make the component of largest magnitude positive (ties: lowest index)."""
-    idx = int(np.argmax(np.abs(v)))
-    return -v if v[idx] < 0 else v
+    """Make the component of largest magnitude positive (ties: lowest index),
+    in a vector or in each row of a matrix."""
+    idx = np.argmax(np.abs(v), axis=-1)[..., None]
+    return np.where(np.take_along_axis(v, idx, axis=-1) < 0, -v, v)
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:
@@ -151,21 +153,3 @@ def window_increments(block: np.ndarray, w: int) -> np.ndarray:
     _check_finite(out, "squared projection")
     return out if block.ndim == 3 else out[0]
 
-
-def top_singular_vector(matrix: np.ndarray) -> np.ndarray:
-    """Unit-norm leading direction of a square covariance matrix, sign-canonicalized.
-
-    For a symmetric nonnegative-definite matrix this is both the top
-    eigenvector and the top singular vector.
-
-    Raises:
-        ZeroMatrixError: the matrix is zero, so no direction exists.
-        NumericalError: the matrix is not finite.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DimensionMismatchError(f"matrix must be square, got {matrix.shape}")
-    _check_finite(matrix, "covariance")
-    if not matrix.any():
-        raise ZeroMatrixError("cannot extract a direction from the zero matrix")
-    return canonicalize_sign(np.linalg.eigh(matrix)[1][:, -1])

@@ -14,8 +14,10 @@ drawing a trial's noise only until it crosses the largest threshold; the
 samples it scores are exactly the ones :func:`generate_episode` returns for
 the same seed. The subspace detector, with delay estimation or without,
 scores the live trials' slabs through the segmented pipeline's own segment
-scorer, so batch runs and the Monte Carlo share one scorer; the one-shot
-race scores its columns directly.
+scorer, so batch runs and the Monte Carlo share one scorer. The one-shot
+race takes its increments from :mod:`sscusum.detect` too, and both
+detectors run that module's array CUSUM, so the Monte Carlo holds no copy
+of a detector's arithmetic or checks.
 
 A single run per trial serves an entire threshold grid: the statistic path
 does not depend on the threshold, so crossings for every b are read off the
@@ -34,9 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import ScenarioModel, Waveform
-from .detect import _segment_increments, subspace_increments
-from .errors import DegenerateInputError
-from .linalg import window_increments
+from .detect import _check_rule, _race_increments, _scan, _segment_increments, subspace_increments
 
 __all__ = [
     "RunLengthEstimate",
@@ -219,26 +219,6 @@ def _as_seedseq(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _race_increments(mu: float, sigma2: float) -> Callable:
-    """One-shot race increments for every live trial (state: (T, k)): one
-    ``(tick, increments (T, k, emit))`` pair per slab.
-
-    The arithmetic is that of :func:`sscusum.detect.one_shot_detector`, so
-    crossings agree with it bit for bit.
-    """
-    if mu == 0:
-        raise DegenerateInputError("mu = 0 gives a degenerate likelihood ratio")
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    gain = mu / sigma2
-    half = mu / 2.0
-
-    def increments(slab, tick, emit):
-        return [(tick, gain * (slab[:, :, :emit] - half))]
-
-    return increments
-
-
 def _trial_crossings(
     spec,
     model_source: ModelSource,
@@ -262,19 +242,21 @@ def _trial_crossings(
     pipeline's segment scorer, :func:`sscusum.detect._segment_increments`,
     a chunk at a time, and stops once every live trial has crossed; so its
     segments start at the ticks where the pipeline's start on the whole
-    episode. The race scores every column at once with no lookahead. The CUSUM runs column by
-    column, and a crossing is reported at the crossing tick plus the
-    lookahead (w, or 0 for the race). Crossings equal those of the
-    single-episode detector on each trial's episode. A segment error in any
-    live trial of a slab aborts the run.
+    episode. The race scores every column at once with no lookahead. Each
+    segment's statistic path comes from the detectors' own array CUSUM,
+    :func:`sscusum.detect._scan`; every threshold's first crossing is read
+    off it in one step and reported at the crossing tick plus the lookahead
+    (w, or 0 for the race). Crossings equal those of the single-episode
+    detector on each trial's episode. A segment error in any live trial of
+    a slab aborts the run.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     b_arr = np.asarray(b_grid, dtype=float)
     if b_arr.size == 0:
         raise ValueError("threshold grid is empty")
-    if (np.diff(b_arr) <= 0).any():
-        raise ValueError("threshold grid must be strictly increasing")
+    if np.isnan(b_arr).any() or not (b_arr[1:] > b_arr[:-1]).all():
+        raise ValueError("threshold grid must be strictly increasing, with no nan")
     rngs, models = [], []
     for child in _as_seedseq(seed).spawn(trials):
         rng = np.random.default_rng(child)
@@ -285,11 +267,15 @@ def _trial_crossings(
         raise ValueError("the lockstep engine needs a common k across trials")
     if isinstance(spec, OneShotSpec):
         lookahead = headroom = 0
-        every, increments = 1, _race_increments(spec.mu, spec.sigma2)
-        S = np.zeros((trials, k))
+        every, S = 1, np.zeros((trials, k))
+
+        def increments(slab, tick, emit):
+            return [(tick, _race_increments(slab[:, :, :emit], spec.mu, spec.sigma2))]
     else:
+        _check_rule(spec.d, math.inf)
         lookahead, headroom = spec.w, spec.tau_max if spec.sync else 0
         every = (spec.w if spec.sync_every is None else spec.sync_every) if spec.sync else 1
+        S = np.zeros(trials)
 
         def increments(slab, tick, emit):
             segments = _segment_increments(
@@ -299,7 +285,6 @@ def _trial_crossings(
             )
             return ((start, inc - spec.d) for start, inc, _ in segments)
 
-        S = np.zeros(trials)
     t_last = horizon - lookahead - headroom
     if t_last < 1 + headroom:
         raise ValueError("horizon too short for one lookahead window")
@@ -320,12 +305,9 @@ def _trial_crossings(
         if emit <= 0:
             continue
         for start, inc in increments(slab, tick, emit):
-            for f in range(inc.shape[-1]):
-                S = np.maximum(S, 0.0) + inc[..., f]
-                hits = (S if S.ndim == 1 else S.max(axis=1))[:, None] >= b_arr
-                if hits.any():
-                    rows, cols = np.nonzero(hits & (crossed[live] < 0))
-                    crossed[live[rows], cols] = start + f + lookahead
+            hits = _scan(S, inc)[:, :, None] >= b_arr  # (live trials, ticks, thresholds)
+            first = np.where(hits.any(axis=1), start + hits.argmax(axis=1) + lookahead, -1)
+            crossed[live] = np.where(crossed[live] < 0, first, crossed[live])
             if (crossed[live, -1] >= 0).all():
                 break  # every live trial is done: score no further segment
         slab, tick = slab[:, :, emit:], tick + emit
@@ -491,20 +473,16 @@ def empirical_drift(
     Runs the increment pipeline over one long pre-change episode and one
     long post-change episode (change at 0, so the post regime is stationary
     whenever the signal is). Useful when the closed-form interval is empty.
-    Without delay estimation the increments come from one
-    :func:`~sscusum.linalg.window_increments` call over the whole episode.
     """
     horizon = ticks + w + 2 * tau_max + 1
     s1, s2 = _as_seedseq(seed).spawn(2)
     out = []
     for model, child in ((noise_model, s1), (change_model, s2)):
-        streams = generate_episode(model, horizon, child)
-        if not sync:
-            inc = window_increments(streams, w)
-        else:
-            _, inc = subspace_increments(
-                streams, w=w, tau_max=tau_max, sync=sync, **pipeline_kwargs
-            )
+        # no episode outlives its call, so the two are never held at once
+        inc = subspace_increments(
+            generate_episode(model, horizon, child), w=w, tau_max=tau_max, sync=sync,
+            **pipeline_kwargs,
+        )[1]
         out.append((float(inc.mean()), float(inc.std(ddof=1) / math.sqrt(inc.size))))
     (pre, pre_se), (post, post_se) = out
     return DriftCalibration(pre_mean=pre, pre_se=pre_se, post_mean=post, post_se=post_se)

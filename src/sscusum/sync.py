@@ -134,7 +134,7 @@ def _joint_fit(
         u = window_top_vectors(aligned)
         if not u.any(axis=1).all():
             raise ZeroMatrixError("cannot extract a direction from the zero matrix")
-        u_hat[live] = u = np.stack([canonicalize_sign(v) for v in u])
+        u_hat[live] = u = canonicalize_sign(u)
         s_hat[live] = (aligned.transpose(0, 2, 1) @ u[:, :, None])[:, :, 0]
         live = live[~converged[live] & (passes[live] < n_max)]
     profiles = [DelayProfile(tau[j], tau_max, int(passes[j]), bool(converged[j]), reference)

@@ -25,7 +25,7 @@ from sscusum.detect import (
     one_shot_detector,
     subspace_increments,
 )
-from sscusum.linalg import top_singular_vector, window_increments
+from sscusum.linalg import window_increments, window_top_vectors
 from sscusum.sync import joint_estimate
 
 
@@ -80,7 +80,8 @@ def test_criterion_2_eigen_oracle_equivalence():
         u = rng.standard_normal(k)
         u /= np.linalg.norm(u)
         spiked = a + 2.0 * np.trace(a) * np.outer(u, u)
-        v = top_singular_vector(spiked)
+        window = np.column_stack([base.T, np.sqrt(2.0 * np.trace(a)) * u])  # its Gram is spiked
+        v = window_top_vectors(window[None])[0]
         _, vectors = jacobi_eigh(spiked)
         worst = min(worst, abs(v @ vectors[:, 0]))
     assert worst >= 1 - 1e-8, f"worst oracle alignment {worst!r}"

@@ -1,4 +1,5 @@
-"""Every public name the package promises exists."""
+"""Every public name the package promises exists, and every module uses
+what it imports."""
 
 import ast
 import importlib
@@ -30,3 +31,20 @@ def test_every_package_reexport_is_public_in_its_module():
             name = alias.asname or alias.name
             assert hasattr(sscusum, name), name
             assert alias.name in getattr(mod, "__all__", []), f"{node.module}.{alias.name}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    """The project configures no linter, so this check keeps a deletion from
+    leaving a dead import behind. The package's own re-exports are checked
+    above."""
+    tree = ast.parse(Path(sscusum.__path__[0], f"{module}.py").read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

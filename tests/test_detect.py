@@ -30,6 +30,7 @@ from sscusum.errors import (
     ZeroMatrixError,
 )
 from sscusum.linalg import window_increments
+from sscusum.sim import OneShotSpec, SubspaceSpec, _trial_crossings, pure_noise_model
 from sscusum.sync import _joint_fit, joint_estimate
 
 E1 = np.array([1.0, 0.0])
@@ -303,10 +304,24 @@ class TestOneShot:
         assert np.allclose(report.statistic, 0.0)
 
     def test_single_sensor_matches_scalar_oracle(self):
-        rng = np.random.default_rng(3)
-        samples = rng.standard_normal(200) + 0.3
-        report = one_shot_detector(samples[None, :], mu=0.3, sigma2=1.0, b=np.inf)
-        assert np.array_equal(report.statistic, scalar_cusum(samples, 0.3, 1.0))
+        # each of the k = 3 sensors runs the scalar oracle; the path is their maximum
+        samples = np.random.default_rng(3).standard_normal((3, 200)) + 0.3
+        oracle = np.max([scalar_cusum(row, 0.3, 1.0) for row in samples], axis=0)
+        report = one_shot_detector(samples, mu=0.3, sigma2=1.0, b=np.inf)
+        assert np.array_equal(report.statistic, oracle)
+        crossed = first_crossing(report.ticks, oracle, 3.0)
+        assert crossed is not None and crossed < 200
+        stopped = one_shot_detector(samples, mu=0.3, sigma2=1.0, b=3.0)
+        assert stopped.crossed_at == stopped.ticks[-1] == crossed
+        assert np.array_equal(stopped.statistic, oracle[:crossed])
+
+    @pytest.mark.parametrize("bad, sigma2", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
+                                             (1e308, 1e-10)])  # the last overflows
+    def test_non_finite_increment_is_numerical_error(self, bad, sigma2):
+        streams = np.zeros((2, 6))
+        streams[1, 3] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            one_shot_detector(streams, mu=0.5, sigma2=sigma2, b=np.inf)
 
     def test_zero_mu_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -316,6 +331,41 @@ class TestOneShot:
         rng = np.random.default_rng(4)
         report = one_shot_detector(rng.standard_normal((3, 500)) + 1.0, mu=1.0, sigma2=1.0, b=3.0)
         assert report.reported_at == report.crossed_at
+
+
+_RULE_STREAMS = np.random.default_rng(5).standard_normal((3, 60))
+
+
+def _curve(spec, grid):
+    return _trial_crossings(spec, pure_noise_model(3), grid, 2, 300, 0)
+
+
+# each call once ended with "no alarm"; b = inf stays valid
+RULE_CASES = {
+    "pipeline-d-nan": lambda: async_pipeline(_RULE_STREAMS, w=5, tau_max=0, d=np.nan, sync=False),
+    "pipeline-d-inf": lambda: async_pipeline(_RULE_STREAMS, w=5, tau_max=0, d=np.inf, sync=False),
+    "pipeline-b-nan": lambda: async_pipeline(
+        _RULE_STREAMS, w=5, tau_max=0, d=1.0, b=np.nan, sync=False
+    ),
+    "report-d-nan": lambda: cusum_report(np.arange(3), np.ones(3), d=np.nan, b=1.0, lookahead=0),
+    "report-b-nan": lambda: cusum_report(np.arange(3), np.ones(3), d=1.0, b=np.nan, lookahead=0),
+    "streaming-d-nan": lambda: SubspaceCusum(w=5, d=np.nan),
+    "streaming-b-nan": lambda: SubspaceCusum(w=5, d=1.0, b=np.nan),
+    "one_shot-b-nan": lambda: one_shot_detector(_RULE_STREAMS, mu=0.5, sigma2=1.0, b=np.nan),
+    "one_shot-mu-nan": lambda: one_shot_detector(_RULE_STREAMS, mu=np.nan, sigma2=1.0, b=3.0),
+    "one_shot-sigma2-inf": lambda: one_shot_detector(_RULE_STREAMS, mu=0.5, sigma2=np.inf, b=3.0),
+    "race-mu-nan": lambda: _curve(OneShotSpec(mu=np.nan), [1.0]),
+    "grid-nan": lambda: _curve(OneShotSpec(mu=0.5), [1.0, np.nan]),
+    "grid-only-nan": lambda: _curve(OneShotSpec(mu=0.5), [np.nan]),
+    "grid-repeated-inf": lambda: _curve(OneShotSpec(mu=0.5), [1.0, np.inf, np.inf]),
+    "curve-d-nan": lambda: _curve(SubspaceSpec(w=5, tau_max=0, d=np.nan, sync=False), [1.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RULE_CASES))
+def test_non_finite_rule_value_rejected(case):
+    with pytest.raises(ValueError):
+        RULE_CASES[case]()
 
 
 class TestDriftBounds:

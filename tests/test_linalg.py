@@ -1,4 +1,5 @@
-"""The dominant-direction kernels: one square matrix, and batched windows."""
+"""The dominant-direction kernel: single windows, batched windows, and
+the increments along a block."""
 
 import multiprocessing
 import sys
@@ -8,22 +9,26 @@ import pytest
 
 from oracles import covariance_triple_loop, jacobi_eigh
 from sscusum import linalg
-from sscusum.errors import DimensionMismatchError, NumericalError, ZeroMatrixError
-from sscusum.linalg import (
-    canonicalize_sign,
-    top_singular_vector,
-    window_increments,
-    window_top_vectors,
-)
+from sscusum.errors import NumericalError
+from sscusum.linalg import canonicalize_sign, window_increments, window_top_vectors
+
+
+def _top(window):
+    """The sign-canonical top left singular vector of one (k, w) window: the
+    dominant direction of its Gram matrix."""
+    return canonicalize_sign(window_top_vectors(np.asarray(window, dtype=float)[None])[0])
 
 
 class TestTopSingularVector:
+    """The kernel on single windows; a window ``L`` with ``L @ L.T == a``
+    stands for the matrix ``a``."""
+
     def test_diagonal_dominant_axis(self):
-        v = top_singular_vector(np.array([[4.0, 0.0], [0.0, 1.0]]))
+        v = _top(np.diag([2.0, 1.0]))
         assert np.allclose(v, [1.0, 0.0], atol=1e-10)
 
     def test_symmetric_pair(self):
-        v = top_singular_vector(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        v = _top(np.linalg.cholesky(np.array([[2.0, 1.0], [1.0, 2.0]])))
         assert np.allclose(v, [1 / np.sqrt(2)] * 2, atol=1e-10)
 
     def test_spiked_matrix_against_jacobi(self):
@@ -31,52 +36,48 @@ class TestTopSingularVector:
         u = rng.standard_normal(6)
         u /= np.linalg.norm(u)
         sigma = np.eye(6) + 5.0 * np.outer(u, u)
-        v = top_singular_vector(sigma)
+        v = _top(np.linalg.cholesky(sigma))
         _, vectors = jacobi_eigh(sigma)
         assert abs(v @ vectors[:, 0]) >= 1 - 1e-8
 
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(ZeroMatrixError):
-            top_singular_vector(np.zeros((3, 3)))
-
     def test_non_finite_matrix_is_numerical_error(self):
         with pytest.raises(NumericalError, match="non-finite"):
-            top_singular_vector(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+            _top(np.array([[np.inf, 0.0], [0.0, 1.0]]))
         with pytest.raises(NumericalError):
-            top_singular_vector(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            _top(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_residual_bound_holds_on_return(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             data = rng.standard_normal((6, 4))
             a = data.T @ data
-            v = top_singular_vector(a)
+            v = _top(data.T)
             lam = v @ a @ v
             assert np.linalg.norm(a @ v - lam * v) <= 1e-10 * np.linalg.norm(a)
 
     def test_scale_invariance(self):
-        a = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
-        base = top_singular_vector(a)
-        assert np.array_equal(top_singular_vector(4.0 * a), base)  # power of two: exact
-        assert np.allclose(top_singular_vector(3.0 * a), base, atol=1e-9)
+        window = np.linalg.cholesky(
+            np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
+        )
+        base = _top(window)
+        assert np.array_equal(_top(2.0 * window), base)  # power of two: exact
+        assert np.allclose(_top(3.0 * window), base, atol=1e-9)
 
     def test_repeated_calls_bitwise_equal(self):
         rng = np.random.default_rng(9)
-        data = rng.standard_normal((8, 5))
-        a = data.T @ data
-        v1 = top_singular_vector(a)
-        v2 = top_singular_vector(a)
-        assert np.array_equal(v1, v2)
+        window = rng.standard_normal((5, 8))
+        assert np.array_equal(_top(window), _top(window))
 
     def test_sign_canonicalization(self):
         assert canonicalize_sign(np.array([-0.8, 0.6]))[0] == pytest.approx(0.8)
         # tie in magnitude: lowest index decides
         assert np.array_equal(canonicalize_sign(np.array([-0.5, 0.5])), [0.5, -0.5])
         assert np.array_equal(canonicalize_sign(np.array([0.5, -0.5])), [0.5, -0.5])
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            top_singular_vector(np.ones((2, 3)))
+        # a matrix is canonicalized row by row
+        rows = np.array([[-0.8, 0.6], [-0.5, 0.5], [0.5, -0.5], [0.0, 0.0], [0.6, -0.8]])
+        assert np.array_equal(
+            canonicalize_sign(rows), [[0.8, -0.6], [0.5, -0.5], [0.5, -0.5], [0.0, 0.0], [-0.6, 0.8]]
+        )
 
 
 class TestWindowTopVectors:

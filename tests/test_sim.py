@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import first_crossing, run_lengths
+from oracles import first_crossing, run_lengths, scalar_cusum
 from sscusum.core import ScenarioModel, Waveform
 from sscusum.detect import async_pipeline, one_shot_detector
 from sscusum.errors import DegenerateInputError
@@ -250,25 +250,28 @@ class TestEmpiricalDrift:
 
 
 def _replay(spec, model_source, b_grid, trials, horizon, seed):
-    """Reported stop times from one whole episode per trial through the
-    single-episode detector at the largest threshold; each threshold's
-    first crossing is read off the statistic path."""
+    """Reported stop times from one whole episode per trial; each
+    threshold's first crossing is read off the statistic path. The race's
+    path is the maximum over sensors of the scalar oracle's; the subspace
+    path is the single-episode pipeline's at the largest threshold."""
     out = np.full((trials, len(b_grid)), -1, dtype=np.int64)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         rng = np.random.default_rng(child)
         model = model_source(rng) if callable(model_source) else model_source
         streams = generate_episode(model, horizon, rng)
         if isinstance(spec, OneShotSpec):
-            report = one_shot_detector(streams, spec.mu, spec.sigma2, b_grid[-1])
+            paths = [scalar_cusum(row, spec.mu, spec.sigma2) for row in streams]
+            ticks, statistic, lookahead = np.arange(1, horizon + 1), np.max(paths, axis=0), 0
         else:
             report = async_pipeline(
                 streams, w=spec.w, tau_max=spec.tau_max, d=spec.d, b=b_grid[-1],
                 delta=spec.delta, n_max=spec.n_max, sync=spec.sync, sync_every=spec.sync_every,
             ).report
+            ticks, statistic, lookahead = report.ticks, report.statistic, report.lookahead
         for j, b in enumerate(b_grid):
-            crossed = first_crossing(report.ticks, report.statistic, b)
+            crossed = first_crossing(ticks, statistic, b)
             if crossed is not None:
-                out[i, j] = crossed + report.lookahead
+                out[i, j] = crossed + lookahead
     return out
 
 
