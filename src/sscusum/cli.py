@@ -25,7 +25,9 @@ import numpy as np
 
 from . import detect as det
 from . import sim
-from .core import ScenarioModel, Waveform, normalize_stream, read_sensor_csv, write_sensor_csv
+from .core import (
+    ScenarioModel, Waveform, _scored_ticks, normalize_stream, read_sensor_csv, write_sensor_csv,
+)
 from .errors import CsvFormatError, NumericalError, ValidationError
 
 __all__ = ["main", "build_parser"]
@@ -256,22 +258,22 @@ def _sync(args) -> bool:
     return args.sync if args.sync is not None else args.tau_max > 0
 
 
-def _prefix(args, streams: np.ndarray) -> int:
-    """The calibration prefix length (default: the whole record), checked to
-    cover one scored window."""
+def _prefix(args, streams: np.ndarray) -> tuple[int, int]:
+    """The calibration prefix length (default: the whole record) and the
+    number of ticks a pass over it scores, checked to be at least one."""
     prefix = args.prefix if args.prefix is not None else streams.shape[1]
     if prefix > streams.shape[1]:
         raise ValidationError(
             f"--prefix {prefix} exceeds the {streams.shape[1]} ticks in the file"
         )
-    headroom = args.tau_max if _sync(args) else 0  # as the pass it feeds
-    needed = 2 * headroom + args.w + 1
-    if prefix < needed:
+    ticks = _scored_ticks(prefix, w=args.w, tau_max=args.tau_max, sync=_sync(args))
+    if not ticks:
         raise ValidationError(
             f"--prefix {prefix} is too short for one window "
-            f"(need >= {needed} with w={args.w}, tau-max={args.tau_max}, sync={_sync(args)})"
+            f"(need >= {prefix + 1 - (ticks.stop - ticks.start)} with w={args.w}, "
+            f"tau-max={args.tau_max}, sync={_sync(args)})"
         )
-    return prefix
+    return prefix, len(ticks)
 
 
 def _increments(args, t0: int, streams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +292,7 @@ def cmd_calibrate(args) -> int:
     _require(args, "in_path", "w")
     _positive(args, "w", "factor")
     t0, streams = _load_streams(args)
-    _, increments = _increments(args, t0, streams[:, : _prefix(args, streams)])
+    _, increments = _increments(args, t0, streams[:, : _prefix(args, streams)[0]])
     print(repr(det.calibrate_drift(increments, factor=args.factor)))
     return 0
 
@@ -302,15 +304,13 @@ def cmd_detect(args) -> int:
     if args.d is None:
         if args.factor is None:
             raise ValidationError("supply --d, or --factor (with --prefix) to calibrate")
-        prefix = _prefix(args, streams)
+        _, scored = _prefix(args, streams)
     ticks, increments = _increments(args, t0, streams)
     if args.d is None:
         # A pass over the prefix alone scores exactly these leading ticks:
         # its sync segments start at the same ticks, and every delay window
         # it estimates lies inside the prefix.
-        headroom = args.tau_max if _sync(args) else 0
-        calibration = increments[: prefix - args.w - 2 * headroom]
-        args.d = det.calibrate_drift(calibration, factor=args.factor)
+        args.d = det.calibrate_drift(increments[:scored], factor=args.factor)
         print(f"calibrated drift d={args.d!r}")
     report = det.cusum_report(ticks, increments, d=args.d, b=args.b, lookahead=args.w)
     det.write_report_csv(args.out, report, rate=args.rate)

@@ -3,8 +3,9 @@ descriptions, the normalization used before detection, and the sensor CSV
 schema.
 
 Time is integer ticks throughout; all delays are integer sample shifts.
-Sensor indices are 0-based in code (sensor 0 is the default synchronization
-reference).
+Sensor indices are 0-based in code, and sensor 0 is the synchronization
+reference. Every scoring path asks :func:`_scored_ticks` which ticks a pass
+can score, and :func:`_check_pass` whether its settings are usable.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -34,6 +36,31 @@ __all__ = [
     "read_sensor_csv",
     "write_sensor_csv",
 ]
+
+
+def _scored_ticks(n: int, *, w: int, tau_max: int, sync: bool, t0: int = 1) -> range:
+    """The ticks a pass over ``n`` columns from tick ``t0`` scores: each needs
+    its ``w`` future samples and, only with delay estimation, whose shifts
+    reach ``tau_max`` either way, that much headroom on both sides.
+    ``n + 1 - (stop - start)`` columns score one tick."""
+    headroom = tau_max if sync else 0
+    return range(t0 + headroom, t0 + n - w - headroom)
+
+
+def _check_pass(*, w, tau_max=0, sync=False, delta=0, n_max=1, sync_every=None, **ticks) -> None:
+    """Reject pass settings a pass cannot use, before any work is done: each
+    setting and tick argument (``t0``, a window start) is an integer, numpy
+    integers too; w >= 1, or 2 with delay estimation; tau_max, delta >= 0;
+    n_max, sync_every >= 1. None leaves w or sync_every to its default."""
+    settings = dict(w=w, tau_max=tau_max, delta=delta, n_max=n_max, sync_every=sync_every, **ticks)
+    for name, value in settings.items():
+        if value is not None and not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    least = 2 if sync else 1
+    if w is not None and w < least:
+        raise ValueError(f"need w >= {least}{' to estimate delays' if sync else ''}, got w={w}")
+    if tau_max < 0 or delta < 0 or n_max < 1 or (sync_every is not None and sync_every < 1):
+        raise ValueError("require tau_max >= 0, delta >= 0, n_max >= 1, sync_every >= 1")
 
 
 @dataclass(frozen=True)
@@ -66,26 +93,23 @@ class MultiSensorFrame:
 
 @dataclass(frozen=True)
 class DelayProfile:
-    """Per-sensor delays relative to the reference sensor, in ticks.
+    """Per-sensor delays relative to the reference sensor 0, in ticks.
 
-    ``tau_hat[reference]`` is always 0 and every entry lies in
-    [-tau_max, tau_max]. ``iterations``/``converged`` carry the metadata of
-    the joint estimation loop that produced the profile.
+    ``tau_hat[0]`` is always 0 and every entry lies in [-tau_max, tau_max].
+    ``iterations``/``converged`` carry the metadata of the joint estimation
+    loop that produced the profile.
     """
 
     tau_hat: np.ndarray
     tau_max: int
     iterations: int = 0
     converged: bool = True
-    reference: int = 0
 
     def __post_init__(self):
         tau = np.asarray(self.tau_hat, dtype=int)
-        if tau.ndim != 1:
-            raise DimensionMismatchError("tau_hat must be a 1-D integer vector")
-        if not (0 <= self.reference < tau.shape[0]):
-            raise ValueError(f"reference index {self.reference} out of range")
-        if tau[self.reference] != 0:
+        if tau.ndim != 1 or tau.size == 0:
+            raise DimensionMismatchError("tau_hat must be a nonempty 1-D integer vector")
+        if tau[0] != 0:
             raise ValueError("reference sensor delay must be 0")
         if np.any(np.abs(tau) > self.tau_max):
             raise ValueError(

@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import DelayProfile, MultiSensorFrame
+from .core import DelayProfile, MultiSensorFrame, _check_pass, _scored_ticks
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -89,10 +89,8 @@ def _squared_projection(u: np.ndarray, x: np.ndarray) -> float:
 class StoppingReport:
     """Outcome of one detector run: crossing times and the statistic path.
 
-    ``statistic[i]`` is the value at ``ticks[i]``. ``reported_at`` equals
-    ``crossed_at + lookahead`` (the true stopping time once the future window
-    is accounted for). A run that exhausts its stream without crossing is a
-    no-alarm outcome, not an error.
+    ``statistic[i]`` is the value at ``ticks[i]``. A run that exhausts its
+    stream without crossing is a no-alarm outcome, not an error.
     """
 
     detector: str
@@ -100,13 +98,18 @@ class StoppingReport:
     d: float
     lookahead: int
     crossed_at: int | None
-    reported_at: int | None
     ticks: np.ndarray
     statistic: np.ndarray
 
     @property
     def no_alarm(self) -> bool:
         return self.crossed_at is None
+
+    @property
+    def reported_at(self) -> int | None:
+        """``crossed_at + lookahead``: the true stopping time once the future
+        window is accounted for."""
+        return None if self.crossed_at is None else self.crossed_at + self.lookahead
 
 
 class SubspaceCusum:
@@ -122,8 +125,7 @@ class SubspaceCusum:
     """
 
     def __init__(self, w: int, d: float, b: float = math.inf):
-        if w < 1:
-            raise ValueError("subspace detector needs lookahead w >= 1")
+        _check_pass(w=w)
         _check_rule(d, b)
         self.lookahead = int(w)
         self.state = CusumState(d=float(d), b=float(b))
@@ -237,7 +239,7 @@ def one_shot_detector(
     stop = n if crossed is None or full_trajectory else hits[0] + 1
     return StoppingReport(
         detector="one_shot", b=float(b), d=0.0, lookahead=0, crossed_at=crossed,
-        reported_at=crossed, ticks=ticks[:stop], statistic=values[:stop],
+        ticks=ticks[:stop], statistic=values[:stop],
     )
 
 
@@ -315,16 +317,10 @@ def cusum_report(
     _check_rule(d, b)
     values: list[float] = []
     hit = _cusum_path(np.asarray(increments, dtype=float) - d, values, b, stop=False)
-    crossed = None if hit is None else int(ticks[hit])
-    return _subspace_report(ticks, values, crossed, d=d, b=b, lookahead=lookahead)
-
-
-def _subspace_report(ticks, values, crossed, *, d, b, lookahead) -> StoppingReport:
-    """Subspace stopping report for the statistic path ``values`` at ``ticks``."""
     return StoppingReport(
-        detector="subspace", b=float(b), d=float(d), lookahead=lookahead, crossed_at=crossed,
-        reported_at=None if crossed is None else crossed + lookahead,
-        ticks=ticks, statistic=np.asarray(values, dtype=float),
+        detector="subspace", b=float(b), d=float(d), lookahead=lookahead,
+        crossed_at=None if hit is None else int(ticks[hit]), ticks=ticks,
+        statistic=np.asarray(values, dtype=float),
     )
 
 
@@ -340,7 +336,7 @@ class AsyncDetection:
 
 def _segment_increments(
     stack: np.ndarray, *, w: int, tau_max: int, sync: bool, delta: int = 1, n_max: int = 10,
-    sync_every: int | None = None, t0: int = 1, reference: int = 0,
+    sync_every: int | None = None, t0: int = 1,
 ) -> Iterator[tuple[int, np.ndarray, list[DelayProfile] | None]]:
     """Check a pipeline run's arguments, then yield ``(start, increments,
     delays)`` for each sync segment in turn: its first tick, the (T, ticks)
@@ -363,34 +359,21 @@ def _segment_increments(
     T, k, n = data.shape
     if k < 2:
         raise ValueError("need at least 2 sensors")
-    if w < 1:
-        raise ValueError("w must be >= 1")
-    if sync and w < 2:
-        raise ValueError("delay estimation needs a window of at least 2 samples")
-    if tau_max < 0 or delta < 0 or n_max < 1:
-        raise ValueError("require tau_max >= 0, delta >= 0, n_max >= 1")
-    if not 0 <= reference < k:
-        raise ValueError(f"reference index {reference} out of range")
-    sync_every = w if sync_every is None else int(sync_every)
-    if sync_every < 1:
-        raise ValueError("sync_every must be >= 1")
-
-    # Alignment headroom is only consumed when delays are actually estimated;
-    # with the zero profile the shifted indices stay inside the window.
-    headroom = tau_max if sync else 0
-    t_first = t0 + headroom
-    t_last = t0 + n - 1 - w - headroom
-    if t_last < t_first:
+    _check_pass(
+        w=w, tau_max=tau_max, sync=sync, delta=delta, n_max=n_max, sync_every=sync_every, t0=t0
+    )
+    scored = _scored_ticks(n, w=w, tau_max=tau_max, sync=sync, t0=t0)
+    if not scored:
         raise ValueError(
-            f"streams cover {n} ticks; need at least {2 * headroom + w + 1} "
+            f"streams cover {n} ticks; need at least {n + 1 - (scored.stop - scored.start)} "
             f"for one emission with w={w}, tau_max={tau_max}"
         )
 
     rows = np.arange(k)[:, None]
     trials = np.arange(T)[:, None, None, None]
-    segment = sync_every if sync else SEGMENT
-    starts = np.arange(t_first, t_last + 1, segment)
-    lengths = np.minimum(starts + segment, t_last + 1) - starts
+    segment = (w if sync_every is None else sync_every) if sync else SEGMENT
+    starts = np.arange(scored.start, scored.stop, segment)
+    lengths = np.minimum(starts + segment, scored.stop) - starts
     most = max(1, SEGMENT // (segment * T)) if sync else 1
     lo, size = 0, 1
     while lo < starts.size:
@@ -399,8 +382,7 @@ def _segment_increments(
         try:
             if sync:
                 profiles = _joint_fit(
-                    data, starts[chunk] + 1, w, tau_max=tau_max, delta=delta, n_max=n_max,
-                    t0=t0, reference=reference,
+                    data, starts[chunk] + 1, w, tau_max=tau_max, delta=delta, n_max=n_max, t0=t0
                 )[0]
                 tau = np.stack([p.tau_hat for p in profiles]).reshape(T, -1, k, 1)
                 cols = (starts[chunk] - t0)[:, None, None] + tau + np.arange(m + w)
@@ -432,7 +414,6 @@ def async_pipeline(
     sync: bool = True,
     sync_every: int | None = None,
     t0: int = 1,
-    reference: int = 0,
     full_trajectory: bool = False,
 ) -> AsyncDetection:
     """Full asynchronous detector: per-window delay estimation, alignment,
@@ -461,7 +442,7 @@ def async_pipeline(
     increments: list[np.ndarray] = []
     segments = _segment_increments(
         np.asarray(streams, dtype=float)[None], w=w, tau_max=tau_max, sync=sync, delta=delta,
-        n_max=n_max, sync_every=sync_every, t0=t0, reference=reference,
+        n_max=n_max, sync_every=sync_every, t0=t0,
     )
     for start, (inc,), profiles in segments:
         if profiles is not None:
@@ -475,13 +456,16 @@ def async_pipeline(
         if crossed is not None and not full_trajectory:
             break
 
-    t_first = t0 + (tau_max if sync else 0)
-    ticks = np.arange(t_first, t_first + len(values))
+    scored = _scored_ticks(np.shape(streams)[-1], w=w, tau_max=tau_max, sync=sync, t0=t0)
     return AsyncDetection(
-        report=_subspace_report(ticks, values, crossed, d=d, b=b, lookahead=w),
+        report=StoppingReport(
+            detector="subspace", b=float(b), d=float(d), lookahead=w, crossed_at=crossed,
+            ticks=np.arange(scored.start, scored.start + len(values)),
+            statistic=np.asarray(values, dtype=float),
+        ),
         delays=delays_log,
         increments=np.concatenate(increments),
-        skipped=range(t0, t_first),
+        skipped=range(t0, scored.start),
     )
 
 

@@ -29,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NumericalError
+from .errors import DimensionMismatchError, NumericalError
 
 __all__ = [
     "window_top_vectors",
@@ -102,8 +102,11 @@ def window_top_vectors(windows: np.ndarray) -> np.ndarray:
     squared projection is 0. The sign of each direction is arbitrary.
 
     Raises:
+        DimensionMismatchError: ``windows`` is not 3-D.
         NumericalError: a Gram matrix or a direction is not finite.
     """
+    if windows.ndim != 3:
+        raise DimensionMismatchError(f"windows must be (B, k, w), got shape {windows.shape}")
     _, k, w = windows.shape
     side = windows if k <= w else windows.transpose(0, 2, 1)
     # an overflowing product is reported by _check_finite, not by a warning;
@@ -131,9 +134,12 @@ def window_increments(block: np.ndarray, w: int) -> np.ndarray:
     :data:`TASK` at a time, as parallel tasks.
 
     Raises:
+        DimensionMismatchError: ``block`` is neither 2-D nor 3-D.
         NumericalError: a window's Gram matrix, a direction or a squared
             projection is not finite.
     """
+    if block.ndim not in (2, 3):
+        raise DimensionMismatchError(f"block must be (k, n) or (T, k, n), got shape {block.shape}")
     m = block.shape[-1] - w
     if m < 1:
         raise ValueError("stream too short for one lookahead window")

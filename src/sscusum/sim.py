@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ScenarioModel, Waveform
+from .core import ScenarioModel, Waveform, _check_pass, _scored_ticks
 from .detect import _check_rule, _race_increments, _scan, _segment_increments, subspace_increments
 
 __all__ = [
@@ -181,19 +181,13 @@ def mean_shift_model(
     )
 
 
-def uniform_onsets(
-    rng: np.random.Generator, k: int, tau_max: int, pin_min_to_zero: bool = True
-) -> np.ndarray:
-    """Per-sensor onsets drawn uniformly from {0..tau_max}.
-
-    With ``pin_min_to_zero`` the earliest onset is shifted to 0, so the
-    change point is exactly 0 while relative delays keep the same law and
-    stay within the bound.
+def uniform_onsets(rng: np.random.Generator, k: int, tau_max: int) -> np.ndarray:
+    """Per-sensor onsets drawn uniformly from {0..tau_max}, then shifted so
+    the earliest is 0: the change point is exactly 0 while relative delays
+    keep the same law and stay within the bound.
     """
     onsets = rng.integers(0, tau_max + 1, size=k)
-    if pin_min_to_zero:
-        onsets = onsets - onsets.min()
-    return onsets
+    return onsets - onsets.min()
 
 
 def random_delay_factory(
@@ -202,9 +196,7 @@ def random_delay_factory(
     """Mean-shift scenario with fresh uniform onsets per trial (change at 0)."""
 
     def factory(rng: np.random.Generator) -> ScenarioModel:
-        onsets = uniform_onsets(rng, k, tau_max)
-        assert onsets.max() - onsets.min() <= tau_max
-        return mean_shift_model(k, mu, sigma2, onsets)
+        return mean_shift_model(k, mu, sigma2, uniform_onsets(rng, k, tau_max))
 
     return factory
 
@@ -234,21 +226,23 @@ def _trial_crossings(
     a time; each trial draws its blocks from its own generator, with its own
     model's signal, exactly as :func:`generate_episode` lays them out, and
     drops out once it crosses the largest threshold, so no trial draws noise
-    past that crossing. The slab of live trials starts ``headroom`` ticks
-    before the first unscored tick (tau_max with delay estimation, else 0).
-    Once it holds a whole number of sync segments and the w + headroom
-    columns after them (or the episode's remaining ticks), the subspace
-    detector scores those segments for all live trials through the
-    pipeline's segment scorer, :func:`sscusum.detect._segment_increments`,
-    a chunk at a time, and stops once every live trial has crossed; so its
-    segments start at the ticks where the pipeline's start on the whole
-    episode. The race scores every column at once with no lookahead. Each
-    segment's statistic path comes from the detectors' own array CUSUM,
-    :func:`sscusum.detect._scan`; every threshold's first crossing is read
-    off it in one step and reported at the crossing tick plus the lookahead
-    (w, or 0 for the race). Crossings equal those of the single-episode
-    detector on each trial's episode. A segment error in any live trial of
-    a slab aborts the run.
+    past that crossing. The ticks a trial can score, and those its slab can
+    score so far, are :func:`sscusum.core._scored_ticks` of the horizon and
+    of the ticks drawn; the slab of live trials starts with the alignment
+    headroom before the first unscored tick. Once it holds a whole number of
+    sync segments and the columns their scoring needs (or the episode's
+    remaining ticks), the subspace detector scores those segments for all
+    live trials through the pipeline's segment scorer,
+    :func:`sscusum.detect._segment_increments`, a chunk at a time, and stops
+    once every live trial has crossed; so its segments start at the ticks
+    where the pipeline's start on the whole episode. The race scores every
+    column at once with no lookahead. Each segment's statistic path comes
+    from the detectors' own array CUSUM, :func:`sscusum.detect._scan`; every
+    threshold's first crossing is read off it in one step and reported at
+    the crossing tick plus the lookahead (w, or 0 for the race). Crossings
+    equal those of the single-episode detector on each trial's episode. A
+    segment error in any live trial of a slab aborts the run. The spec's
+    settings are checked before any noise is drawn.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -266,47 +260,47 @@ def _trial_crossings(
     if any(m.k != k for m in models):
         raise ValueError("the lockstep engine needs a common k across trials")
     if isinstance(spec, OneShotSpec):
-        lookahead = headroom = 0
-        every, S = 1, np.zeros((trials, k))
+        rule, every, S = dict(w=0, tau_max=0, sync=False), 1, np.zeros((trials, k))
 
         def increments(slab, tick, emit):
             return [(tick, _race_increments(slab[:, :, :emit], spec.mu, spec.sigma2))]
     else:
         _check_rule(spec.d, math.inf)
-        lookahead, headroom = spec.w, spec.tau_max if spec.sync else 0
+        rule = dict(w=spec.w, tau_max=spec.tau_max, sync=spec.sync)
+        _check_pass(**rule, delta=spec.delta, n_max=spec.n_max, sync_every=spec.sync_every)
         every = (spec.w if spec.sync_every is None else spec.sync_every) if spec.sync else 1
         S = np.zeros(trials)
 
         def increments(slab, tick, emit):
             segments = _segment_increments(
-                slab[:, :, : emit + lookahead + 2 * headroom], w=spec.w, tau_max=spec.tau_max,
-                sync=spec.sync, delta=spec.delta, n_max=spec.n_max,
-                sync_every=spec.sync_every, t0=tick - headroom,
+                slab[:, :, : emit + spent], w=spec.w, tau_max=spec.tau_max, sync=spec.sync,
+                delta=spec.delta, n_max=spec.n_max, sync_every=spec.sync_every,
+                t0=tick - headroom,
             )
             return ((start, inc - spec.d) for start, inc, _ in segments)
 
-    t_last = horizon - lookahead - headroom
-    if t_last < 1 + headroom:
+    scored = _scored_ticks(horizon, **rule)
+    if not scored:
         raise ValueError("horizon too short for one lookahead window")
+    headroom, spent = scored.start - 1, horizon - len(scored)  # spent: headroom and lookahead
     crossed = np.full((trials, b_arr.size), -1, dtype=np.int64)
-
     live = np.arange(trials)
     slab = np.empty((trials, k, 0))  # ticks tick - headroom .. drawn of the live trials
-    tick = 1 + headroom
+    tick = scored.start
     drawn = 0  # ticks generated so far
-    while live.size and tick <= t_last:
+    while live.size and tick < scored.stop:
         fresh = np.stack([_draw_blocks(models[i], rngs[i], drawn, 1) for i in live])
         slab = np.concatenate([slab, fresh], axis=2)
         drawn += _FAST_CHUNK
-        reach = drawn - lookahead - headroom  # the last tick the slab can score
-        emit = min(reach, t_last) - tick + 1
-        if reach < t_last:
-            emit -= emit % max(every, 1)  # whole segments; the scorer rejects every < 1
+        reach = _scored_ticks(drawn, **rule).stop  # past the last tick the slab can score
+        emit = min(reach, scored.stop) - tick
+        if reach < scored.stop:
+            emit -= emit % every  # whole segments
         if emit <= 0:
             continue
         for start, inc in increments(slab, tick, emit):
             hits = _scan(S, inc)[:, :, None] >= b_arr  # (live trials, ticks, thresholds)
-            first = np.where(hits.any(axis=1), start + hits.argmax(axis=1) + lookahead, -1)
+            first = np.where(hits.any(axis=1), start + hits.argmax(axis=1) + rule["w"], -1)
             crossed[live] = np.where(crossed[live] < 0, first, crossed[live])
             if (crossed[live, -1] >= 0).all():
                 break  # every live trial is done: score no further segment
@@ -474,6 +468,8 @@ def empirical_drift(
     long post-change episode (change at 0, so the post regime is stationary
     whenever the signal is). Useful when the closed-form interval is empty.
     """
+    if ticks < 1:
+        raise ValueError(f"ticks must be >= 1, got {ticks}")
     horizon = ticks + w + 2 * tau_max + 1
     s1, s2 = _as_seedseq(seed).spawn(2)
     out = []

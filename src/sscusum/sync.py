@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DelayProfile
+from .core import DelayProfile, _check_pass, _scored_ticks
 from .errors import (
     DimensionMismatchError,
     InsufficientLookaheadError,
@@ -59,7 +59,7 @@ class JointEstimate:
 
 
 def _batched_delays(
-    ext: np.ndarray, s_hat: np.ndarray, tau_max: int, reference: int, starts: np.ndarray
+    ext: np.ndarray, s_hat: np.ndarray, tau_max: int, starts: np.ndarray
 ) -> np.ndarray:
     """Every sensor's shift in every window of a stack, by direct correlation sums.
 
@@ -67,22 +67,21 @@ def _batched_delays(
     ``starts[j]``) extended by tau_max on both sides, and ``s_hat[j]`` is its
     template. Sensor i's shift z in [-tau_max, tau_max] maximizes
     ``|sum_m s_hat[j, m] * ext[j, i, tau_max + m + z]|``, one ``np.correlate``
-    per sensor; ties break toward the smallest |z|, then the smallest z. A
-    sensor whose correlations are all exactly zero gets shift 0 and a
-    :class:`ZeroCorrelationWarning` naming its window's start tick; the
-    reference's shift is 0.
+    per sensor; ties break toward the smallest |z|, then the smallest z. So
+    the reference sensor 0, which is not correlated, gets shift 0, and so
+    does a sensor whose correlations are all exactly zero, with a
+    :class:`ZeroCorrelationWarning` naming its window's start tick.
     """
     corr = np.zeros(ext.shape[:2] + (2 * tau_max + 1,))  # (B, k, 2*tau_max+1)
-    for j, i in np.ndindex(*ext.shape[:2]):
-        if i != reference:
-            corr[j, i] = np.correlate(ext[j, i], s_hat[j], "valid")
+    for j, i in np.ndindex(ext.shape[0], ext.shape[1] - 1):
+        corr[j, i + 1] = np.correlate(ext[j, i + 1], s_hat[j], "valid")
     shifts = np.arange(-tau_max, tau_max + 1)
     order = np.lexsort((shifts, np.abs(shifts)))  # smallest |z| first, then smallest z
     abs_corr = np.abs(corr)
     peaks = abs_corr.max(axis=2)
     tau = shifts[order[np.argmax(abs_corr[:, :, order] == peaks[:, :, None], axis=2)]]
     zero = peaks == 0.0
-    zero[:, reference] = False
+    zero[:, 0] = False
     for j in np.flatnonzero(zero.any(axis=1)):
         warnings.warn(
             f"all correlations are exactly zero for sensors {np.flatnonzero(zero[j]).tolist()} "
@@ -90,14 +89,11 @@ def _batched_delays(
             ZeroCorrelationWarning,
             stacklevel=4,
         )
-    tau[zero] = 0
-    tau[:, reference] = 0
     return tau
 
 
 def _joint_fit(
-    data: np.ndarray, starts: np.ndarray, w: int, *, tau_max: int, delta: int, n_max: int,
-    t0: int, reference: int,
+    data: np.ndarray, starts: np.ndarray, w: int, *, tau_max: int, delta: int, n_max: int, t0: int
 ) -> tuple[list[DelayProfile], np.ndarray, np.ndarray]:
     """The joint loop of :func:`joint_estimate` over a stack of fit windows.
 
@@ -119,7 +115,7 @@ def _joint_fit(
     ext = data[:, rows, (starts - tau_max - t0)[:, None, None] + np.arange(w + 2 * tau_max)]
     ext = ext.reshape(-1, k, w + 2 * tau_max)
     starts = np.tile(starts, data.shape[0])
-    s_hat = ext[:, reference, tau_max : tau_max + w].copy()
+    s_hat = ext[:, 0, tau_max : tau_max + w].copy()
     tau = np.zeros((len(starts), k), dtype=int)  # the first pass's delta test compares to 0
     u_hat = np.empty((len(starts), k))
     passes = np.zeros(len(starts), dtype=int)
@@ -127,7 +123,7 @@ def _joint_fit(
     live = np.arange(len(starts))
     while live.size:
         passes[live] += 1
-        new_tau = _batched_delays(ext[live], s_hat[live], tau_max, reference, starts[live])
+        new_tau = _batched_delays(ext[live], s_hat[live], tau_max, starts[live])
         converged[live] = np.abs(new_tau - tau[live]).max(axis=1) < delta
         tau[live] = new_tau
         aligned = ext[live[:, None, None], rows, tau_max + new_tau[:, :, None] + np.arange(w)]
@@ -137,7 +133,7 @@ def _joint_fit(
         u_hat[live] = u = canonicalize_sign(u)
         s_hat[live] = (aligned.transpose(0, 2, 1) @ u[:, :, None])[:, :, 0]
         live = live[~converged[live] & (passes[live] < n_max)]
-    profiles = [DelayProfile(tau[j], tau_max, int(passes[j]), bool(converged[j]), reference)
+    profiles = [DelayProfile(tau[j], tau_max, int(passes[j]), bool(converged[j]))
                 for j in range(len(starts))]
     return profiles, u_hat, s_hat
 
@@ -150,11 +146,10 @@ def joint_estimate(
     n_max: int = 10,
     window: tuple[int, int] | None = None,
     t0: int = 0,
-    reference: int = 0,
 ) -> JointEstimate:
     """Jointly estimate the source waveform and per-sensor relative delays.
 
-    The template starts as the reference sensor's window. Each pass
+    The template starts as the reference sensor 0's window. Each pass
     re-estimates every other sensor's shift against the current template,
     re-aligns the window, extracts the dominant direction of the aligned
     sample covariance, and rebuilds the template as the direction-weighted
@@ -178,27 +173,20 @@ def joint_estimate(
     k, n = data.shape
     if k < 2:
         raise ValueError("need at least 2 sensors")
-    if tau_max < 0 or delta < 0 or n_max < 1:
-        raise ValueError("require tau_max >= 0, delta >= 0, n_max >= 1")
-    if not (0 <= reference < k):
-        raise ValueError(f"reference index {reference} out of range")
+    start, w = (None, None) if window is None else window
+    _check_pass(w=w, tau_max=tau_max, sync=True, delta=delta, n_max=n_max, t0=t0, start=start)
+    covered = _scored_ticks(n, w=0, tau_max=tau_max, sync=True, t0=t0)  # ticks with headroom
     if window is None:
-        start = t0 + tau_max
-        w = n - 2 * tau_max
-    else:
-        start, w = window
-    if w < 2:
-        raise ValueError("analysis window must contain at least 2 samples")
-    lo = start - tau_max - t0
-    hi = start + w - 1 + tau_max - t0
-    if lo < 0 or hi >= n:
+        start, w = covered.start, len(covered)
+        if w < 2:
+            raise ValueError(f"streams cover {n} ticks: no window of 2 inside tau_max={tau_max}")
+    if start < covered.start or start + w > covered.stop:
         raise InsufficientLookaheadError(
             f"window [{start}, {start + w - 1}] plus tau_max={tau_max} headroom "
             f"exceeds the covered ticks [{t0}, {t0 + n - 1}]"
         )
     (profile,), u_hat, s_hat = _joint_fit(
-        data[None], np.array([start]), w, tau_max=tau_max, delta=delta, n_max=n_max, t0=t0,
-        reference=reference,
+        data[None], np.array([start]), w, tau_max=tau_max, delta=delta, n_max=n_max, t0=t0
     )
     return JointEstimate(
         delays=profile,

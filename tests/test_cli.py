@@ -107,6 +107,15 @@ class TestCalibrate:
         assert capsys.readouterr().out == no_sync
         assert run(argv + ["--sync", "--tau-max", 50]) == 1
         assert "need >= 111" in capsys.readouterr().err
+        # at the boundary: one tick short exits 1, the needed prefix scores one tick
+        for w, flags, needed in [(10, ["--sync", "--tau-max", 50], 111),
+                                 (10, ["--no-sync", "--tau-max", 50], 11),
+                                 (2, ["--sync", "--tau-max", 5], 13)]:  # k = 3 > w
+            argv = ["calibrate", "--in", path, "--w", w, *flags, "--prefix"]
+            assert run(argv + [needed - 1]) == 1
+            assert f"need >= {needed} " in capsys.readouterr().err
+            assert run(argv + [needed]) == 0
+            capsys.readouterr()
 
     def test_missing_input_names_its_flag(self, capsys):
         assert run(["calibrate", "--w", 10]) == 1

@@ -99,9 +99,9 @@ class TestDelayProfile:
         with pytest.raises(ValueError):
             DelayProfile(np.array([0, 5]), tau_max=2)
 
-    def test_custom_reference(self):
-        profile = DelayProfile(np.array([2, 0]), tau_max=3, reference=1)
-        assert profile.tau_hat[1] == 0
+    def test_empty_vector_rejected(self):
+        with pytest.raises(ValueError):
+            DelayProfile(np.array([], dtype=int), tau_max=2)
 
 
 class TestWaveform:

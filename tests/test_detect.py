@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import covariance_triple_loop, first_crossing, jacobi_eigh, scalar_cusum
-from sscusum.core import MultiSensorFrame, frames_from_array
+from sscusum.core import MultiSensorFrame, _scored_ticks, frames_from_array
 from sscusum.detect import (
     SubspaceCusum,
     _segment_increments,
@@ -368,6 +368,41 @@ def test_non_finite_rule_value_rejected(case):
         RULE_CASES[case]()
 
 
+# each once ended in a raw numpy or slicing error, or ran with a truncated value
+SETTING_CASES = {
+    "pipeline-w": lambda: async_pipeline(_RULE_STREAMS, w=5.0, tau_max=0, d=1.0, sync=False),
+    "pipeline-tau_max": lambda: async_pipeline(_RULE_STREAMS, w=5, tau_max=2.5, d=1.0),
+    "pipeline-sync_every": lambda: async_pipeline(
+        _RULE_STREAMS, w=5, tau_max=2, d=1.0, sync_every=2.5
+    ),
+    "pipeline-delta": lambda: async_pipeline(_RULE_STREAMS, w=5, tau_max=2, d=1.0, delta=0.5),
+    "pipeline-t0": lambda: async_pipeline(_RULE_STREAMS, w=5, tau_max=2, d=1.0, t0=1.5),
+    "joint-window-w": lambda: joint_estimate(_RULE_STREAMS, tau_max=2, window=(5, 10.0)),
+    "joint-window-start": lambda: joint_estimate(_RULE_STREAMS, tau_max=2, window=(5.0, 10)),
+    "joint-n_max": lambda: joint_estimate(_RULE_STREAMS, tau_max=2, n_max=3.0),
+    "streaming-w": lambda: SubspaceCusum(w=2.5, d=1.0),
+    "curve-w": lambda: _curve(SubspaceSpec(w=5.5, tau_max=0, d=1.0, sync=False), [1.0]),
+    "curve-sync_every": lambda: _curve(SubspaceSpec(w=5, tau_max=2, d=1.0, sync_every=2.5), [1.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SETTING_CASES))
+def test_non_integer_setting_rejected(case):
+    with pytest.raises(ValueError, match="must be an integer"):
+        SETTING_CASES[case]()
+
+
+def test_numpy_integer_settings_accepted():
+    plain = async_pipeline(_RULE_STREAMS, w=5, tau_max=2, d=1.0, sync_every=3, t0=1)
+    numpy = async_pipeline(
+        _RULE_STREAMS, w=np.int64(5), tau_max=np.int32(2), d=1.0, sync_every=np.int64(3),
+        t0=np.int64(1),
+    )
+    assert np.array_equal(numpy.report.ticks, plain.report.ticks)
+    assert numpy.increments.tobytes() == plain.increments.tobytes()
+    assert SubspaceCusum(w=np.int64(5), d=1.0).lookahead == 5
+
+
 class TestDriftBounds:
     def test_hand_value(self):
         bounds = drift_bounds(sigma2=1.0, rho=2.0, k=3, w=20)
@@ -712,6 +747,43 @@ class TestTrialStack:
         if sync:
             taus = {p.tau_hat.tobytes() for _, _, profiles in got for p in profiles}
             assert len(taus) > 1
+
+
+# (k, w, tau_max, sync): headroom with delay estimation, none without it
+# although tau_max > 0, and more sensors than window samples
+RULE_POINTS = [(3, 10, 4, True), (3, 10, 4, False), (6, 4, 2, True)]
+
+
+class TestScoredTicks:
+    """The one headroom rule at its boundary: a pass needs w + 1 columns,
+    plus 2 * tau_max with delay estimation."""
+
+    @pytest.mark.parametrize("k, w, tau_max, sync", RULE_POINTS)
+    def test_increments_cover_the_scored_ticks(self, k, w, tau_max, sync):
+        needed = w + 1 + (2 * tau_max if sync else 0)
+        for n in (needed, needed + 37):
+            ticks, _ = subspace_increments(
+                _delayed_record(k, n, tau_max, seed=n), w=w, tau_max=tau_max, sync=sync, t0=4
+            )
+            scored = _scored_ticks(n, w=w, tau_max=tau_max, sync=sync, t0=4)
+            assert ticks.tolist() == list(scored)
+            assert len(ticks) == n - needed + 1
+
+    @pytest.mark.parametrize("k, w, tau_max, sync", RULE_POINTS)
+    def test_record_one_column_short_rejected(self, k, w, tau_max, sync):
+        needed = w + 1 + (2 * tau_max if sync else 0)
+        short = _delayed_record(k, needed - 1, tau_max, seed=1)
+        with pytest.raises(ValueError, match=f"need at least {needed} "):
+            subspace_increments(short, w=w, tau_max=tau_max, sync=sync)
+
+    @pytest.mark.parametrize("k, w, tau_max, sync", RULE_POINTS)
+    def test_horizon_one_tick_short_rejected(self, k, w, tau_max, sync):
+        needed = w + 1 + (2 * tau_max if sync else 0)
+        spec = SubspaceSpec(w=w, tau_max=tau_max, d=1.0, sync=sync)
+        crossed, _ = _trial_crossings(spec, pure_noise_model(k), [1e9], 2, needed, 0)
+        assert (crossed == -1).all()
+        with pytest.raises(ValueError, match="horizon too short"):
+            _trial_crossings(spec, pure_noise_model(k), [1e9], 2, needed - 1, 0)
 
 
 class TestPrefixIdentity:

@@ -9,7 +9,7 @@ import pytest
 
 from oracles import covariance_triple_loop, jacobi_eigh
 from sscusum import linalg
-from sscusum.errors import NumericalError
+from sscusum.errors import DimensionMismatchError, NumericalError
 from sscusum.linalg import canonicalize_sign, window_increments, window_top_vectors
 
 
@@ -124,6 +124,22 @@ class TestWindowTopVectors:
         windows[1, 2, 3] = bad
         with pytest.raises(NumericalError, match="non-finite"):
             window_top_vectors(windows)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: window_top_vectors(np.ones((2, 3))),
+        lambda: window_top_vectors(np.ones(3)),
+        lambda: window_top_vectors(np.ones((2, 2, 3, 4))),
+        lambda: window_increments(np.ones(5), 2),
+        lambda: window_increments(np.ones((2, 2, 3, 6)), 2),
+    ],
+    ids=["top-2d", "top-1d", "top-4d", "increments-1d", "increments-4d"],
+)
+def test_wrong_dimension_names_the_expected_shape(call):
+    with pytest.raises(DimensionMismatchError, match=r"must be \("):
+        call()
 
 
 def _trial_blocks(trials, k, m, w, seed):

@@ -249,6 +249,12 @@ class TestEmpiricalDrift:
         assert cal.midpoint == pytest.approx((cal.pre_mean + cal.post_mean) / 2)
 
 
+    @pytest.mark.parametrize("ticks", [0, -10])
+    def test_ticks_below_one_rejected(self, ticks):
+        with pytest.raises(ValueError, match="ticks must be >= 1"):
+            empirical_drift(pure_noise_model(3), mean_shift_model(3, mu=0.5), w=5, ticks=ticks)
+
+
 def _replay(spec, model_source, b_grid, trials, horizon, seed):
     """Reported stop times from one whole episode per trial; each
     threshold's first crossing is read off the statistic path. The race's

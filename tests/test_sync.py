@@ -175,6 +175,18 @@ class TestJointEstimate:
         with pytest.raises(InsufficientLookaheadError):
             joint_estimate(np.zeros((2, 20)), tau_max=3, t0=0, window=(0, 18))
 
+    @pytest.mark.parametrize("k, tau_max", [(3, 3), (3, 0), (8, 2)])  # the last has k > w
+    def test_window_at_the_edge_of_the_covered_ticks(self, k, tau_max):
+        # 40 ticks from t0 = 5: a window may span ticks 5 + tau_max .. 44 - tau_max
+        streams = np.random.default_rng(10).standard_normal((k, 40))
+        first, last = 5 + tau_max, 44 - tau_max
+        for start, w in [(first, 6), (last - 5, 6), (first, last - first + 1)]:
+            est = joint_estimate(streams, tau_max=tau_max, t0=5, window=(start, w))
+            assert est.waveform.origin_t == start and est.waveform.w == w
+        for start in (first - 1, last - 4):  # one tick further at either end
+            with pytest.raises(InsufficientLookaheadError):
+                joint_estimate(streams, tau_max=tau_max, t0=5, window=(start, 6))
+
     def test_needs_two_sensors_and_two_samples(self):
         with pytest.raises(ValueError):
             joint_estimate(np.zeros((1, 30)), tau_max=2, t0=0)
@@ -202,7 +214,7 @@ class TestBatchedJointLoop:
         data = _noisy_record(rng, k, 300, tau_max, noise=1.5)
         starts = np.arange(10, 280 - w, 9)
         profiles, u_hat, s_hat = _joint_fit(
-            data[None], starts, w, tau_max=tau_max, delta=1, n_max=n_max, t0=1, reference=0
+            data[None], starts, w, tau_max=tau_max, delta=1, n_max=n_max, t0=1
         )
         passes = [p.iterations for p in profiles]
         assert len(set(passes)) > 1  # rows converge at different passes
@@ -222,7 +234,7 @@ class TestBatchedJointLoop:
         stack = np.stack([_noisy_record(rng, 4, 300, tau_max, noise=1.5) for _ in range(3)])
         starts = np.arange(10, 280 - w, 23)
         profiles, u_hat, s_hat = _joint_fit(
-            stack, starts, w, tau_max=tau_max, delta=1, n_max=n_max, t0=1, reference=0
+            stack, starts, w, tau_max=tau_max, delta=1, n_max=n_max, t0=1
         )
         assert len(profiles) == u_hat.shape[0] == s_hat.shape[0] == 3 * len(starts)
         assert len({p.iterations for p in profiles}) > 1
@@ -242,8 +254,7 @@ class TestBatchedJointLoop:
         data[2, 40:70] = 0.0  # covers the second window with its headroom, and no other
         with pytest.warns(ZeroCorrelationWarning) as caught:
             profiles, _, _ = _joint_fit(
-                data[None], np.array([12, 46, 80]), 20, tau_max=5, delta=1, n_max=10, t0=1,
-                reference=0,
+                data[None], np.array([12, 46, 80]), 20, tau_max=5, delta=1, n_max=10, t0=1
             )
         messages = [str(w.message) for w in caught]
         assert messages and all(
