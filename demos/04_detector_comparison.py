@@ -39,8 +39,8 @@ for spec, grid in ((subspace, [4.0, 7.0, 11.0, 16.0]), (one_shot, [1.5, 3.0, 5.0
     points = operating_curve(
         spec, noise, change, grid, trials, seed=1, horizon_arl=30_000, horizon_edd=2_000
     )
-    for p in points:
-        print(f"{p.detector:>10} {p.b:>6.1f} {p.arl:>8.0f} {p.edd:>8.1f}")
+    for arl, edd in points:
+        print(f"{arl.detector:>10} {arl.b:>6.1f} {arl.value:>8.0f} {edd.value:>8.1f}")
 
 print(
     "\nReading the table: at matched ARL the smaller EDD wins. Pooling the"

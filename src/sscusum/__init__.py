@@ -33,8 +33,6 @@ from .linalg import window_top_vectors
 from .sim import (
     OneShotSpec,
     SubspaceSpec,
-    estimate_arl,
-    estimate_edd,
     generate_episode,
     mean_shift_model,
     operating_curve,

@@ -336,7 +336,7 @@ def cmd_curve(args) -> int:
     noise = sim.pure_noise_model(args.k, args.sigma2)
     change = sim.random_delay_factory(args.k, args.mu, args.sigma2, args.tau_max)
 
-    points: list[sim.CurvePoint] = []
+    points = []
     if args.detector in ("subspace", "both"):
         if args.b_grid is None:
             raise ValidationError("--b-grid is required for the subspace curve")

@@ -47,15 +47,20 @@ def _scored_ticks(n: int, *, w: int, tau_max: int, sync: bool, t0: int = 1) -> r
     return range(t0 + headroom, t0 + n - w - headroom)
 
 
-def _check_pass(*, w, tau_max=0, sync=False, delta=0, n_max=1, sync_every=None, **ticks) -> None:
-    """Reject pass settings a pass cannot use, before any work is done: each
-    setting and tick argument (``t0``, a window start) is an integer, numpy
-    integers too; w >= 1, or 2 with delay estimation; tau_max, delta >= 0;
-    n_max, sync_every >= 1. None leaves w or sync_every to its default."""
-    settings = dict(w=w, tau_max=tau_max, delta=delta, n_max=n_max, sync_every=sync_every, **ticks)
-    for name, value in settings.items():
+def _check_integers(**values) -> None:
+    """Reject a setting, count or tick argument that is not an integer, by
+    its name; numpy integers pass, and so does None (a default)."""
+    for name, value in values.items():
         if value is not None and not isinstance(value, Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_pass(*, w, tau_max=0, sync=False, delta=0, n_max=1, sync_every=None, **ticks) -> None:
+    """Reject pass settings a pass cannot use, before any work is done: each
+    setting and tick argument (``t0``, a window start) is an integer;
+    w >= 1, or 2 with delay estimation; tau_max, delta >= 0;
+    n_max, sync_every >= 1. None leaves w or sync_every to its default."""
+    _check_integers(w=w, tau_max=tau_max, delta=delta, n_max=n_max, sync_every=sync_every, **ticks)
     least = 2 if sync else 1
     if w is not None and w < least:
         raise ValueError(f"need w >= {least}{' to estimate delays' if sync else ''}, got w={w}")
@@ -180,10 +185,12 @@ class ScenarioModel:
         onsets = np.asarray(self.onsets, dtype=int)
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be >= 0")
+        if not 0 <= self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
         if alpha.shape != (self.k,):
             raise DimensionMismatchError(f"alpha must have shape ({self.k},)")
+        if not np.isfinite(alpha).all():
+            raise ValueError("alpha must be finite")
         if onsets.shape != (self.k,):
             raise DimensionMismatchError(f"onsets must have shape ({self.k},)")
         if np.any(self.waveform(np.arange(-4, 0)) != 0.0):
@@ -274,12 +281,17 @@ def write_sensor_csv(path, streams: np.ndarray, t0: int = 1) -> None:
     """Write the sensor dump schema: header ``t,s1,...,sk``, one row per tick.
 
     Rows end in ``\\r\\n`` and cells are ``repr`` of each float, the bytes
-    ``csv.writer`` would produce; no cell of this schema needs quoting.
+    ``csv.writer`` would produce; no cell of this schema needs quoting. A
+    non-finite reading, which :func:`read_sensor_csv` rejects, is rejected
+    before the file is opened.
     """
     streams = np.asarray(streams, dtype=float)
     if streams.ndim != 2:
         raise DimensionMismatchError("streams must be a (k, n) array")
     k, n = streams.shape
+    bad = ~np.isfinite(streams).all(axis=0)
+    if bad.any():
+        raise ValueError(f"non-finite reading at tick {t0 + int(bad.argmax())}")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["t"] + [f"s{i + 1}" for i in range(k)]) + "\r\n")
         fh.writelines(

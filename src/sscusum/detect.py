@@ -223,10 +223,13 @@ def one_shot_detector(
     recorded statistic is max_i S_i.
 
     Raises:
+        DimensionMismatchError: ``streams`` has more than two dimensions.
         NumericalError: a reading is nan or inf, or its increment overflows.
     """
     _check_rule(0.0, b)
     data = np.atleast_2d(np.asarray(streams, dtype=float))
+    if data.ndim != 2:
+        raise DimensionMismatchError("streams must be a (k, n) array")
     k, n = data.shape
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
         inc = _race_increments(data, mu, sigma2)
@@ -268,8 +271,8 @@ class DriftBounds:
 
 def drift_bounds(sigma2: float, rho: float, k: int, w: int) -> DriftBounds:
     """Admissible drift interval (sigma2, sigma2*(1 + rho*(1 - (1+rho)(k-1)/(w rho^2))))."""
-    if sigma2 <= 0 or rho <= 0:
-        raise ValueError("require sigma2 > 0 and rho > 0")
+    if not (0 < sigma2 < math.inf and 0 < rho < math.inf):
+        raise ValueError(f"require finite sigma2 > 0 and rho > 0, got {sigma2}, {rho}")
     if k < 2 or w < 1:
         raise ValueError("require k >= 2 and w >= 1")
     bracket = rho * (1.0 - (1.0 + rho) * (k - 1) / (w * rho * rho))
@@ -313,8 +316,13 @@ def cusum_report(
 
     Equal to the report of :func:`async_pipeline` run with this ``d`` and
     ``b`` and ``full_trajectory=True`` on the same streams.
+
+    Raises:
+        DimensionMismatchError: ``ticks`` and ``increments`` differ in length.
     """
     _check_rule(d, b)
+    if len(ticks) != len(increments):
+        raise DimensionMismatchError(f"{len(ticks)} ticks for {len(increments)} increments")
     values: list[float] = []
     hit = _cusum_path(np.asarray(increments, dtype=float) - d, values, b, stop=False)
     return StoppingReport(

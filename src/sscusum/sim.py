@@ -21,9 +21,10 @@ of a detector's arithmetic or checks.
 
 A single run per trial serves an entire threshold grid: the statistic path
 does not depend on the threshold, so crossings for every b are read off the
-trajectory of the run against the largest one. One ARL and one EDD summary
-turn a threshold's column of crossings into an estimate, for
-:func:`estimate_arl`, :func:`estimate_edd` and :func:`operating_curve` alike.
+trajectory of the run against the largest one. :func:`operating_curve`
+turns each threshold's column of crossings into one ARL and one EDD
+:class:`RunLengthEstimate`, and keeps both: their censored and false-alarm
+fractions reach the curve CSV side by side.
 """
 
 from __future__ import annotations
@@ -35,12 +36,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ScenarioModel, Waveform, _check_pass, _scored_ticks
+from .core import ScenarioModel, Waveform, _check_integers, _check_pass, _scored_ticks
 from .detect import _check_rule, _race_increments, _scan, _segment_increments, subspace_increments
 
 __all__ = [
     "RunLengthEstimate",
-    "CurvePoint",
     "SubspaceSpec",
     "OneShotSpec",
     "DriftCalibration",
@@ -49,8 +49,6 @@ __all__ = [
     "mean_shift_model",
     "uniform_onsets",
     "random_delay_factory",
-    "estimate_arl",
-    "estimate_edd",
     "operating_curve",
     "empirical_drift",
     "write_curve_csv",
@@ -61,25 +59,28 @@ ModelSource = Callable[[np.random.Generator], ScenarioModel] | ScenarioModel
 
 @dataclass(frozen=True)
 class RunLengthEstimate:
+    """One threshold's Monte Carlo run length, ARL or EDD.
+
+    ``value`` and ``se`` are the mean and its standard error over the
+    ``n_trials`` trials used: NaN for none, and se inf for one. An ARL uses
+    every trial, one that never alarms counted at the horizon. An EDD uses
+    the trials alarming after their change point; ``false_alarm_frac`` is the
+    share of all trials alarming at or before it. ``censored_frac`` is the
+    share of all trials that never alarm.
+    """
+
     detector: str
     b: float
     value: float
     se: float
     n_trials: int
     censored_frac: float
-    unreliable: bool
     false_alarm_frac: float = 0.0
 
-
-@dataclass(frozen=True)
-class CurvePoint:
-    detector: str
-    b: float
-    arl: float
-    arl_se: float
-    edd: float
-    edd_se: float
-    censored_frac: float
+    @property
+    def unreliable(self) -> bool:
+        """More than half the trials never alarm."""
+        return self.censored_frac > 0.5
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,7 @@ def generate_episode(model: ScenarioModel, horizon: int, seed) -> np.ndarray:
     equals ``generate_episode(m, p, s)``. The lockstep Monte Carlo draws the
     same blocks one at a time and so scores exactly these samples.
     """
+    _check_integers(horizon=horizon)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rng = np.random.default_rng(seed)
@@ -311,21 +313,21 @@ def _trial_crossings(
     return crossed, [m.change_point for m in models]
 
 
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean of ``values`` and its standard error: NaN for no values, and
+    se inf for one."""
+    n = values.size
+    if n == 0:
+        return math.nan, math.nan
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+
+
 def _arl_estimate(name: str, b: float, reported: np.ndarray, horizon: int) -> RunLengthEstimate:
     """ARL from one threshold's reported stop times (-1: no alarm) under no
     change; a trial that never alarms counts at the horizon."""
     runs = np.where(reported < 0, horizon, reported).astype(float)
-    n = runs.size
-    censored = float(np.mean(reported < 0))
-    return RunLengthEstimate(
-        detector=name,
-        b=float(b),
-        value=float(runs.mean()),
-        se=float(runs.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf,
-        n_trials=n,
-        censored_frac=censored,
-        unreliable=censored > 0.5,
-    )
+    value, se = _mean_se(runs)
+    return RunLengthEstimate(name, float(b), value, se, runs.size, float(np.mean(reported < 0)))
 
 
 def _edd_estimate(
@@ -338,62 +340,11 @@ def _edd_estimate(
     delays = reported - np.asarray(change_points)
     late = alarmed & (delays > 0)
     delays = delays[late].astype(float)
-    n = delays.size
-    censored = float(np.mean(~alarmed))
-    if n == 0:
-        value, se = math.nan, math.nan
-    else:
-        value = float(delays.mean())
-        se = float(delays.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+    value, se = _mean_se(delays)
     return RunLengthEstimate(
-        detector=name,
-        b=float(b),
-        value=value,
-        se=se,
-        n_trials=n,
-        censored_frac=censored,
-        unreliable=censored > 0.5,
+        name, float(b), value, se, delays.size, float(np.mean(~alarmed)),
         false_alarm_frac=float(np.mean(alarmed & ~late)),
     )
-
-
-def estimate_arl(
-    spec,
-    model_source: ModelSource,
-    b: float,
-    trials: int,
-    seed,
-    horizon: int,
-) -> RunLengthEstimate:
-    """Mean reported stop time under a no-change model.
-
-    Trials that never alarm are counted at the horizon (a conservative,
-    downward-biased convention) and reported via ``censored_frac``; above 50%
-    censoring the estimate is flagged unreliable.
-    """
-    reported, _ = _trial_crossings(spec, model_source, [b], trials, horizon, seed)
-    return _arl_estimate(spec.name, b, reported[:, 0], horizon)
-
-
-def estimate_edd(
-    spec,
-    model_source: ModelSource,
-    b: float,
-    trials: int,
-    seed,
-    horizon: int,
-) -> RunLengthEstimate:
-    """Mean of (reported stop - change point) over trials alarming after it.
-
-    The detector starts at the change (conditional-delay proxy), so models
-    here should place the change point at 0. Trials alarming at or before
-    the change point are excluded and surfaced as ``false_alarm_frac``;
-    trials that never alarm are excluded and surfaced as ``censored_frac``.
-    For the subspace detector the reported time already includes the w
-    lookahead.
-    """
-    reported, taus = _trial_crossings(spec, model_source, [b], trials, horizon, seed)
-    return _edd_estimate(spec.name, b, reported[:, 0], taus)
 
 
 def operating_curve(
@@ -405,32 +356,29 @@ def operating_curve(
     seed,
     horizon_arl: int,
     horizon_edd: int,
-) -> list[CurvePoint]:
-    """One (ARL, EDD) point per threshold, sharing trial paths across the grid.
+) -> list[tuple[RunLengthEstimate, RunLengthEstimate]]:
+    """The (ARL, EDD) estimates of each threshold, sharing trial paths across
+    the grid.
 
-    ARL trials use ``noise_model``; EDD trials use ``change_model`` (change
-    point 0 by convention). Both ARL and EDD are nondecreasing in b because
-    each trial's crossings come from one statistic path.
+    ARL trials use ``noise_model``; a trial that never alarms counts at
+    ``horizon_arl``, a conservative, downward-biased convention. EDD trials
+    use ``change_model`` and start at the change (a conditional-delay proxy),
+    so it should place the change point at 0; for the subspace detector the
+    reported stop already includes the w lookahead. Both are nondecreasing
+    in b because each trial's crossings come from one statistic path. The
+    counts are checked before any noise is drawn.
     """
+    _check_integers(trials=trials, horizon_arl=horizon_arl, horizon_edd=horizon_edd)
     arl_seed, edd_seed = _as_seedseq(seed).spawn(2)
     rep_arl, _ = _trial_crossings(spec, noise_model, b_grid, trials, horizon_arl, arl_seed)
     rep_edd, taus = _trial_crossings(spec, change_model, b_grid, trials, horizon_edd, edd_seed)
-    points = []
-    for j, b in enumerate(b_grid):
-        arl = _arl_estimate(spec.name, b, rep_arl[:, j], horizon_arl)
-        edd = _edd_estimate(spec.name, b, rep_edd[:, j], taus)
-        points.append(
-            CurvePoint(
-                detector=spec.name,
-                b=float(b),
-                arl=arl.value,
-                arl_se=arl.se,
-                edd=edd.value,
-                edd_se=edd.se,
-                censored_frac=max(arl.censored_frac, edd.censored_frac),
-            )
+    return [
+        (
+            _arl_estimate(spec.name, b, rep_arl[:, j], horizon_arl),
+            _edd_estimate(spec.name, b, rep_edd[:, j], taus),
         )
-    return points
+        for j, b in enumerate(b_grid)
+    ]
 
 
 @dataclass(frozen=True)
@@ -468,6 +416,7 @@ def empirical_drift(
     long post-change episode (change at 0, so the post regime is stationary
     whenever the signal is). Useful when the closed-form interval is empty.
     """
+    _check_integers(ticks=ticks, w=w, tau_max=tau_max)
     if ticks < 1:
         raise ValueError(f"ticks must be >= 1, got {ticks}")
     horizon = ticks + w + 2 * tau_max + 1
@@ -479,25 +428,22 @@ def empirical_drift(
             generate_episode(model, horizon, child), w=w, tau_max=tau_max, sync=sync,
             **pipeline_kwargs,
         )[1]
-        out.append((float(inc.mean()), float(inc.std(ddof=1) / math.sqrt(inc.size))))
+        out.append(_mean_se(inc))
     (pre, pre_se), (post, post_se) = out
     return DriftCalibration(pre_mean=pre, pre_se=pre_se, post_mean=post, post_se=post_se)
 
 
-def write_curve_csv(path, points: Sequence[CurvePoint]) -> None:
-    """Emit ``detector,b,arl,arl_se,edd,edd_se,censored_frac`` rows."""
+def write_curve_csv(path, points: Sequence[tuple[RunLengthEstimate, RunLengthEstimate]]) -> None:
+    """Emit one row per (ARL, EDD) pair: ``detector,b,arl,arl_se,edd,edd_se,
+    arl_censored,edd_censored,false_alarm_frac,n_used``, where the last two
+    are the EDD's false-alarm fraction and trials used."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["detector", "b", "arl", "arl_se", "edd", "edd_se", "censored_frac"])
-        for p in points:
-            writer.writerow(
-                [
-                    p.detector,
-                    repr(float(p.b)),
-                    repr(float(p.arl)),
-                    repr(float(p.arl_se)),
-                    repr(float(p.edd)),
-                    repr(float(p.edd_se)),
-                    repr(float(p.censored_frac)),
-                ]
-            )
+        writer.writerow(
+            ["detector", "b", "arl", "arl_se", "edd", "edd_se", "arl_censored", "edd_censored",
+             "false_alarm_frac", "n_used"]
+        )
+        for arl, edd in points:
+            values = (arl.b, arl.value, arl.se, edd.value, edd.se, arl.censored_frac,
+                      edd.censored_frac, edd.false_alarm_frac)
+            writer.writerow([arl.detector, *(repr(float(v)) for v in values), edd.n_trials])

@@ -187,8 +187,8 @@ def _curve(spec, k, mu, b_grid, trials, seed, horizon_arl, horizon_edd, tau_max)
 
 def _interp_edd(points, arl):
     """EDD at a given ARL by linear interpolation on log-ARL."""
-    xs = np.log([p.arl for p in points])
-    ys = [p.edd for p in points]
+    xs = np.log([a.value for a, _ in points])
+    ys = [e.value for _, e in points]
     return float(np.interp(math.log(arl), xs, ys))
 
 
@@ -204,12 +204,14 @@ def _comparison(k, mu, d, ss_grid, os_grid, horizon_arl_ss, horizon_arl_os, hori
     spec_os = sim.OneShotSpec(mu=mu, sigma2=1.0)
     ss = _curve(spec_ss, k, mu, ss_grid, trials, seed, horizon_arl_ss, horizon_edd, tau_max)
     os_ = _curve(spec_os, k, mu, os_grid, trials, seed + 1, horizon_arl_os, horizon_edd, tau_max)
-    assert all(p.censored_frac <= 0.5 for p in ss + os_), "excessive censoring"
+    assert all(a.censored_frac <= 0.5 and e.censored_frac <= 0.5 for a, e in ss + os_), (
+        "excessive censoring"
+    )
     return ss, os_
 
 
 def _fmt(points):
-    return " ".join(f"(b={p.b:g}: ARL {p.arl:.0f}, EDD {p.edd:.0f})" for p in points)
+    return " ".join(f"(b={a.b:g}: ARL {a.value:.0f}, EDD {e.value:.0f})" for a, e in points)
 
 
 def _detectability(k, mu, w):
@@ -274,14 +276,16 @@ def test_criterion_6a_weak_signal_dominance():
         horizon_arl_ss=25_000, horizon_arl_os=60_000, horizon_edd=4_000,
         seed=61,
     )
-    lo, hi = min(p.arl for p in os_), max(p.arl for p in os_)
+    lo, hi = min(a.value for a, _ in os_), max(a.value for a, _ in os_)
     compared, losses = 0, []
-    for p in ss:
-        if lo <= p.arl <= hi:
+    for arl, edd in ss:
+        if lo <= arl.value <= hi:
             compared += 1
-            rival = _interp_edd(os_, p.arl)
-            if not p.edd < rival:
-                losses.append(f"ARL {p.arl:.0f}: subspace EDD {p.edd:.0f} >= one-shot {rival:.0f}")
+            rival = _interp_edd(os_, arl.value)
+            if not edd.value < rival:
+                losses.append(
+                    f"ARL {arl.value:.0f}: subspace EDD {edd.value:.0f} >= one-shot {rival:.0f}"
+                )
     assert compared >= 3, "threshold grids failed to produce matched run lengths"
     assert not losses, (
         f"subspace does not dominate one-shot at mu={mu}, k={k} with w={COMPARISON_W}:\n  "
@@ -305,7 +309,7 @@ def test_criterion_6b_strong_signal_crossover():
         horizon_arl_ss=30_000, horizon_arl_os=40_000, horizon_edd=4_000,
         seed=63,
     )
-    arl_star = min(max(p.arl for p in ss), max(p.arl for p in os_))
+    arl_star = min(max(a.value for a, _ in ss), max(a.value for a, _ in os_))
     ss_edd = _interp_edd(ss, arl_star)
     os_edd = _interp_edd(os_, arl_star)
     assert ss_edd < os_edd, (

@@ -152,6 +152,19 @@ class TestScenarioModel:
         with pytest.raises(DimensionMismatchError):
             self._model(alpha=np.ones(3))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("sigma2", np.nan, "sigma2 must be finite"),
+            ("sigma2", np.inf, "sigma2 must be finite"),
+            ("alpha", np.array([1.0, np.nan]), "alpha must be finite"),
+            ("alpha", np.array([-np.inf, 2.0]), "alpha must be finite"),
+        ],
+    )
+    def test_non_finite_parameter_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            self._model(**{field: value})
+
 
 class TestSpikedStats:
     def test_from_scenario(self):
@@ -222,7 +235,9 @@ class TestSensorCsv:
             read_sensor_csv(path)
 
     def test_writer_matches_csv_writer(self, tmp_path):
-        streams = np.array([[0.1, -0.0, 5e-324, 1e308], [np.nan, np.inf, -1.5, 2.0]])
+        streams = np.array(
+            [[0.1, -0.0, 5e-324, 1e308], [-1e-310, -1.7976931348623157e308, -1.5, 2.0]]
+        )
         path, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
         write_sensor_csv(path, streams, t0=-1)
         with open(ref, "w", newline="") as fh:
@@ -231,6 +246,15 @@ class TestSensorCsv:
             for j in range(streams.shape[1]):
                 writer.writerow([j - 1] + [repr(float(v)) for v in streams[:, j]])
         assert path.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reading_rejected_before_opening(self, tmp_path, bad):
+        streams = np.zeros((2, 5))
+        streams[1, 3] = bad
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="non-finite reading at tick 5"):
+            write_sensor_csv(path, streams, t0=2)
+        assert not path.exists()
 
     def test_plain_file_takes_one_numpy_parse(self, tmp_path, monkeypatch):
         def scan(fh):

@@ -332,6 +332,10 @@ class TestOneShot:
         report = one_shot_detector(rng.standard_normal((3, 500)) + 1.0, mu=1.0, sigma2=1.0, b=3.0)
         assert report.reported_at == report.crossed_at
 
+    def test_three_dimensional_input_is_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match=r"\(k, n\) array"):
+            one_shot_detector(np.zeros((2, 3, 4)), mu=0.5, sigma2=1.0, b=1.0)
+
 
 _RULE_STREAMS = np.random.default_rng(5).standard_normal((3, 60))
 
@@ -420,6 +424,13 @@ class TestDriftBounds:
         assert not bounds.valid
         with pytest.raises(DegenerateInputError):
             _ = bounds.midpoint
+
+    @pytest.mark.parametrize(
+        "sigma2, rho", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)]
+    )
+    def test_non_finite_input_rejected(self, sigma2, rho):
+        with pytest.raises(ValueError, match="require finite sigma2 > 0 and rho > 0"):
+            drift_bounds(sigma2, rho, 5, 20)
 
 
 class TestCalibrateDrift:
@@ -828,6 +839,10 @@ class TestCusumReport:
         assert np.array_equal(report.ticks, run.report.ticks)
         assert report.statistic.tobytes() == run.report.statistic.tobytes()
 
+    @pytest.mark.parametrize("b", [2.8, 100.0])  # a crossing past tick 5, and none
+    def test_length_mismatch_is_dimension_mismatch(self, b):
+        with pytest.raises(DimensionMismatchError, match="5 ticks for 7 increments"):
+            cusum_report(np.arange(5), np.ones(7), d=0.5, b=b, lookahead=3)
 
     def test_increments_run_no_cusum(self, monkeypatch):
         streams = _delayed_record(3, 300, 4, seed=6)

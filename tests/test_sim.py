@@ -1,20 +1,21 @@
 """Episode generation and the Monte Carlo run-length machinery."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from oracles import first_crossing, run_lengths, scalar_cusum
+from sscusum import sim
 from sscusum.core import ScenarioModel, Waveform
 from sscusum.detect import async_pipeline, one_shot_detector
 from sscusum.errors import DegenerateInputError
 from sscusum.sim import (
     OneShotSpec,
+    RunLengthEstimate,
     SubspaceSpec,
     empirical_drift,
-    estimate_arl,
-    estimate_edd,
     generate_episode,
     mean_shift_model,
     operating_curve,
@@ -26,6 +27,18 @@ from sscusum.sim import (
 from sscusum.detect import SEGMENT, subspace_increments
 from sscusum.linalg import window_increments
 from sscusum.sim import _arl_estimate, _edd_estimate, _trial_crossings
+
+
+def _arl_at(spec, model, b, trials, seed, horizon):
+    """One threshold's ARL: the engine's crossings, then the ARL summary."""
+    reported, _ = _trial_crossings(spec, model, [b], trials, horizon, seed)
+    return _arl_estimate(spec.name, b, reported[:, 0], horizon)
+
+
+def _edd_at(spec, model, b, trials, seed, horizon):
+    """One threshold's EDD: the engine's crossings, then the EDD summary."""
+    reported, taus = _trial_crossings(spec, model, [b], trials, horizon, seed)
+    return _edd_estimate(spec.name, b, reported[:, 0], taus)
 
 
 class TestGenerateEpisode:
@@ -66,6 +79,37 @@ class TestGenerateEpisode:
         with pytest.raises(ValueError):
             generate_episode(pure_noise_model(2), horizon=0, seed=1)
 
+    def test_non_finite_shift_rejected(self):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            mean_shift_model(3, mu=math.nan)
+
+
+def _no_draw(*args):
+    raise AssertionError("noise drawn before the arguments were checked")
+
+
+def _curve(trials=2, horizon_arl=100, horizon_edd=100):
+    return operating_curve(OneShotSpec(mu=0.8), pure_noise_model(3), mean_shift_model(3, 0.8),
+                           [1.0], trials, 1, horizon_arl, horizon_edd)
+
+
+# each public Monte Carlo entry point, given a fractional count
+FRACTIONAL_COUNTS = {
+    "horizon": lambda: generate_episode(pure_noise_model(3), horizon=10.5, seed=1),
+    "trials": lambda: _curve(trials=2.5),
+    "horizon_arl": lambda: _curve(horizon_arl=100.5),
+    "horizon_edd": lambda: _curve(horizon_edd=100.5),
+    "ticks": lambda: empirical_drift(pure_noise_model(3), mean_shift_model(3, 0.8), w=5,
+                                     ticks=100.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRACTIONAL_COUNTS))
+def test_count_must_be_an_integer(monkeypatch, name):
+    monkeypatch.setattr(sim, "_draw_blocks", _no_draw)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        FRACTIONAL_COUNTS[name]()
+
 
 class TestUniformOnsets:
     def test_bounds_and_pinning(self):
@@ -88,13 +132,13 @@ class TestEstimateArl:
     def test_degenerate_threshold(self):
         # with k sensors racing, the first tick crosses b=-1 almost surely
         spec = OneShotSpec(mu=1.0, sigma2=1.0)
-        est = estimate_arl(spec, pure_noise_model(20), b=-1.0, trials=60, seed=6, horizon=50)
+        est = _arl_at(spec, pure_noise_model(20), b=-1.0, trials=60, seed=6, horizon=50)
         assert est.value == 1.0
         assert est.censored_frac == 0.0
 
     def test_fully_censored_flagged(self):
         spec = OneShotSpec(mu=0.5, sigma2=1.0)
-        est = estimate_arl(spec, pure_noise_model(3), b=1e9, trials=20, seed=7, horizon=40)
+        est = _arl_at(spec, pure_noise_model(3), b=1e9, trials=20, seed=7, horizon=40)
         assert est.censored_frac == 1.0
         assert est.unreliable
         assert est.value == 40.0
@@ -102,8 +146,8 @@ class TestEstimateArl:
     def test_two_seeds_agree_within_3se(self):
         spec = OneShotSpec(mu=0.8, sigma2=1.0)
         model = pure_noise_model(5)
-        a = estimate_arl(spec, model, b=4.0, trials=300, seed=8, horizon=4000)
-        b = estimate_arl(spec, model, b=4.0, trials=300, seed=9, horizon=4000)
+        a = _arl_at(spec, model, b=4.0, trials=300, seed=8, horizon=4000)
+        b = _arl_at(spec, model, b=4.0, trials=300, seed=9, horizon=4000)
         assert abs(a.value - b.value) < 3.0 * np.hypot(a.se, b.se)
         assert a.censored_frac == 0.0
 
@@ -113,7 +157,7 @@ class TestEstimateEdd:
         # x = 1.5 exactly with mu=2, sigma2=1: unit increments, b=5 -> delay 5
         model = mean_shift_model(2, mu=1.5, sigma2=0.0)
         spec = OneShotSpec(mu=2.0, sigma2=1.0)
-        est = estimate_edd(spec, model, b=5.0, trials=5, seed=11, horizon=100)
+        est = _edd_at(spec, model, b=5.0, trials=5, seed=11, horizon=100)
         assert est.value == 5.0
         assert est.se == 0.0
         assert est.false_alarm_frac == 0.0
@@ -121,10 +165,10 @@ class TestEstimateEdd:
     def test_monotone_in_signal_strength(self):
         spec_weak = OneShotSpec(mu=0.1, sigma2=1.0)
         spec_strong = OneShotSpec(mu=0.25, sigma2=1.0)
-        weak = estimate_edd(
+        weak = _edd_at(
             spec_weak, mean_shift_model(50, mu=0.1), b=3.0, trials=150, seed=12, horizon=3000
         )
-        strong = estimate_edd(
+        strong = _edd_at(
             spec_strong, mean_shift_model(50, mu=0.25), b=3.0, trials=150, seed=12, horizon=3000
         )
         assert strong.value < weak.value
@@ -133,7 +177,7 @@ class TestEstimateEdd:
         # change at tick 30; a crazy-low threshold alarms immediately
         model = mean_shift_model(2, mu=1.0, onsets=np.array([30, 30]))
         spec = OneShotSpec(mu=1.0, sigma2=1.0)
-        est = estimate_edd(spec, model, b=-1.0, trials=20, seed=13, horizon=200)
+        est = _edd_at(spec, model, b=-1.0, trials=20, seed=13, horizon=200)
         assert est.false_alarm_frac == 1.0
         assert np.isnan(est.value)
 
@@ -143,7 +187,7 @@ class TestEstimateEdd:
         spec = OneShotSpec(mu=0.6, sigma2=1.0)
         model = mean_shift_model(4, mu=0.6)
         b, trials, horizon, seed = 3.0, 40, 2000, 14
-        est = estimate_edd(spec, model, b=b, trials=trials, seed=seed, horizon=horizon)
+        est = _edd_at(spec, model, b=b, trials=trials, seed=seed, horizon=horizon)
 
         delays = []
         for child in np.random.SeedSequence(seed).spawn(trials):
@@ -170,15 +214,40 @@ class TestOperatingCurve:
             horizon_arl=5000,
             horizon_edd=500,
         )
-        arls = [p.arl for p in points]
-        edds = [p.edd for p in points]
+        arls = [arl.value for arl, _ in points]
+        edds = [edd.value for _, edd in points]
         assert arls == sorted(arls)
         assert edds == sorted(edds)
         path = tmp_path / "curve.csv"
         write_curve_csv(path, points)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "detector,b,arl,arl_se,edd,edd_se,censored_frac"
+        assert lines[0] == (
+            "detector,b,arl,arl_se,edd,edd_se,arl_censored,edd_censored,false_alarm_frac,n_used"
+        )
         assert len(lines) == 4
+
+    def test_row_carries_both_estimates(self, tmp_path):
+        arl = RunLengthEstimate("one_shot", 2.0, 40.0, 1.5, 5, 0.6)
+        edd = RunLengthEstimate("one_shot", 2.0, 7.5, 0.5, 2, 0.4, false_alarm_frac=0.2)
+        path = tmp_path / "curve.csv"
+        write_curve_csv(path, [(arl, edd)])
+        assert path.read_text().splitlines()[1] == "one_shot,2.0,40.0,1.5,7.5,0.5,0.6,0.4,0.2,2"
+        assert arl.unreliable and not edd.unreliable
+
+    def test_all_false_alarm_row_says_so(self, tmp_path):
+        # change at tick 30: at b = -1 every EDD trial alarms at tick 1, before
+        # the change, so the row has no delay to average yet is not censored
+        points = operating_curve(
+            OneShotSpec(mu=1.0), pure_noise_model(2), mean_shift_model(2, 1.0, onsets=[30, 30]),
+            [-1.0, 50.0], 5, 1, 40, 100,
+        )
+        path = tmp_path / "curve.csv"
+        write_curve_csv(path, points)
+        low, high = csv.DictReader(path.read_text().splitlines())
+        assert math.isnan(float(low["edd"])) and low["n_used"] == "0"
+        assert float(low["edd_censored"]) == 0.0
+        assert float(low["false_alarm_frac"]) == 1.0
+        assert float(low["arl_censored"]) == 0.0 and float(high["arl_censored"]) == 1.0
 
     def test_seed_determinism(self):
         spec = OneShotSpec(mu=0.8, sigma2=1.0)
@@ -225,8 +294,8 @@ class TestFastEngine:
     def test_fast_trials_deterministic(self):
         spec = SubspaceSpec(w=10, tau_max=5, d=1.1, sync=False)
         factory = random_delay_factory(4, mu=0.8, sigma2=1.0, tau_max=5)
-        a = estimate_edd(spec, factory, b=4.0, trials=30, seed=20, horizon=800)
-        b = estimate_edd(spec, factory, b=4.0, trials=30, seed=20, horizon=800)
+        a = _edd_at(spec, factory, b=4.0, trials=30, seed=20, horizon=800)
+        b = _edd_at(spec, factory, b=4.0, trials=30, seed=20, horizon=800)
         assert a == b
         assert a.censored_frac == 0.0
 
@@ -379,10 +448,9 @@ class TestLockstepEngine:
 
     def test_one_shot_inputs_rejected_as_by_the_detector(self):
         with pytest.raises(DegenerateInputError):
-            estimate_arl(OneShotSpec(mu=0.0), pure_noise_model(3), b=2.0, trials=3, seed=1, horizon=50)
+            _trial_crossings(OneShotSpec(mu=0.0), pure_noise_model(3), [2.0], 3, 50, 1)
         with pytest.raises(ValueError):
-            estimate_arl(OneShotSpec(mu=0.5, sigma2=0.0), pure_noise_model(3), b=2.0,
-                         trials=3, seed=1, horizon=50)
+            _trial_crossings(OneShotSpec(mu=0.5, sigma2=0.0), pure_noise_model(3), [2.0], 3, 50, 1)
 
 
 def _summaries(reported, change_points, horizon):
