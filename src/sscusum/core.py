@@ -111,16 +111,18 @@ class DelayProfile:
     converged: bool = True
 
     def __post_init__(self):
-        tau = np.asarray(self.tau_hat, dtype=int)
+        tau = np.asarray(self.tau_hat)
         if tau.ndim != 1 or tau.size == 0:
             raise DimensionMismatchError("tau_hat must be a nonempty 1-D integer vector")
+        if tau.dtype.kind == "f" and not np.all(tau == np.round(tau)):  # nan fails too
+            raise ValueError(f"delays must be whole ticks, got {tau.tolist()}")
         if tau[0] != 0:
             raise ValueError("reference sensor delay must be 0")
         if np.any(np.abs(tau) > self.tau_max):
             raise ValueError(
                 f"delays {tau.tolist()} exceed bound tau_max={self.tau_max}"
             )
-        object.__setattr__(self, "tau_hat", tau)
+        object.__setattr__(self, "tau_hat", tau.astype(int))
 
     @property
     def k(self) -> int:
@@ -250,9 +252,11 @@ def normalize_stream(raw, stats_prefix: int | None = None) -> np.ndarray:
     known pre-change stretch) while still transforming the whole series.
 
     Raises:
+        ValueError: a ``stats_prefix`` that is not an integer.
         DegenerateInputError: empty, non-finite, or constant input, or a
             ``stats_prefix`` below 1.
     """
+    _check_integers(stats_prefix=stats_prefix)
     x = np.asarray(raw, dtype=float)
     if x.size == 0:
         raise DegenerateInputError("cannot normalize an empty series")
@@ -260,7 +264,7 @@ def normalize_stream(raw, stats_prefix: int | None = None) -> np.ndarray:
         raise DegenerateInputError("series contains non-finite values")
     if stats_prefix is not None and stats_prefix < 1:
         raise DegenerateInputError(f"stats prefix must be >= 1, got {stats_prefix}")
-    ref = x if stats_prefix is None else x[: int(stats_prefix)]
+    ref = x if stats_prefix is None else x[:stats_prefix]
     centered = x - ref.mean()
     scale = np.max(np.abs(ref - ref.mean()))
     if scale == 0.0:

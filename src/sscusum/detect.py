@@ -40,7 +40,7 @@ from .errors import (
     StreamOrderError,
     ZeroMatrixError,
 )
-from .linalg import window_increments, window_top_vectors
+from .linalg import _directions, _eigh_top, window_increments
 from .sync import _joint_fit
 
 __all__ = [
@@ -162,7 +162,8 @@ class SubspaceCusum:
         slot[:] = frame.values
         if t - w < self._first:
             return None
-        u = window_top_vectors(self._ring.T[None])[0]
+        # one window: one eigh costs less than a dozen matrix products
+        u = _directions(self._ring.T[None], _eigh_top)[0]
         state = self.state
         s = max(state.S, 0.0) + _squared_projection(u, released) - state.d
         crossed, reported = state.crossed_at, state.reported_at

@@ -187,7 +187,13 @@ def uniform_onsets(rng: np.random.Generator, k: int, tau_max: int) -> np.ndarray
     """Per-sensor onsets drawn uniformly from {0..tau_max}, then shifted so
     the earliest is 0: the change point is exactly 0 while relative delays
     keep the same law and stay within the bound.
+
+    Raises:
+        ValueError: ``tau_max`` is not an integer >= 0.
     """
+    _check_integers(tau_max=tau_max)
+    if tau_max < 0:
+        raise ValueError(f"tau_max must be >= 0, got {tau_max}")
     onsets = rng.integers(0, tau_max + 1, size=k)
     return onsets - onsets.min()
 

@@ -62,6 +62,13 @@ class TestNormalizeStream:
             with pytest.raises(DegenerateInputError, match="stats prefix"):
                 normalize_stream(np.arange(10.0), stats_prefix=prefix)
 
+    def test_fractional_prefix_rejected(self):
+        # 2.5 used to slice 2 samples
+        with pytest.raises(ValueError, match="^stats_prefix must be an integer, got 2.5"):
+            normalize_stream(np.arange(10.0), stats_prefix=2.5)
+        assert np.array_equal(normalize_stream(np.arange(10.0), stats_prefix=np.int64(2)),
+                              normalize_stream(np.arange(10.0), stats_prefix=2))
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=40),
@@ -102,6 +109,17 @@ class TestDelayProfile:
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError):
             DelayProfile(np.array([], dtype=int), tau_max=2)
+
+    @pytest.mark.parametrize("tau", [[0, 1.7], np.array([0.0, -0.5]), [0.0, np.nan]])
+    def test_fractional_delay_rejected(self, tau):
+        # [0, 1.7] used to be stored as [0, 1]
+        with pytest.raises(ValueError, match="delays must be whole ticks"):
+            DelayProfile(tau, tau_max=2)
+
+    def test_whole_float_delays_stored_as_integers(self):
+        profile = DelayProfile(np.array([0.0, -2.0, 1.0]), tau_max=2)
+        assert profile.tau_hat.dtype.kind == "i"
+        assert profile.tau_hat.tolist() == [0, -2, 1]
 
 
 class TestWaveform:

@@ -126,6 +126,145 @@ class TestWindowTopVectors:
             window_top_vectors(windows)
 
 
+def _planted(rng, k, w, values):
+    """A (k, w) window whose covariance and Gram both have the eigenvalues
+    ``values`` (min(k, w) of them, largest first); the covariance's top
+    eigenvector is the first column of a random orthonormal basis."""
+    m = min(k, w)
+    q = np.linalg.qr(rng.standard_normal((k, m)))[0]
+    p = np.linalg.qr(rng.standard_normal((w, m)))[0]
+    return (q * np.sqrt(values)) @ p.T
+
+
+def _spectrum(rng, n, ratio):
+    """lambda_1 = 1, lambda_2 = ratio, the rest below 0.9 * ratio."""
+    return np.concatenate([[1.0, ratio], ratio * rng.uniform(0.0, 0.9, n - 2)])
+
+
+@pytest.fixture
+def eigh_windows(monkeypatch):
+    """Counts the windows the kernel hands to its eigh route."""
+    sent = []
+    route = linalg._eigh_top
+
+    def counting(grams):
+        sent.append(len(grams))
+        return route(grams)
+
+    monkeypatch.setattr(linalg, "_eigh_top", counting)
+    return sent
+
+
+class TestSquaringCertificate:
+    """Repeated squaring with its certificate: accepted windows match the
+    Jacobi oracle, and the windows it cannot certify take the eigh route."""
+
+    @pytest.mark.parametrize("k, w", [(12, 30), (30, 12)])  # covariance side, Gram side
+    def test_matches_jacobi_at_larger_orders(self, k, w):
+        rng = np.random.default_rng(21)
+        windows = rng.standard_normal((6, k, w))
+        windows[:, 0] *= 2.0  # a clear leading direction
+        u = window_top_vectors(windows)
+        x = rng.standard_normal(k)
+        for i, win in enumerate(windows):
+            values, vectors = jacobi_eigh(covariance_triple_loop(win.T))
+            assert values[0] > values[1]
+            assert np.linalg.norm(u[i]) == pytest.approx(1.0, abs=1e-12)
+            assert 1 - abs(u[i] @ vectors[:, 0]) <= 1e-12
+            assert (u[i] @ x) ** 2 == pytest.approx((vectors[:, 0] @ x) ** 2, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [8, 12, 20, 32])
+    def test_gap_sweep_matches_jacobi(self, n, eigh_windows):
+        # twelve squarings certify lambda_2 / lambda_1 = 0.99 at every order
+        # here; from 0.994 on, no window can be certified
+        rng = np.random.default_rng(22 + n)
+        for ratio, to_eigh in [(0.5, 0), (0.9, 0), (0.99, 0), (0.994, 4), (0.999, 4),
+                               (1 - 1e-6, 4)]:
+            windows = np.array([_planted(rng, n, n, _spectrum(rng, n, ratio)) for _ in range(4)])
+            eigh_windows.clear()
+            u = window_top_vectors(windows)
+            assert sum(eigh_windows) == to_eigh, ratio
+            for i, win in enumerate(windows):
+                _, vectors = jacobi_eigh(covariance_triple_loop(win.T))
+                assert 1 - abs(u[i] @ vectors[:, 0]) <= 1e-12, ratio
+
+    def test_certificate_bound_is_sharp(self, eigh_windows):
+        # at n = 8 the certificate reads 8 (1 - f) = 16 rho / (1 + rho)^2 with
+        # rho = (lambda_2 / lambda_1)^4096: accepted at half the 1e-11 bound,
+        # sent to eigh at twice it
+        rng = np.random.default_rng(23)
+        for reading, to_eigh in [(0.5e-11, 0), (2e-11, 8)]:
+            ratio = (reading / 16) ** (1 / 4096)
+            values = np.concatenate([[1.0, ratio], 0.5 * rng.uniform(size=6)])
+            windows = np.array([_planted(rng, 8, 20, values) for _ in range(8)])
+            eigh_windows.clear()
+            window_top_vectors(windows)
+            assert sum(eigh_windows) == to_eigh, reading
+
+    @pytest.mark.parametrize("k, w", [(12, 20), (30, 12)])
+    def test_near_tie_equals_the_eigh_route(self, k, w):
+        rng = np.random.default_rng(24)
+        n = min(k, w)
+        windows = np.array([_planted(rng, k, w, _spectrum(rng, n, 1 - 1e-9)) for _ in range(3)])
+        assert np.array_equal(window_top_vectors(windows),
+                              linalg._directions(windows, linalg._eigh_top))
+
+    @pytest.mark.parametrize("k, w", [(8, 20), (20, 8)])
+    def test_zero_and_underflowing_grams_give_zero_rows(self, k, w):
+        windows = np.random.default_rng(25).standard_normal((3, k, w))
+        windows[1] = 0.0
+        windows[2] *= 1e-170  # every product underflows: the Gram is exactly zero
+        assert not (windows[2] @ windows[2].T).any()
+        u = window_top_vectors(windows)
+        assert not u[1:].any()
+        assert np.linalg.norm(u[0]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k, w", [(8, 20), (20, 8)])
+    def test_subnormal_gram_gets_unit_direction(self, k, w):
+        windows = np.random.default_rng(26).standard_normal((1, k, w)) * 1e-160
+        side = windows if k <= w else windows.transpose(0, 2, 1)
+        grams = side @ side.transpose(0, 2, 1)
+        assert grams.any() and np.abs(grams).max() < np.finfo(float).tiny  # subnormal
+        u = window_top_vectors(windows)
+        assert np.isfinite(u).all()
+        assert np.linalg.norm(u[0]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k, w", [(8, 20), (20, 8)])
+    def test_silent_sensor_gets_no_weight(self, k, w):
+        rng = np.random.default_rng(27)
+        windows = rng.standard_normal((4, k, w))
+        windows[:, 0] *= 2.0
+        windows[:, 3] = 0.0  # one all-zero sensor row
+        u = window_top_vectors(windows)
+        for i, win in enumerate(windows):
+            _, vectors = jacobi_eigh(covariance_triple_loop(win.T))
+            assert 1 - abs(u[i] @ vectors[:, 0]) <= 1e-12
+            assert abs(u[i, 3]) <= 1e-15
+
+    @pytest.mark.parametrize("k, w", [(8, 20), (20, 8)])
+    def test_stack_equals_one_window_calls(self, k, w, eigh_windows):
+        rng = np.random.default_rng(28)
+        windows = rng.standard_normal((256, k, w))
+        n = min(k, w)
+        for i in (5, 77, 200):  # near ties, which take the eigh route
+            windows[i] = _planted(rng, k, w, _spectrum(rng, n, 1 - 1e-7))
+        windows[90] = 0.0
+        stacked = window_top_vectors(windows)
+        assert 3 <= sum(eigh_windows) < 64  # the stack mixes both routes
+        for i, win in enumerate(windows):
+            assert np.array_equal(stacked[i], window_top_vectors(win[None])[0]), i
+
+
+def test_nested_list_is_taken_as_an_array():
+    rng = np.random.default_rng(29)
+    windows = rng.standard_normal((3, 4, 6))
+    assert np.array_equal(window_top_vectors(windows.tolist()), window_top_vectors(windows))
+    ones = [[[1, 1, 1], [1, 1, 1]]]  # integers become floats
+    assert np.allclose(np.abs(window_top_vectors(ones)), np.sqrt(0.5))
+    with pytest.raises(DimensionMismatchError, match=r"must be \("):
+        window_top_vectors([[1.0, 2.0], [3.0, 4.0]])
+
+
 @pytest.mark.parametrize(
     "call",
     [

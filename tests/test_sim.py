@@ -119,6 +119,16 @@ class TestUniformOnsets:
             assert onsets.min() == 0
             assert onsets.max() <= 5
 
+    @pytest.mark.parametrize("tau_max, message", [(-1, "^tau_max must be >= 0, got -1"),
+                                                  (2.5, "^tau_max must be an integer, got 2.5")])
+    def test_bad_bound_rejected_before_drawing(self, tau_max, message):
+        # -1 used to reach numpy's "high <= 0", and 2.5 was accepted
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            uniform_onsets(rng, k=3, tau_max=tau_max)
+        assert rng.bit_generator.state == state
+
     def test_factory_respects_bound(self):
         factory = random_delay_factory(6, mu=0.3, sigma2=1.0, tau_max=4)
         rng = np.random.default_rng(5)
