@@ -42,6 +42,6 @@ cal = empirical_drift(
     ticks=20_000,
     seed=3,
 )
-print(f"  measured pre mean  {cal.pre_mean:.4f}")
-print(f"  measured post mean {cal.post_mean:.4f}")
+print(f"  measured pre mean  {cal.lower:.4f}")
+print(f"  measured post mean {cal.upper:.4f}")
 print(f"  empirical midpoint d = {cal.midpoint:.4f} (valid = {cal.valid})")

@@ -26,7 +26,7 @@ cal = empirical_drift(
     ticks=20_000,
     seed=0,
 )
-print(f"calibrated drift: pre {cal.pre_mean:.3f}, post {cal.post_mean:.3f} -> d = {cal.midpoint:.3f}")
+print(f"calibrated drift: pre {cal.lower:.3f}, post {cal.upper:.3f} -> d = {cal.midpoint:.3f}")
 
 noise = pure_noise_model(k)
 change = random_delay_factory(k, mu, 1.0, tau_max)

@@ -351,7 +351,7 @@ def cmd_curve(args) -> int:
                 seed=seed_drift,
             )
             d = cal.midpoint
-            print(f"calibrated drift d={d!r} (pre={cal.pre_mean:.4f}, post={cal.post_mean:.4f})")
+            print(f"calibrated drift d={d!r} (pre={cal.lower:.4f}, post={cal.upper:.4f})")
         spec = sim.SubspaceSpec(w=args.w, tau_max=args.tau_max, d=d, delta=args.delta,
                                 n_max=args.n_max, sync=sync)
         points += sim.operating_curve(

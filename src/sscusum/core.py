@@ -286,13 +286,15 @@ def write_sensor_csv(path, streams: np.ndarray, t0: int = 1) -> None:
 
     Rows end in ``\\r\\n`` and cells are ``repr`` of each float, the bytes
     ``csv.writer`` would produce; no cell of this schema needs quoting. A
-    non-finite reading, which :func:`read_sensor_csv` rejects, is rejected
-    before the file is opened.
+    non-finite reading or an empty record, which :func:`read_sensor_csv`
+    rejects, is rejected before the file is opened.
     """
     streams = np.asarray(streams, dtype=float)
     if streams.ndim != 2:
         raise DimensionMismatchError("streams must be a (k, n) array")
     k, n = streams.shape
+    if not (k and n):
+        raise ValueError(f"need at least one sensor and one tick, got shape {streams.shape}")
     bad = ~np.isfinite(streams).all(axis=0)
     if bad.any():
         raise ValueError(f"non-finite reading at tick {t0 + int(bad.argmax())}")

@@ -16,7 +16,7 @@ the same seed. The subspace detector, with delay estimation or without,
 scores the live trials' slabs through the segmented pipeline's own segment
 scorer, so batch runs and the Monte Carlo share one scorer. The one-shot
 race takes its increments from :mod:`sscusum.detect` too, and both
-detectors run that module's array CUSUM, so the Monte Carlo holds no copy
+detectors run that module's batch CUSUM scan, so the Monte Carlo holds no copy
 of a detector's arithmetic or checks.
 
 A single run per trial serves an entire threshold grid: the statistic path
@@ -37,13 +37,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import ScenarioModel, Waveform, _check_integers, _check_pass, _scored_ticks
-from .detect import _check_rule, _race_increments, _scan, _segment_increments, subspace_increments
+from .detect import DriftBounds, _check_rule, _race_increments, _scan, _segment_increments
+from .detect import subspace_increments
 
 __all__ = [
     "RunLengthEstimate",
     "SubspaceSpec",
     "OneShotSpec",
-    "DriftCalibration",
     "generate_episode",
     "pure_noise_model",
     "mean_shift_model",
@@ -245,7 +245,7 @@ def _trial_crossings(
     once every live trial has crossed; so its segments start at the ticks
     where the pipeline's start on the whole episode. The race scores every
     column at once with no lookahead. Each segment's statistic path comes
-    from the detectors' own array CUSUM, :func:`sscusum.detect._scan`; every
+    from the detectors' own batch CUSUM scan, :func:`sscusum.detect._scan`; every
     threshold's first crossing is read off it in one step and reported at
     the crossing tick plus the lookahead (w, or 0 for the race). Crossings
     equal those of the single-episode detector on each trial's episode. A
@@ -387,24 +387,6 @@ def operating_curve(
     ]
 
 
-@dataclass(frozen=True)
-class DriftCalibration:
-    """Monte Carlo drift interval: observed pre- and post-change increment means."""
-
-    pre_mean: float
-    pre_se: float
-    post_mean: float
-    post_se: float
-
-    @property
-    def midpoint(self) -> float:
-        return (self.pre_mean + self.post_mean) / 2.0
-
-    @property
-    def valid(self) -> bool:
-        return self.post_mean > self.pre_mean
-
-
 def empirical_drift(
     noise_model: ScenarioModel,
     change_model: ScenarioModel,
@@ -415,12 +397,14 @@ def empirical_drift(
     ticks: int = 20_000,
     seed=0,
     **pipeline_kwargs,
-) -> DriftCalibration:
+) -> DriftBounds:
     """Estimate both sides of the admissible drift interval by simulation.
 
     Runs the increment pipeline over one long pre-change episode and one
     long post-change episode (change at 0, so the post regime is stationary
     whenever the signal is). Useful when the closed-form interval is empty.
+    Returns the measured interval: ``lower`` and ``upper`` are the pre- and
+    post-change increment means, with their standard errors.
     """
     _check_integers(ticks=ticks, w=w, tau_max=tau_max)
     if ticks < 1:
@@ -436,7 +420,7 @@ def empirical_drift(
         )[1]
         out.append(_mean_se(inc))
     (pre, pre_se), (post, post_se) = out
-    return DriftCalibration(pre_mean=pre, pre_se=pre_se, post_mean=post, post_se=post_se)
+    return DriftBounds(lower=pre, upper=post, lower_se=pre_se, upper_se=post_se)
 
 
 def write_curve_csv(path, points: Sequence[tuple[RunLengthEstimate, RunLengthEstimate]]) -> None:

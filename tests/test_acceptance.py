@@ -234,8 +234,8 @@ def _calibrated_point(k, mu, seed):
         ticks=60_000,
         seed=seed,
     )
-    gap = cal.post_mean - cal.pre_mean
-    gap_se = gap / math.hypot(cal.pre_se, cal.post_se)
+    gap = cal.upper - cal.lower
+    gap_se = gap / math.hypot(cal.lower_se, cal.upper_se)
     detail = (
         f"k={k}, mu={mu}, w={COMPARISON_W}: mu^4 k w = {_detectability(k, mu, COMPARISON_W):.2f}, "
         f"calibrated post - pre = {gap:.3f} ({gap_se:.1f} combined s.e.)"

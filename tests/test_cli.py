@@ -359,6 +359,20 @@ class TestCurve:
         assert code == 0
         assert "calibrated drift" in capsys.readouterr().out
 
+    def test_empty_calibration_interval_exits_1(self, tmp_path, capsys):
+        # mu = 0: the measured post-change mean (0.9861) falls below the
+        # pre-change one (1.0099), so no drift separates them
+        out = tmp_path / "c.csv"
+        code = run(["curve", "--k", 4, "--mu", 0.0, "--w", 10, "--tau-max", 0, "--no-sync",
+                    "--b-grid", "5,10", "--trials", 4, "--horizon", 2000, "--horizon-edd", 300,
+                    "--seed", 1, "--detector", "subspace", "--out", out])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: drift interval is empty" in captured.err
+        assert "0.9861" in captured.err and "1.0099" in captured.err
+        assert "calibrated drift" not in captured.out
+        assert not out.exists()
+
 
 class TestNonFiniteValues:
     """Every float flag, and each value of a float list, must be a finite

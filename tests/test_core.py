@@ -274,6 +274,40 @@ class TestSensorCsv:
             write_sensor_csv(path, streams, t0=2)
         assert not path.exists()
 
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)])
+    def test_empty_record_rejected_before_opening(self, tmp_path, shape):
+        path = tmp_path / "empty.csv"
+        with pytest.raises(ValueError, match="at least one sensor and one tick"):
+            write_sensor_csv(path, np.zeros(shape))
+        assert not path.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(0, 4),
+        n=st.integers(0, 6),
+        t0=st.integers(),
+        data=st.data(),
+    )
+    def test_what_the_writer_accepts_reads_back_unchanged(self, tmp_path_factory, k, n, t0, data):
+        extremes = st.sampled_from(
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+             1.7976931348623157e308, -1.7976931348623157e308]
+        )
+        cells = st.one_of(extremes, st.floats(allow_nan=False, allow_infinity=False))
+        streams = np.array(data.draw(st.lists(cells, min_size=k * n, max_size=k * n)))
+        streams = streams.reshape(k, n)
+        path = tmp_path_factory.mktemp("csv") / "record.csv"
+        try:
+            write_sensor_csv(path, streams, t0=t0)
+        except ValueError:
+            assert not (k and n)  # only an empty record is refused
+            assert not path.exists()
+            return
+        t0_back, back = read_sensor_csv(path)
+        assert t0_back == t0
+        assert back.shape == (k, n)
+        assert back.tobytes() == streams.tobytes()
+
     def test_plain_file_takes_one_numpy_parse(self, tmp_path, monkeypatch):
         def scan(fh):
             raise AssertionError("per-cell scan ran on a plain file")

@@ -10,7 +10,9 @@ import pytest
 from oracles import covariance_triple_loop, first_crossing, jacobi_eigh, scalar_cusum
 from sscusum.core import MultiSensorFrame, _scored_ticks, frames_from_array
 from sscusum.detect import (
+    DriftBounds,
     SubspaceCusum,
+    _scan,
     _segment_increments,
     async_pipeline,
     calibrate_drift,
@@ -426,6 +428,21 @@ class TestDriftBounds:
             _ = bounds.midpoint
 
     @pytest.mark.parametrize(
+        "bounds",
+        [
+            # measured means as empirical_drift returns them: post below
+            # pre, post equal to pre, and a nan mean
+            DriftBounds(lower=1.0099, upper=0.9861, lower_se=0.01, upper_se=0.01),
+            DriftBounds(lower=1.0, upper=1.0, lower_se=0.01, upper_se=0.01),
+            DriftBounds(lower=1.0, upper=math.nan),
+        ],
+    )
+    def test_midpoint_of_empty_interval_raises(self, bounds):
+        assert not bounds.valid
+        with pytest.raises(DegenerateInputError, match="drift interval is empty"):
+            _ = bounds.midpoint
+
+    @pytest.mark.parametrize(
         "sigma2, rho", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)]
     )
     def test_non_finite_input_rejected(self, sigma2, rho):
@@ -825,6 +842,47 @@ class TestPrefixIdentity:
         assert head.tobytes() == full[: len(head)].tobytes()
 
 
+class TestOneRowScan:
+    """A (1,) state runs the Python float loop; the same row inside a (2,)
+    stack runs the numpy column loop. Paths and states agree bit for bit."""
+
+    @staticmethod
+    def both(s0, x):
+        one, two = np.array([s0]), np.array([s0, s0])
+        path_one = _scan(one, np.asarray(x, float)[None])
+        path_two = _scan(two, np.vstack([x, x]).astype(float))
+        assert path_one.shape == (1, len(x))
+        assert path_one.tobytes() == path_two[:1].tobytes()
+        assert one.tobytes() == two[:1].tobytes()
+        return one
+
+    def test_random_increments(self):
+        x = np.random.default_rng(3).standard_normal(5_000) - 0.1
+        self.both(0.0, x)
+
+    def test_state_carried_across_two_calls(self):
+        x = np.random.default_rng(4).standard_normal(700) - 0.2
+        one, two = np.zeros(1), np.zeros(2)
+        for part in (x[:333], x[333:]):
+            a = _scan(one, part[None])
+            b = _scan(two, np.vstack([part, part]))
+            assert a.tobytes() == b[:1].tobytes()
+        assert one.tobytes() == two[:1].tobytes()
+        whole = np.zeros(1)
+        _scan(whole, x[None])
+        assert whole.tobytes() == one.tobytes()
+
+    def test_negative_starting_state(self):
+        self.both(-2.5, np.random.default_rng(5).standard_normal(300))
+
+    def test_negative_zero_state(self):
+        self.both(-0.0, np.array([-0.0, -0.0, 1.0]))
+
+    @pytest.mark.parametrize("s0", [0.0, 3.25, -1.5])
+    def test_zero_length_segment(self, s0):
+        assert self.both(s0, np.empty(0))[0] == s0
+
+
 class TestCusumReport:
     @pytest.mark.parametrize("b", [3.0, math.inf])
     def test_equals_pipeline_report(self, b):
@@ -851,7 +909,7 @@ class TestCusumReport:
         def no_cusum(*args, **kwargs):
             raise AssertionError("subspace_increments ran the CUSUM recursion")
 
-        monkeypatch.setattr("sscusum.detect._cusum_path", no_cusum)
+        monkeypatch.setattr("sscusum.detect._scan", no_cusum)
         ticks, increments = subspace_increments(streams, w=12, tau_max=4, sync=True)
         assert np.array_equal(ticks, want.report.ticks)
         assert increments.tobytes() == want.increments.tobytes()

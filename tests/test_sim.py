@@ -24,7 +24,7 @@ from sscusum.sim import (
     uniform_onsets,
     write_curve_csv,
 )
-from sscusum.detect import SEGMENT, subspace_increments
+from sscusum.detect import SEGMENT, _scan, subspace_increments
 from sscusum.linalg import window_increments
 from sscusum.sim import _arl_estimate, _edd_estimate, _trial_crossings
 
@@ -322,10 +322,10 @@ class TestEmpiricalDrift:
             ticks=20_000,
             seed=21,
         )
-        assert cal.pre_mean == pytest.approx(1.0, rel=0.03)
-        assert cal.post_mean > cal.pre_mean
+        assert cal.lower == pytest.approx(1.0, rel=0.03)
+        assert cal.upper > cal.lower
         assert cal.valid
-        assert cal.midpoint == pytest.approx((cal.pre_mean + cal.post_mean) / 2)
+        assert cal.midpoint == pytest.approx((cal.lower + cal.upper) / 2)
 
 
     @pytest.mark.parametrize("ticks", [0, -10])
@@ -382,7 +382,8 @@ def _two_waveforms(k, mu, tau_max):
 # with a window longer than one 256-tick noise block; with delay estimation,
 # ARL and EDD, sync segments shorter than the window, segments longer than a
 # noise block, and more sensors than window samples. Each largest threshold
-# leaves some trials censored at the horizon
+# leaves some trials censored at the horizon; in the "one-live" cases it
+# leaves exactly one, so the engine scores slabs of that trial alone
 LOCKSTEP_CASES = {
     "one_shot-arl": (OneShotSpec(mu=0.5), pure_noise_model(4), [2.0, 4.0, 6.0]),
     "one_shot-edd": (OneShotSpec(mu=0.5), random_delay_factory(4, 0.15, 1.0, 6), [2.0, 6.0, 10.0]),
@@ -414,6 +415,12 @@ LOCKSTEP_CASES = {
         [4.0, 12.0, 30.0],
     ),
     "sync-wide-arl": (SubspaceSpec(w=6, tau_max=2, d=2.7), pure_noise_model(12), [4.0, 15.0, 55.0]),
+    "subspace-one-live-arl": (
+        SubspaceSpec(w=10, tau_max=0, d=1.2, sync=False), pure_noise_model(6), [2.0, 5.0, 15.0],
+    ),
+    "sync-one-live-arl": (
+        SubspaceSpec(w=10, tau_max=3, d=1.9), pure_noise_model(6), [4.0, 15.0, 34.0],
+    ),
 }
 
 
@@ -455,6 +462,23 @@ class TestLockstepEngine:
         for one, many in zip(serial, pooled):
             assert np.array_equal(many, one)
             assert (one[:, 0] >= 0).all()
+
+    @pytest.mark.parametrize("case", ["subspace-one-live-arl", "sync-one-live-arl"])
+    def test_last_live_trial_scans_as_one_row(self, case, monkeypatch):
+        # the replay cases above reach a slab with one live trial, whose
+        # (1,) state takes the one-row CUSUM loop
+        states = []
+
+        def recording_scan(S, inc):
+            states.append(S.shape)
+            return _scan(S, inc)
+
+        monkeypatch.setattr("sscusum.sim._scan", recording_scan)
+        spec, model, grid = LOCKSTEP_CASES[case]
+        lockstep, _ = _trial_crossings(spec, model, grid, 12, 1000, 23)
+        assert (1,) in states
+        assert (lockstep[:, -1] < 0).sum() == 1
+        assert np.array_equal(lockstep, _replay(spec, model, grid, 12, 1000, 23))
 
     def test_one_shot_inputs_rejected_as_by_the_detector(self):
         with pytest.raises(DegenerateInputError):
