@@ -332,11 +332,18 @@ def cusum_report(
 
     Raises:
         DimensionMismatchError: ``ticks`` and ``increments`` differ in length.
+        NumericalError: an increment is nan or inf, or the statistic overflows.
     """
     _check_rule(d, b)
     if len(ticks) != len(increments):
         raise DimensionMismatchError(f"{len(ticks)} ticks for {len(increments)} increments")
-    path = _scan(np.zeros(1), (np.asarray(increments, dtype=float) - d)[None])[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+        path = _scan(np.zeros(1), (np.asarray(increments, dtype=float) - d)[None])[0]
+    # a non-finite increment leaves a non-finite value at its own tick
+    if not np.isfinite(path).all():
+        raise NumericalError(
+            "non-finite CUSUM statistic: an increment is nan or inf, or the sum overflows"
+        )
     return _stop("subspace", ticks, path, b=b, d=d, lookahead=lookahead, full_trajectory=True)
 
 

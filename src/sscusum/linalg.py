@@ -24,6 +24,9 @@ interpreter lock, so the tasks run in parallel. Each task writes its own
 slice of one output, and a window's result does not depend on which task
 or thread scores it, so results are bit-identical for any CPU count. A
 call with one task, or a process with one CPU, runs on the caller's thread.
+The same pool also runs the Monte Carlo's per-trial draws
+(:func:`sscusum.sim._draw_live`); no task submits tasks of its own, since a
+task waiting on the pool it runs on can deadlock it.
 """
 
 from __future__ import annotations

@@ -9,11 +9,15 @@ depend on execution order, and a whole experiment is a pure function of
 
 Noise has one layout: a trial's generator yields consecutive (k, 256)
 blocks, so any prefix of an episode is the episode of that shorter horizon.
-One Monte Carlo engine advances all trials in lockstep over those blocks,
-drawing a trial's noise only until it crosses the largest threshold; the
-samples it scores are exactly the ones :func:`generate_episode` returns for
-the same seed. The subspace detector, with delay estimation or without,
-scores the live trials' slabs through the segmented pipeline's own segment
+The signal is evaluated once per tick, not once per (sensor, tick): every
+sensor's delayed copy is a window of one waveform call. One Monte Carlo
+engine advances all trials in lockstep over those blocks, drawing a trial's
+noise only until it crosses the largest threshold; the live trials' blocks
+are drawn as tasks on the direction kernel's thread pool, each trial's
+generator in one task, so the samples it scores are exactly the ones
+:func:`generate_episode` returns for the same seed, for any CPU count. The
+subspace detector, with delay estimation or without, scores the live
+trials' slabs through the segmented pipeline's own segment
 scorer, so batch runs and the Monte Carlo share one scorer. The one-shot
 race takes its increments from :mod:`sscusum.detect` too, and both
 detectors run that module's batch CUSUM scan, so the Monte Carlo holds no copy
@@ -35,10 +39,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ScenarioModel, Waveform, _check_integers, _check_pass, _scored_ticks
 from .detect import DriftBounds, _check_rule, _race_increments, _scan, _segment_increments
 from .detect import subspace_increments
+from .linalg import _run_tasks
 
 __all__ = [
     "RunLengthEstimate",
@@ -117,23 +123,68 @@ class OneShotSpec:
 
 
 _FAST_CHUNK = 256  # fixed: every trial's noise is drawn in (k, _FAST_CHUNK) blocks
+# Trials one pool task draws. At k=125 a trial's block takes about 0.6 ms;
+# on 2 vCPUs, spans of 1 to 4 trials drew 40 trials equally fast (12-13 ms),
+# and a span of 2 still splits three live trials over two tasks.
+_DRAW_TASK = 2
 
 
 def _draw_blocks(
-    model: ScenarioModel, rng: np.random.Generator, drawn: int, blocks: int
+    model: ScenarioModel, rng: np.random.Generator, drawn: int, blocks: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Ticks drawn+1 .. drawn+blocks*_FAST_CHUNK of one trial, as a (k, n) array.
+    """Ticks drawn+1 .. drawn+blocks*_FAST_CHUNK of one trial, as a (k, n)
+    array, written into ``out`` when one is given.
 
-    The noise comes from ``rng`` as ``blocks`` consecutive (k, _FAST_CHUNK)
-    blocks in one call, so drawing the same ticks in more calls gives the
-    same samples.
+    The signal is evaluated once per tick: sensor i reads the n waveform
+    values from tick ``drawn + 1 - onsets[i]`` on, and the waveform runs
+    once on the union of those windows, laid end to end in order of their
+    first tick. Overlapping windows share their ticks, so a block costs
+    n plus the onsets' spread in waveform ticks, and never more than k n,
+    however far apart the onsets are. The noise comes from ``rng`` as
+    ``blocks`` consecutive (k, _FAST_CHUNK) blocks, so drawing the same
+    ticks in more calls gives the same samples.
     """
-    noise = rng.standard_normal((blocks, model.k, _FAST_CHUNK))
-    noise *= math.sqrt(model.sigma2)
-    ticks = np.arange(drawn + 1, drawn + blocks * _FAST_CHUNK + 1)
-    signal = model.alpha[:, None] * model.waveform(ticks[None, :] - model.onsets[:, None])
-    signal.reshape(model.k, blocks, _FAST_CHUNK)[...] += noise.transpose(1, 0, 2)
-    return signal
+    n = blocks * _FAST_CHUNK
+    order = np.argsort(-model.onsets)  # the windows by first tick
+    first = drawn + 1 - model.onsets[order]
+    step = np.minimum(np.diff(first), n)  # ticks a window adds before the next one starts
+    start = np.zeros(model.k, dtype=np.intp)  # where each window starts in ``ticks``
+    np.cumsum(step, out=start[1:])
+    ticks = np.arange(start[-1] + n) + np.repeat(first - start, np.append(step, n))
+    rows = np.empty_like(start)
+    rows[order] = start
+    # clip: the rows are in range, and take buffers ``out`` under "raise"
+    out = np.take(sliding_window_view(model.waveform(ticks), n), rows, axis=0, out=out, mode="clip")
+    out *= model.alpha[:, None]
+    scale = math.sqrt(model.sigma2)
+    for block in range(blocks):
+        noise = rng.standard_normal((model.k, _FAST_CHUNK))
+        noise *= scale
+        out[:, block * _FAST_CHUNK : (block + 1) * _FAST_CHUNK] += noise
+    return out
+
+
+def _draw_live(
+    models: list[ScenarioModel], rngs: list[np.random.Generator], live: np.ndarray, drawn: int
+) -> np.ndarray:
+    """The next block, ticks drawn+1 .. drawn+_FAST_CHUNK, of every live
+    trial, as a (live, k, _FAST_CHUNK) array.
+
+    The trials are drawn as tasks on the direction kernel's pool
+    (:func:`sscusum.linalg._run_tasks`), each task filling its own rows.
+    A trial's generator is used by one task only, so the samples do not
+    depend on the worker count.
+    """
+    fresh = np.empty((live.size, models[0].k, _FAST_CHUNK))
+
+    def draw(span):
+        for j in span:
+            _draw_blocks(models[live[j]], rngs[live[j]], drawn, 1, fresh[j])
+
+    _run_tasks(draw, [range(lo, min(lo + _DRAW_TASK, live.size))
+                      for lo in range(0, live.size, _DRAW_TASK)])
+    return fresh
 
 
 def generate_episode(model: ScenarioModel, horizon: int, seed) -> np.ndarray:
@@ -232,7 +283,8 @@ def _trial_crossings(
 
     The lockstep engine. Trials advance together one (k, 256) noise block at
     a time; each trial draws its blocks from its own generator, with its own
-    model's signal, exactly as :func:`generate_episode` lays them out, and
+    model's signal, exactly as :func:`generate_episode` lays them out (the
+    live trials' draws run on the kernel pool, :func:`_draw_live`), and
     drops out once it crosses the largest threshold, so no trial draws noise
     past that crossing. The ticks a trial can score, and those its slab can
     score so far, are :func:`sscusum.core._scored_ticks` of the horizon and
@@ -297,8 +349,7 @@ def _trial_crossings(
     tick = scored.start
     drawn = 0  # ticks generated so far
     while live.size and tick < scored.stop:
-        fresh = np.stack([_draw_blocks(models[i], rngs[i], drawn, 1) for i in live])
-        slab = np.concatenate([slab, fresh], axis=2)
+        slab = np.concatenate([slab, _draw_live(models, rngs, live, drawn)], axis=2)
         drawn += _FAST_CHUNK
         reach = _scored_ticks(drawn, **rule).stop  # past the last tick the slab can score
         emit = min(reach, scored.stop) - tick

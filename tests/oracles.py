@@ -136,6 +136,28 @@ def run_lengths(reported, change_points, horizon):
     }
 
 
+def episode_loop(alpha, waveform, onsets, sigma2, horizon, seed):
+    """One (k, horizon) episode by its documented layout, sample by sample.
+
+    Sensor i at tick t (1..horizon) carries ``alpha[i] * waveform(t -
+    onsets[i])``, one waveform call per (sensor, tick). The noise is the
+    seed's generator drawn as (blocks, k, 256) in one call, the blocks laid
+    end to end along the ticks, cut to the horizon and scaled by
+    sqrt(sigma2); with sigma2 = 0 none is added.
+    """
+    k = len(alpha)
+    out = np.zeros((k, horizon))
+    for i in range(k):
+        for t in range(1, horizon + 1):
+            out[i, t - 1] = alpha[i] * float(waveform(t - onsets[i]))
+    if sigma2 == 0:
+        return out
+    blocks = -(-horizon // 256)
+    noise = np.random.default_rng(seed).standard_normal((blocks, k, 256))
+    noise = noise.transpose(1, 0, 2).reshape(k, blocks * 256)[:, :horizon]
+    return out + noise * math.sqrt(sigma2)
+
+
 def covariance_triple_loop(samples: np.ndarray) -> np.ndarray:
     """sum_j x_j x_j^T accumulated element by element; samples is (w, k)."""
     w, k = samples.shape

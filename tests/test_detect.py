@@ -902,6 +902,19 @@ class TestCusumReport:
         with pytest.raises(DimensionMismatchError, match="5 ticks for 7 increments"):
             cusum_report(np.arange(5), np.ones(7), d=0.5, b=b, lookahead=3)
 
+    def test_nan_increment_rejected(self):
+        # once reported no alarm, with the path [1, nan, nan, nan]
+        with pytest.raises(NumericalError, match="non-finite CUSUM statistic"):
+            cusum_report(np.arange(1, 5), np.array([1.0, np.nan, 5.0, 9.0]), d=0.0, b=2.0,
+                         lookahead=0)
+
+    def test_overflowing_statistic_rejected(self):
+        # once overflowed to inf and reported a crossing at tick 3, although
+        # b = inf never stops a run
+        with pytest.raises(NumericalError, match="non-finite CUSUM statistic"):
+            cusum_report(np.arange(1, 4), np.array([1.0, 1e308, 1e308]), d=0.0, b=math.inf,
+                         lookahead=0)
+
     def test_increments_run_no_cusum(self, monkeypatch):
         streams = _delayed_record(3, 300, 4, seed=6)
         want = async_pipeline(streams, w=12, tau_max=4, d=0.0, full_trajectory=True)

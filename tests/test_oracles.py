@@ -9,6 +9,7 @@ from oracles import (
     best_shift,
     correlation_scan,
     covariance_triple_loop,
+    episode_loop,
     jacobi_eigh,
     run_lengths,
     scalar_cusum,
@@ -65,6 +66,18 @@ def test_covariance_triple_loop_hand_case():
     samples = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     expected = np.array([[2.0, 1.0], [1.0, 2.0]])
     assert np.array_equal(covariance_triple_loop(samples), expected)
+
+
+def test_episode_loop_hand_case():
+    def step(m):
+        return 1.0 if m >= 1 else 0.0
+
+    got = episode_loop([1.0, 2.0], step, [3, 5], sigma2=0.0, horizon=6, seed=1)
+    assert got.tolist() == [[0, 0, 0, 1, 1, 1], [0, 0, 0, 0, 0, 2]]
+    # sigma2 = 4: the signal plus twice the seed's normals, block 0 then block 1
+    noisy = episode_loop([0.0], step, [0], sigma2=4.0, horizon=300, seed=1)
+    normals = np.random.default_rng(1).standard_normal(512)
+    assert np.array_equal(noisy[0], 2.0 * normals[:300])
 
 
 def test_run_lengths_hand_case():

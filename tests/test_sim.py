@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import first_crossing, run_lengths, scalar_cusum
+from oracles import episode_loop, first_crossing, run_lengths, scalar_cusum
 from sscusum import sim
 from sscusum.core import ScenarioModel, Waveform
 from sscusum.detect import async_pipeline, one_shot_detector
@@ -82,6 +82,64 @@ class TestGenerateEpisode:
     def test_non_finite_shift_rejected(self):
         with pytest.raises(ValueError, match="alpha must be finite"):
             mean_shift_model(3, mu=math.nan)
+
+
+# the draw's edge cases: onsets out of order, shared, and before tick 0
+ORACLE_WAVEFORMS = {
+    "step": Waveform.step(),
+    "table": Waveform.from_samples(np.linspace(-1.0, 2.0, 37), first_tick=0),
+}
+ORACLE_ONSETS = {
+    "unsorted": [40, 3, 300, 17, 0],
+    "tied": [5, 5, 5, 260, 260],
+    "negative": [-30, 4, -1, 600, 2],
+}
+
+
+class TestEpisodeOracle:
+    """The episode against a per-(sensor, tick) loop over its documented
+    layout; each sensor's signal is one window of a single waveform call."""
+
+    ALPHA = np.array([1.0, -2.5, 0.0, 0.3, 4.0])
+
+    def _model(self, waveform, onsets, sigma2):
+        return ScenarioModel(k=5, sigma2=sigma2, alpha=self.ALPHA,
+                             waveform=ORACLE_WAVEFORMS[waveform], onsets=ORACLE_ONSETS[onsets])
+
+    def _oracle(self, waveform, onsets, sigma2, horizon, seed):
+        return episode_loop(self.ALPHA, ORACLE_WAVEFORMS[waveform], ORACLE_ONSETS[onsets],
+                            sigma2, horizon, seed)
+
+    @pytest.mark.parametrize("horizon", [1, 256, 257, 700])
+    @pytest.mark.parametrize("onsets", sorted(ORACLE_ONSETS))
+    @pytest.mark.parametrize("waveform", sorted(ORACLE_WAVEFORMS))
+    def test_noiseless_episode_is_the_signal(self, waveform, onsets, horizon):
+        got = generate_episode(self._model(waveform, onsets, 0.0), horizon, seed=7)
+        assert np.array_equal(got, self._oracle(waveform, onsets, 0.0, horizon, 7))
+
+    @pytest.mark.parametrize("horizon", [257, 700])
+    @pytest.mark.parametrize("waveform", sorted(ORACLE_WAVEFORMS))
+    def test_noisy_episode_follows_the_block_layout(self, waveform, horizon):
+        got = generate_episode(self._model(waveform, "negative", 2.5), horizon, seed=8)
+        assert got.tobytes() == self._oracle(waveform, "negative", 2.5, horizon, 8).tobytes()
+
+    def test_each_tick_is_evaluated_once(self):
+        calls = []
+
+        def step(m):
+            calls.append(m.copy())
+            return (m >= 1).astype(float)
+
+        # a sensor whose onset lies far past the horizon adds only its own window
+        onsets = np.array([7, 0, 10**6, 7])
+        model = ScenarioModel(k=4, sigma2=1.0, alpha=np.ones(4), waveform=Waveform(step),
+                              onsets=onsets)
+        calls.clear()  # the model's own causality check
+        got = generate_episode(model, 300, seed=3)  # two blocks: ticks 1..512
+        assert len(calls) == 1
+        want = np.concatenate([np.arange(1 - 10**6, 513 - 10**6), np.arange(-6, 513)])
+        assert np.array_equal(np.sort(calls[0]), want)
+        assert got.tobytes() == episode_loop(np.ones(4), step, onsets, 1.0, 300, 3).tobytes()
 
 
 def _no_draw(*args):
@@ -454,7 +512,9 @@ class TestLockstepEngine:
         assert taus == [0] * 16
 
     def test_crossings_do_not_depend_on_the_worker_count(self, workers):
-        cases = [LOCKSTEP_CASES[case] for case in ("subspace-edd", "sync-edd")]
+        # the race and a pure-noise ARL case too: every case draws on the pool
+        names = ("subspace-edd", "sync-edd", "one_shot-edd", "subspace-arl")
+        cases = [LOCKSTEP_CASES[case] for case in names]
         workers(1)
         serial = [_trial_crossings(*case, 12, 1000, 25)[0] for case in cases]
         workers(3)
@@ -462,6 +522,20 @@ class TestLockstepEngine:
         for one, many in zip(serial, pooled):
             assert np.array_equal(many, one)
             assert (one[:, 0] >= 0).all()
+
+    def test_a_failing_draw_raises_with_any_worker_count(self, workers):
+        def short(m):
+            if m.max() > 600:
+                raise ValueError(f"no sample past tick 600, asked for {m.max()}")
+            return (m >= 1).astype(float)
+
+        model = ScenarioModel(k=4, sigma2=1.0, alpha=np.zeros(4), waveform=Waveform(short),
+                              onsets=np.zeros(4, dtype=int))
+        for n in (1, 3):
+            workers(n)
+            # the third block, ticks 513..768, fails in every trial
+            with pytest.raises(ValueError, match="no sample past tick 600, asked for 768"):
+                _trial_crossings(OneShotSpec(mu=0.5), model, [1e9], 6, 1000, 3)
 
     @pytest.mark.parametrize("case", ["subspace-one-live-arl", "sync-one-live-arl"])
     def test_last_live_trial_scans_as_one_row(self, case, monkeypatch):
