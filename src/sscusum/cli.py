@@ -94,8 +94,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="write a synthetic episode CSV")
-    _add(p, "k", "sigma2", "mu", "alpha", "onsets", "tau_max", "w", "horizon", "seed",
-         tau_max=None)
+    _add(p, "k", "sigma2", "mu", "alpha", "onsets", "tau_max", "horizon", "seed", tau_max=None)
     p.add_argument("--out", required=False, default=None, help="output CSV path")
 
     p = sub.add_parser("calibrate", help="print an empirical drift value")
@@ -254,45 +253,39 @@ def _load_streams(args) -> tuple[int, np.ndarray]:
     return t0, streams
 
 
-def _sync(args) -> bool:
-    return args.sync if args.sync is not None else args.tau_max > 0
+def _pass(args) -> dict:
+    """The command's pass settings, as the scorer, the drift calibration and
+    the Monte Carlo spec take them; sync defaults to on when tau-max > 0."""
+    sync = args.sync if args.sync is not None else args.tau_max > 0
+    return dict(w=args.w, tau_max=args.tau_max, sync=sync, delta=args.delta, n_max=args.n_max)
 
 
-def _prefix(args, streams: np.ndarray) -> tuple[int, int]:
+def _prefix(args, streams: np.ndarray, rule: dict) -> tuple[int, int]:
     """The calibration prefix length (default: the whole record) and the
-    number of ticks a pass over it scores, checked to be at least one."""
+    number of ticks a pass with settings ``rule`` scores over it, checked to
+    be at least one."""
     prefix = args.prefix if args.prefix is not None else streams.shape[1]
     if prefix > streams.shape[1]:
         raise ValidationError(
             f"--prefix {prefix} exceeds the {streams.shape[1]} ticks in the file"
         )
-    ticks = _scored_ticks(prefix, w=args.w, tau_max=args.tau_max, sync=_sync(args))
+    ticks = _scored_ticks(prefix, **rule)
     if not ticks:
         raise ValidationError(
             f"--prefix {prefix} is too short for one window "
             f"(need >= {prefix + 1 - (ticks.stop - ticks.start)} with w={args.w}, "
-            f"tau-max={args.tau_max}, sync={_sync(args)})"
+            f"tau-max={args.tau_max}, sync={rule['sync']})"
         )
     return prefix, len(ticks)
-
-
-def _increments(args, t0: int, streams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return det.subspace_increments(
-        streams,
-        w=args.w,
-        tau_max=args.tau_max,
-        sync=_sync(args),
-        t0=t0,
-        delta=args.delta,
-        n_max=args.n_max,
-    )
 
 
 def cmd_calibrate(args) -> int:
     _require(args, "in_path", "w")
     _positive(args, "w", "factor")
+    rule = _pass(args)
     t0, streams = _load_streams(args)
-    _, increments = _increments(args, t0, streams[:, : _prefix(args, streams)[0]])
+    prefix, _ = _prefix(args, streams, rule)
+    _, increments = det.subspace_increments(streams[:, :prefix], t0=t0, **rule)
     print(repr(det.calibrate_drift(increments, factor=args.factor)))
     return 0
 
@@ -300,12 +293,13 @@ def cmd_calibrate(args) -> int:
 def cmd_detect(args) -> int:
     _require(args, "in_path", "w", "b", "out")
     _positive(args, "w", "b", "rate", "factor")
+    rule = _pass(args)
     t0, streams = _load_streams(args)
     if args.d is None:
         if args.factor is None:
             raise ValidationError("supply --d, or --factor (with --prefix) to calibrate")
-        _, scored = _prefix(args, streams)
-    ticks, increments = _increments(args, t0, streams)
+        _, scored = _prefix(args, streams, rule)
+    ticks, increments = det.subspace_increments(streams, t0=t0, **rule)
     if args.d is None:
         # A pass over the prefix alone scores exactly these leading ticks:
         # its sync segments start at the same ticks, and every delay window
@@ -330,7 +324,7 @@ def cmd_curve(args) -> int:
     _require(args, "k", "mu", "w", "trials", "horizon", "seed", "out")
     _positive(args, "k", "w", "trials", "horizon", "horizon_edd", "sigma2")
     horizon_edd = args.horizon if args.horizon_edd is None else args.horizon_edd
-    sync = _sync(args)
+    rule = _pass(args)
     ss = np.random.SeedSequence(int(args.seed))
     seed_sub, seed_os, seed_drift = ss.spawn(3)
     noise = sim.pure_noise_model(args.k, args.sigma2)
@@ -342,18 +336,11 @@ def cmd_curve(args) -> int:
             raise ValidationError("--b-grid is required for the subspace curve")
         d = args.d
         if d is None:
-            cal = sim.empirical_drift(
-                noise,
-                sim.mean_shift_model(args.k, args.mu, args.sigma2),
-                w=args.w,
-                tau_max=args.tau_max,
-                sync=sync,
-                seed=seed_drift,
-            )
+            change_at_0 = sim.mean_shift_model(args.k, args.mu, args.sigma2)
+            cal = sim.empirical_drift(noise, change_at_0, seed=seed_drift, **rule)
             d = cal.midpoint
             print(f"calibrated drift d={d!r} (pre={cal.lower:.4f}, post={cal.upper:.4f})")
-        spec = sim.SubspaceSpec(w=args.w, tau_max=args.tau_max, d=d, delta=args.delta,
-                                n_max=args.n_max, sync=sync)
+        spec = sim.SubspaceSpec(d=d, **rule)
         points += sim.operating_curve(
             spec, noise, change, args.b_grid, args.trials, seed_sub,
             horizon_arl=args.horizon, horizon_edd=horizon_edd,

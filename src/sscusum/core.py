@@ -5,7 +5,10 @@ schema.
 Time is integer ticks throughout; all delays are integer sample shifts.
 Sensor indices are 0-based in code, and sensor 0 is the synchronization
 reference. Every scoring path asks :func:`_scored_ticks` which ticks a pass
-can score, and :func:`_check_pass` whether its settings are usable.
+can score, :func:`_check_pass` whether its settings are usable, and
+:func:`_sync_cadence` how often it fits delays. The shared input checks,
+:func:`_check_counts`, :func:`_as_array` and :func:`_as_ticks`, name the
+argument they reject.
 """
 
 from __future__ import annotations
@@ -38,13 +41,23 @@ __all__ = [
 ]
 
 
-def _scored_ticks(n: int, *, w: int, tau_max: int, sync: bool, t0: int = 1) -> range:
+def _scored_ticks(
+    n: int, *, w: int, tau_max: int, sync: bool, t0: int = 1, **_settings
+) -> range:
     """The ticks a pass over ``n`` columns from tick ``t0`` scores: each needs
     its ``w`` future samples and, only with delay estimation, whose shifts
     reach ``tau_max`` either way, that much headroom on both sides.
-    ``n + 1 - (stop - start)`` columns score one tick."""
+    ``n + 1 - (stop - start)`` columns score one tick. The pass's other
+    settings (delta, n_max, sync_every) do not move them.
+    """
     headroom = tau_max if sync else 0
     return range(t0 + headroom, t0 + n - w - headroom)
+
+
+def _sync_cadence(w: int, sync_every: int | None) -> int:
+    """Scored ticks between a sync pass's delay fits: ``sync_every``, by
+    default once per window length."""
+    return w if sync_every is None else sync_every
 
 
 def _check_integers(**values) -> None:
@@ -53,6 +66,38 @@ def _check_integers(**values) -> None:
     for name, value in values.items():
         if value is not None and not isinstance(value, Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_counts(least: int, **values) -> None:
+    """Reject a count that is not an integer >= ``least``, by its name."""
+    for name, value in values.items():
+        if not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _as_array(value, name: str = "streams", axes: str = "kn", *, sensors: int = 0) -> np.ndarray:
+    """``value`` as a float array with one axis per letter of ``axes``: "n"
+    for a series, "kn" for a record of k sensors, at least ``sensors`` of
+    them. Both checks name the argument."""
+    data = np.asarray(value, dtype=float)
+    if data.ndim != len(axes):
+        raise DimensionMismatchError(
+            f"{name} must be a ({', '.join(axes)}) array, got shape {data.shape}"
+        )
+    if sensors and data.shape[0] < sensors:
+        raise ValueError(f"{name} needs at least {sensors} sensors, got {data.shape[0]}")
+    return data
+
+
+def _as_ticks(values, name: str) -> np.ndarray:
+    """``values`` as integer ticks; a fractional or non-finite entry is
+    rejected by name instead of being truncated."""
+    ticks = np.asarray(values)
+    if ticks.dtype.kind == "f" and not np.all(np.isfinite(ticks) & (ticks == np.round(ticks))):
+        raise ValueError(f"{name} must be whole ticks, got {ticks.tolist()}")
+    return ticks.astype(int)
 
 
 def _check_pass(*, w, tau_max=0, sync=False, delta=0, n_max=1, sync_every=None, **ticks) -> None:
@@ -114,15 +159,14 @@ class DelayProfile:
         tau = np.asarray(self.tau_hat)
         if tau.ndim != 1 or tau.size == 0:
             raise DimensionMismatchError("tau_hat must be a nonempty 1-D integer vector")
-        if tau.dtype.kind == "f" and not np.all(tau == np.round(tau)):  # nan fails too
-            raise ValueError(f"delays must be whole ticks, got {tau.tolist()}")
+        tau = _as_ticks(tau, "delays")
         if tau[0] != 0:
             raise ValueError("reference sensor delay must be 0")
         if np.any(np.abs(tau) > self.tau_max):
             raise ValueError(
                 f"delays {tau.tolist()} exceed bound tau_max={self.tau_max}"
             )
-        object.__setattr__(self, "tau_hat", tau.astype(int))
+        object.__setattr__(self, "tau_hat", tau)
 
     @property
     def k(self) -> int:
@@ -183,10 +227,9 @@ class ScenarioModel:
     onsets: np.ndarray
 
     def __post_init__(self):
+        _check_counts(1, k=self.k)
         alpha = np.asarray(self.alpha, dtype=float)
-        onsets = np.asarray(self.onsets, dtype=int)
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        onsets = _as_ticks(self.onsets, "onsets")
         if not 0 <= self.sigma2 < np.inf:
             raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
         if alpha.shape != (self.k,):
@@ -289,9 +332,7 @@ def write_sensor_csv(path, streams: np.ndarray, t0: int = 1) -> None:
     non-finite reading or an empty record, which :func:`read_sensor_csv`
     rejects, is rejected before the file is opened.
     """
-    streams = np.asarray(streams, dtype=float)
-    if streams.ndim != 2:
-        raise DimensionMismatchError("streams must be a (k, n) array")
+    streams = _as_array(streams)
     k, n = streams.shape
     if not (k and n):
         raise ValueError(f"need at least one sensor and one tick, got shape {streams.shape}")

@@ -26,11 +26,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .core import DelayProfile, MultiSensorFrame, _check_pass, _scored_ticks
+from .core import (
+    DelayProfile, MultiSensorFrame, _as_array, _check_counts, _check_pass, _scored_ticks,
+    _sync_cadence,
+)
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -129,10 +132,6 @@ class SubspaceCusum:
         self.state = CusumState(d=float(d), b=float(b))
         self._ring: np.ndarray | None = None
         self._first = self._newest = 0
-
-    @property
-    def d(self) -> float:
-        return self.state.d
 
     def step(self, frame: MultiSensorFrame) -> tuple[int, float] | None:
         """Absorb frame t; return (t - w, S) once frame t - w has its w
@@ -254,9 +253,7 @@ def one_shot_detector(
         NumericalError: a reading is nan or inf, or its increment overflows.
     """
     _check_rule(0.0, b)
-    data = np.atleast_2d(np.asarray(streams, dtype=float))
-    if data.ndim != 2:
-        raise DimensionMismatchError("streams must be a (k, n) array")
+    data = _as_array(np.atleast_2d(streams))
     k, n = data.shape
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
         inc = _race_increments(data, mu, sigma2)
@@ -306,8 +303,8 @@ def drift_bounds(sigma2: float, rho: float, k: int, w: int) -> DriftBounds:
     """Admissible drift interval (sigma2, sigma2*(1 + rho*(1 - (1+rho)(k-1)/(w rho^2))))."""
     if not (0 < sigma2 < math.inf and 0 < rho < math.inf):
         raise ValueError(f"require finite sigma2 > 0 and rho > 0, got {sigma2}, {rho}")
-    if k < 2 or w < 1:
-        raise ValueError("require k >= 2 and w >= 1")
+    _check_counts(2, k=k)
+    _check_counts(1, w=w)
     bracket = rho * (1.0 - (1.0 + rho) * (k - 1) / (w * rho * rho))
     return DriftBounds(lower=sigma2, upper=sigma2 * (1.0 + bracket))
 
@@ -331,14 +328,18 @@ def cusum_report(
     ``b`` and ``full_trajectory=True`` on the same streams.
 
     Raises:
-        DimensionMismatchError: ``ticks`` and ``increments`` differ in length.
+        DimensionMismatchError: ``increments`` is not 1-D, or ``ticks`` and
+            ``increments`` differ in length.
+        ValueError: ``lookahead`` is not an integer >= 0.
         NumericalError: an increment is nan or inf, or the statistic overflows.
     """
     _check_rule(d, b)
+    _check_counts(0, lookahead=lookahead)
+    increments = _as_array(increments, "increments", "n")
     if len(ticks) != len(increments):
         raise DimensionMismatchError(f"{len(ticks)} ticks for {len(increments)} increments")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
-        path = _scan(np.zeros(1), (np.asarray(increments, dtype=float) - d)[None])[0]
+        path = _scan(np.zeros(1), (increments - d)[None])[0]
     # a non-finite increment leaves a non-finite value at its own tick
     if not np.isfinite(path).all():
         raise NumericalError(
@@ -377,11 +378,8 @@ def _segment_increments(
     Each record's delays and increments equal those of its own call.
     """
     data = np.asarray(stack, dtype=float)
-    if data.ndim != 3:
-        raise DimensionMismatchError("streams must be a (k, n) array")
+    _as_array(data[0], sensors=2)  # each record has the first's shape
     T, k, n = data.shape
-    if k < 2:
-        raise ValueError("need at least 2 sensors")
     _check_pass(
         w=w, tau_max=tau_max, sync=sync, delta=delta, n_max=n_max, sync_every=sync_every, t0=t0
     )
@@ -394,7 +392,7 @@ def _segment_increments(
 
     rows = np.arange(k)[:, None]
     trials = np.arange(T)[:, None, None, None]
-    segment = (w if sync_every is None else sync_every) if sync else SEGMENT
+    segment = _sync_cadence(w, sync_every) if sync else SEGMENT
     starts = np.arange(scored.start, scored.stop, segment)
     lengths = np.minimum(starts + segment, scored.stop) - starts
     most = max(1, SEGMENT // (segment * T)) if sync else 1
@@ -510,38 +508,26 @@ def subspace_increments(
     return np.arange(t_first, t_first + increments.size), increments
 
 
-def write_report_csv(
-    path,
-    reports: StoppingReport | Sequence[StoppingReport],
-    rate: float | None = None,
-) -> None:
-    """Write ``detector,crossed_at,reported_at,b,d`` rows, one per report.
+def write_report_csv(path, report: StoppingReport, rate: float | None = None) -> None:
+    """Write the header ``detector,crossed_at,reported_at,b,d`` and the
+    report's row.
 
     With a sampling ``rate`` (Hz), crossing times are also emitted in
-    seconds. No-alarm runs leave the time cells empty.
+    seconds. A no-alarm run leaves the time cells empty. A rate that is not
+    finite and > 0 is rejected before the file is opened.
     """
-    if isinstance(reports, StoppingReport):
-        reports = [reports]
+    times = [report.crossed_at, report.reported_at]
     header = ["detector", "crossed_at", "reported_at", "b", "d"]
+    row = [report.detector, *times, repr(float(report.b)), repr(float(report.d))]
     if rate is not None:
+        if not 0 < rate < math.inf:
+            raise ValueError(f"rate must be finite and > 0, got {rate}")
         header += ["crossed_sec", "reported_sec"]
-    with open(path, "w", newline="") as fh:
+        row += [None if t is None else repr(t / rate) for t in times]
+    with open(path, "w", newline="") as fh:  # csv.writer writes None as an empty cell
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in reports:
-            row = [
-                r.detector,
-                "" if r.crossed_at is None else r.crossed_at,
-                "" if r.reported_at is None else r.reported_at,
-                repr(float(r.b)),
-                repr(float(r.d)),
-            ]
-            if rate is not None:
-                row += [
-                    "" if r.crossed_at is None else repr(r.crossed_at / rate),
-                    "" if r.reported_at is None else repr(r.reported_at / rate),
-                ]
-            writer.writerow(row)
+        writer.writerow(row)
 
 
 def write_trajectory_csv(path, report: StoppingReport) -> None:

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ScenarioModel, Waveform, _check_integers, _check_pass, _scored_ticks
+from .core import ScenarioModel, Waveform, _check_counts, _check_pass, _scored_ticks, _sync_cadence
 from .detect import DriftBounds, _check_rule, _race_increments, _scan, _segment_increments
 from .detect import subspace_increments
 from .linalg import _run_tasks
@@ -200,21 +200,14 @@ def generate_episode(model: ScenarioModel, horizon: int, seed) -> np.ndarray:
     equals ``generate_episode(m, p, s)``. The lockstep Monte Carlo draws the
     same blocks one at a time and so scores exactly these samples.
     """
-    _check_integers(horizon=horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_counts(1, horizon=horizon)
     rng = np.random.default_rng(seed)
     return _draw_blocks(model, rng, 0, -(-horizon // _FAST_CHUNK))[:, :horizon]
 
 
 def pure_noise_model(k: int, sigma2: float = 1.0) -> ScenarioModel:
-    return ScenarioModel(
-        k=k,
-        sigma2=sigma2,
-        alpha=np.zeros(k),
-        waveform=Waveform.step(),
-        onsets=np.zeros(k, dtype=int),
-    )
+    """Every sensor N(0, sigma2) throughout: the mean shift of size 0."""
+    return mean_shift_model(k, 0.0, sigma2)
 
 
 def mean_shift_model(
@@ -223,8 +216,10 @@ def mean_shift_model(
     sigma2: float = 1.0,
     onsets: np.ndarray | None = None,
 ) -> ScenarioModel:
-    """Every sensor steps from N(0, sigma2) to N(mu, sigma2) at its onset."""
-    onsets = np.zeros(k, dtype=int) if onsets is None else np.asarray(onsets, dtype=int)
+    """Every sensor steps from N(0, sigma2) to N(mu, sigma2) at its onset
+    (default: all at tick 0)."""
+    _check_counts(1, k=k)
+    onsets = np.zeros(k, dtype=int) if onsets is None else onsets
     return ScenarioModel(
         k=k,
         sigma2=sigma2,
@@ -240,11 +235,10 @@ def uniform_onsets(rng: np.random.Generator, k: int, tau_max: int) -> np.ndarray
     keep the same law and stay within the bound.
 
     Raises:
-        ValueError: ``tau_max`` is not an integer >= 0.
+        ValueError: ``k`` is not an integer >= 1, or ``tau_max`` one >= 0.
     """
-    _check_integers(tau_max=tau_max)
-    if tau_max < 0:
-        raise ValueError(f"tau_max must be >= 0, got {tau_max}")
+    _check_counts(1, k=k)
+    _check_counts(0, tau_max=tau_max)
     onsets = rng.integers(0, tau_max + 1, size=k)
     return onsets - onsets.min()
 
@@ -304,8 +298,6 @@ def _trial_crossings(
     segment error in any live trial of a slab aborts the run. The spec's
     settings are checked before any noise is drawn.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     b_arr = np.asarray(b_grid, dtype=float)
     if b_arr.size == 0:
         raise ValueError("threshold grid is empty")
@@ -326,17 +318,14 @@ def _trial_crossings(
             return [(tick, _race_increments(slab[:, :, :emit], spec.mu, spec.sigma2))]
     else:
         _check_rule(spec.d, math.inf)
-        rule = dict(w=spec.w, tau_max=spec.tau_max, sync=spec.sync)
-        _check_pass(**rule, delta=spec.delta, n_max=spec.n_max, sync_every=spec.sync_every)
-        every = (spec.w if spec.sync_every is None else spec.sync_every) if spec.sync else 1
+        rule = dict(w=spec.w, tau_max=spec.tau_max, sync=spec.sync, delta=spec.delta,
+                    n_max=spec.n_max, sync_every=spec.sync_every)
+        _check_pass(**rule)
+        every = _sync_cadence(spec.w, spec.sync_every) if spec.sync else 1
         S = np.zeros(trials)
 
         def increments(slab, tick, emit):
-            segments = _segment_increments(
-                slab[:, :, : emit + spent], w=spec.w, tau_max=spec.tau_max, sync=spec.sync,
-                delta=spec.delta, n_max=spec.n_max, sync_every=spec.sync_every,
-                t0=tick - headroom,
-            )
+            segments = _segment_increments(slab[:, :, : emit + spent], **rule, t0=tick - headroom)
             return ((start, inc - spec.d) for start, inc, _ in segments)
 
     scored = _scored_ticks(horizon, **rule)
@@ -425,7 +414,7 @@ def operating_curve(
     in b because each trial's crossings come from one statistic path. The
     counts are checked before any noise is drawn.
     """
-    _check_integers(trials=trials, horizon_arl=horizon_arl, horizon_edd=horizon_edd)
+    _check_counts(1, trials=trials, horizon_arl=horizon_arl, horizon_edd=horizon_edd)
     arl_seed, edd_seed = _as_seedseq(seed).spawn(2)
     rep_arl, _ = _trial_crossings(spec, noise_model, b_grid, trials, horizon_arl, arl_seed)
     rep_edd, taus = _trial_crossings(spec, change_model, b_grid, trials, horizon_edd, edd_seed)
@@ -455,11 +444,11 @@ def empirical_drift(
     long post-change episode (change at 0, so the post regime is stationary
     whenever the signal is). Useful when the closed-form interval is empty.
     Returns the measured interval: ``lower`` and ``upper`` are the pre- and
-    post-change increment means, with their standard errors.
+    post-change increment means, with their standard errors. ``ticks`` and
+    the pass settings are checked before any noise is drawn.
     """
-    _check_integers(ticks=ticks, w=w, tau_max=tau_max)
-    if ticks < 1:
-        raise ValueError(f"ticks must be >= 1, got {ticks}")
+    _check_counts(1, ticks=ticks, w=w)
+    _check_pass(w=w, tau_max=tau_max, sync=sync, **pipeline_kwargs)
     horizon = ticks + w + 2 * tau_max + 1
     s1, s2 = _as_seedseq(seed).spawn(2)
     out = []

@@ -16,13 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DelayProfile, _check_pass, _scored_ticks
-from .errors import (
-    DimensionMismatchError,
-    InsufficientLookaheadError,
-    ZeroCorrelationWarning,
-    ZeroMatrixError,
-)
+from .core import DelayProfile, _as_array, _check_pass, _scored_ticks
+from .errors import InsufficientLookaheadError, ZeroCorrelationWarning, ZeroMatrixError
 from .linalg import canonicalize_sign, window_top_vectors
 
 __all__ = ["WaveformEstimate", "JointEstimate", "joint_estimate"]
@@ -158,7 +153,7 @@ def joint_estimate(
     call of :func:`_joint_fit`.
 
     Args:
-        streams: (k, L) array covering ticks [t0, t0 + L - 1].
+        streams: (k, n) array covering ticks [t0, t0 + n - 1].
         window: (start_tick, w) analysis window; defaults to the widest
             window leaving tau_max headroom on both sides.
 
@@ -167,12 +162,8 @@ def joint_estimate(
         ``converged`` = whether the delta test fired), the final template,
         and the final unit direction.
     """
-    data = np.asarray(streams, dtype=float)
-    if data.ndim != 2:
-        raise DimensionMismatchError("streams must be a (k, L) array")
-    k, n = data.shape
-    if k < 2:
-        raise ValueError("need at least 2 sensors")
+    data = _as_array(streams, sensors=2)
+    n = data.shape[1]
     start, w = (None, None) if window is None else window
     _check_pass(w=w, tau_max=tau_max, sync=True, delta=delta, n_max=n_max, t0=t0, start=start)
     covered = _scored_ticks(n, w=0, tau_max=tau_max, sync=True, t0=t0)  # ticks with headroom

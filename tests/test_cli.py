@@ -54,11 +54,22 @@ class TestSimulate:
     def test_comparison_preset_accepted(self, tmp_path):
         out = tmp_path / "preset.csv"
         code = run(
-            ["simulate", "--k", 50, "--mu", 0.1, "--tau-max", 20, "--w", 20,
+            ["simulate", "--k", 50, "--mu", 0.1, "--tau-max", 20,
              "--horizon", 80, "--seed", 3, "--out", out]
         )
         assert code == 0
         assert out.exists()
+
+    def test_w_is_not_a_simulate_flag(self, tmp_path, capsys):
+        # simulate never read --w; a config's w = key is skipped like any
+        # key that only another subcommand accepts
+        out = tmp_path / "episode.csv"
+        argv = ["simulate", "--k", 2, "--horizon", 6, "--seed", 1, "--out", out]
+        assert run(argv + ["--w", 20]) == 1
+        assert "unrecognized arguments: --w 20" in capsys.readouterr().err
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("w = 20\n")
+        assert run(["--config", cfg] + argv) == 0
 
     def test_matches_direct_module_call(self, tmp_path):
         # thin-shell check: the CLI output is exactly the module composition
@@ -358,6 +369,33 @@ class TestCurve:
                     "--detector", "subspace", "--seed", 14, "--out", out])
         assert code == 0
         assert "calibrated drift" in capsys.readouterr().out
+
+    # a sync curve whose delay fits differ from the defaults (delta=1, n_max=10)
+    SYNC_CURVE = ["curve", "--k", 6, "--mu", 0.8, "--w", 10, "--tau-max", 3, "--sync",
+                  "--b-grid", 5, "--trials", 1, "--horizon", 100, "--horizon-edd", 60,
+                  "--seed", 3, "--detector", "subspace"]
+
+    @pytest.mark.parametrize("fit", [{"n_max": 1}, {"delta": 3}])
+    def test_calibration_runs_the_pass_the_curve_runs(self, tmp_path, capsys, fit):
+        # the calibration used to fit delays with the default settings
+        # whatever --delta and --n-max were: d=3.844486555075288 for both
+        flags = [x for name, value in fit.items() for x in ("--" + name.replace("_", "-"), value)]
+        assert run(self.SYNC_CURVE + flags + ["--out", tmp_path / "c.csv"]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        seed_drift = np.random.SeedSequence(3).spawn(3)[2]
+        want = sim.empirical_drift(
+            sim.pure_noise_model(6), sim.mean_shift_model(6, 0.8), w=10, tau_max=3, sync=True,
+            seed=seed_drift, **fit,
+        )
+        assert line.startswith(f"calibrated drift d={want.midpoint!r} ")
+
+    def test_bad_n_max_fails_in_the_calibration(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert run(self.SYNC_CURVE + ["--n-max", 0, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert "n_max >= 1" in captured.err
+        assert "calibrated drift" not in captured.out
+        assert not out.exists()
 
     def test_empty_calibration_interval_exits_1(self, tmp_path, capsys):
         # mu = 0: the measured post-change mean (0.9861) falls below the

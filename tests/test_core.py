@@ -183,6 +183,16 @@ class TestScenarioModel:
         with pytest.raises(ValueError, match=message):
             self._model(**{field: value})
 
+    def test_fractional_onset_rejected(self):
+        # [3, 5.5] used to be stored as [3, 5]
+        with pytest.raises(ValueError, match=r"^onsets must be whole ticks, got \[3.0, 5.5\]"):
+            self._model(onsets=[3, 5.5])
+
+    def test_fractional_k_rejected(self):
+        # used to report "alpha must have shape (2.5,)"
+        with pytest.raises(ValueError, match="^k must be an integer, got 2.5"):
+            self._model(k=2.5)
+
 
 class TestSpikedStats:
     def test_from_scenario(self):

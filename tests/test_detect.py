@@ -449,6 +449,15 @@ class TestDriftBounds:
         with pytest.raises(ValueError, match="require finite sigma2 > 0 and rho > 0"):
             drift_bounds(sigma2, rho, 5, 20)
 
+    @pytest.mark.parametrize("k, w, message", [(2.5, 10, "^k must be an integer, got 2.5"),
+                                               (3, math.nan, "^w must be an integer, got nan"),
+                                               (1, 10, "^k must be >= 2, got 1"),
+                                               (3, 0, "^w must be >= 1, got 0")])
+    def test_fractional_or_small_counts_rejected(self, k, w, message):
+        # (2.5, 10) and w = nan used to return an interval
+        with pytest.raises(ValueError, match=message):
+            drift_bounds(1.0, 1.0, k, w)
+
 
 class TestCalibrateDrift:
     def test_factor_times_mean(self):
@@ -915,6 +924,19 @@ class TestCusumReport:
             cusum_report(np.arange(1, 4), np.array([1.0, 1e308, 1e308]), d=0.0, b=math.inf,
                          lookahead=0)
 
+    @pytest.mark.parametrize("lookahead, message", [(1.5, "^lookahead must be an integer"),
+                                                    (-3, "^lookahead must be >= 0, got -3")])
+    def test_bad_lookahead_rejected(self, lookahead, message):
+        # both used to be accepted, and a crossing reported at a fractional
+        # or earlier tick
+        with pytest.raises(ValueError, match=message):
+            cusum_report(np.arange(3), np.ones(3), d=0.5, b=1.0, lookahead=lookahead)
+
+    def test_two_dimensional_increments_rejected(self):
+        # used to raise a raw TypeError from adding a list to a float
+        with pytest.raises(DimensionMismatchError, match=r"^increments must be a \(n\) array"):
+            cusum_report(np.arange(3), np.ones((3, 2)), d=0.5, b=1.0, lookahead=0)
+
     def test_increments_run_no_cusum(self, monkeypatch):
         streams = _delayed_record(3, 300, 4, seed=6)
         want = async_pipeline(streams, w=12, tau_max=4, d=0.0, full_trajectory=True)
@@ -951,6 +973,16 @@ class TestReportCsv:
         path = tmp_path / "report.csv"
         write_report_csv(path, report)
         assert ",,," in path.read_text().splitlines()[1].replace("one_shot,", ",", 1)
+
+    @pytest.mark.parametrize("rate", [0.0, -250.0, math.nan, math.inf])
+    def test_rate_not_finite_and_positive_rejected_before_writing(self, tmp_path, rate):
+        # 0 used to raise ZeroDivisionError on a crossed report, and -250 or
+        # nan to write negative or nan seconds
+        report = one_shot_detector(np.ones((2, 5)), 1.0, 1.0, b=2.0)
+        path = tmp_path / "report.csv"
+        with pytest.raises(ValueError, match="^rate must be finite and > 0"):
+            write_report_csv(path, report, rate=rate)
+        assert not path.exists()
 
     def test_trajectory_schema(self, tmp_path):
         report = one_shot_detector(np.ones((2, 5)), 1.0, 1.0, b=np.inf)

@@ -169,6 +169,23 @@ def test_count_must_be_an_integer(monkeypatch, name):
         FRACTIONAL_COUNTS[name]()
 
 
+class TestModels:
+    def test_fractional_onset_rejected(self):
+        # [0, 1.5] used to be truncated to [0, 1]
+        with pytest.raises(ValueError, match=r"^onsets must be whole ticks, got \[0.0, 1.5\]"):
+            mean_shift_model(2, 1.0, onsets=[0, 1.5])
+
+    def test_whole_float_onsets_stored_as_integers(self):
+        model = mean_shift_model(2, 1.0, onsets=np.array([0.0, 3.0]))
+        assert model.onsets.dtype.kind == "i"
+        assert model.onsets.tolist() == [0, 3]
+
+    def test_pure_noise_fractional_k_rejected(self):
+        # used to reach numpy's raw TypeError
+        with pytest.raises(ValueError, match="^k must be an integer, got 2.5"):
+            pure_noise_model(2.5)
+
+
 class TestUniformOnsets:
     def test_bounds_and_pinning(self):
         rng = np.random.default_rng(4)
@@ -185,6 +202,14 @@ class TestUniformOnsets:
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=message):
             uniform_onsets(rng, k=3, tau_max=tau_max)
+        assert rng.bit_generator.state == state
+
+    def test_fractional_k_rejected_before_drawing(self):
+        # used to reach numpy's raw TypeError
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^k must be an integer, got 2.5"):
+            uniform_onsets(rng, k=2.5, tau_max=3)
         assert rng.bit_generator.state == state
 
     def test_factory_respects_bound(self):
@@ -390,6 +415,11 @@ class TestEmpiricalDrift:
     def test_ticks_below_one_rejected(self, ticks):
         with pytest.raises(ValueError, match="ticks must be >= 1"):
             empirical_drift(pure_noise_model(3), mean_shift_model(3, mu=0.5), w=5, ticks=ticks)
+
+    def test_w_none_rejected(self):
+        # used to raise a raw TypeError from adding None to an int
+        with pytest.raises(ValueError, match="^w must be an integer, got None"):
+            empirical_drift(pure_noise_model(3), mean_shift_model(3, mu=0.5), w=None)
 
 
 def _replay(spec, model_source, b_grid, trials, horizon, seed):
