@@ -100,11 +100,16 @@ def _as_ticks(values, name: str) -> np.ndarray:
     return ticks.astype(int)
 
 
-def _check_pass(*, w, tau_max=0, sync=False, delta=0, n_max=1, sync_every=None, **ticks) -> None:
+def _check_pass(
+    *, w, tau_max=0, sync=False, delta=0, n_max=1, sync_every=None, default_w=False, **ticks
+) -> None:
     """Reject pass settings a pass cannot use, before any work is done: each
     setting and tick argument (``t0``, a window start) is an integer;
     w >= 1, or 2 with delay estimation; tau_max, delta >= 0;
-    n_max, sync_every >= 1. None leaves w or sync_every to its default."""
+    n_max, sync_every >= 1. None leaves sync_every to its default, and w
+    only for a caller that has a default window (``default_w``)."""
+    if w is None and not default_w:
+        raise ValueError("w must be an integer, got None")
     _check_integers(w=w, tau_max=tau_max, delta=delta, n_max=n_max, sync_every=sync_every, **ticks)
     least = 2 if sync else 1
     if w is not None and w < least:

@@ -31,8 +31,8 @@ from typing import Iterator
 import numpy as np
 
 from .core import (
-    DelayProfile, MultiSensorFrame, _as_array, _check_counts, _check_pass, _scored_ticks,
-    _sync_cadence,
+    DelayProfile, MultiSensorFrame, _as_array, _check_counts, _check_integers, _check_pass,
+    _scored_ticks, _sync_cadence,
 )
 from .errors import (
     DegenerateInputError,
@@ -179,16 +179,22 @@ def _check_rule(d: float, b: float) -> None:
         raise ValueError(f"need a finite drift d and a threshold b that is not nan; got {d}, {b}")
 
 
-def _race_increments(data: np.ndarray, mu: float, sigma2: float) -> np.ndarray:
+def _race_increments(
+    data: np.ndarray, mu: float, sigma2: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """One-shot race increments (mu/sigma2)*(x - mu/2) of every reading in
-    ``data``: the exact Gaussian log-likelihood ratio for a known mean shift."""
+    ``data``: the exact Gaussian log-likelihood ratio for a known mean shift.
+    Written into ``out`` when one is given, which may be ``data`` itself:
+    the subtraction, then the product, as two elementwise steps."""
     if not (math.isfinite(mu) and math.isfinite(sigma2)):
         raise ValueError(f"mu and sigma2 must be finite, got mu={mu}, sigma2={sigma2}")
     if mu == 0:
         raise DegenerateInputError("mu = 0 gives a degenerate likelihood ratio")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    return mu / sigma2 * (data - mu / 2.0)
+    out = np.subtract(data, mu / 2.0, out=out)
+    out *= mu / sigma2
+    return out
 
 
 def _scan(S: np.ndarray, inc: np.ndarray) -> np.ndarray:
@@ -251,8 +257,10 @@ def one_shot_detector(
     Raises:
         DimensionMismatchError: ``streams`` has more than two dimensions.
         NumericalError: a reading is nan or inf, or its increment overflows.
+        ValueError: ``t0`` is not an integer.
     """
     _check_rule(0.0, b)
+    _check_integers(t0=t0)
     data = _as_array(np.atleast_2d(streams))
     k, n = data.shape
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
@@ -360,7 +368,7 @@ class AsyncDetection:
 
 def _segment_increments(
     stack: np.ndarray, *, w: int, tau_max: int, sync: bool, delta: int = 1, n_max: int = 10,
-    sync_every: int | None = None, t0: int = 1,
+    sync_every: int | None = None, t0: int = 1, ramp: bool = True,
 ) -> Iterator[tuple[int, np.ndarray, list[DelayProfile] | None]]:
     """Check a pipeline run's arguments, then yield ``(start, increments,
     delays)`` for each sync segment in turn: its first tick, the (T, ticks)
@@ -373,9 +381,10 @@ def _segment_increments(
     a chunk of segments in every record and one :func:`window_increments`
     call scores their blocks. Chunks double from one segment up to
     :data:`SEGMENT` trial-ticks (one segment without sync), so a run that
-    stops early scores at most about twice the segments it needed; a
-    segment's error, in any record, is raised once the run reaches it.
-    Each record's delays and increments equal those of its own call.
+    stops early scores at most about twice the segments it needed; a caller
+    that scores every tick passes ``ramp=False`` and starts at the full
+    chunk. A segment's error, in any record, is raised once the run reaches
+    it. Each record's delays and increments equal those of its own call.
     """
     data = np.asarray(stack, dtype=float)
     _as_array(data[0], sensors=2)  # each record has the first's shape
@@ -396,7 +405,7 @@ def _segment_increments(
     starts = np.arange(scored.start, scored.stop, segment)
     lengths = np.minimum(starts + segment, scored.stop) - starts
     most = max(1, SEGMENT // (segment * T)) if sync else 1
-    lo, size = 0, 1
+    lo, size = 0, 1 if ramp else most
     while lo < starts.size:
         chunk = slice(lo, lo + size)
         m = lengths[chunk].max()  # a shorter last segment is padded, then cut

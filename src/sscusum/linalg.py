@@ -38,6 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .core import _check_counts
 from .errors import DimensionMismatchError, NumericalError
 
 __all__ = [
@@ -212,10 +213,12 @@ def window_increments(block: np.ndarray, w: int) -> np.ndarray:
     :data:`TASK` at a time, as parallel tasks.
 
     Raises:
+        ValueError: ``w`` is not an integer >= 1.
         DimensionMismatchError: ``block`` is neither 2-D nor 3-D.
         NumericalError: a window's Gram matrix, a direction or a squared
             projection is not finite.
     """
+    _check_counts(1, w=w)
     if block.ndim not in (2, 3):
         raise DimensionMismatchError(f"block must be (k, n) or (T, k, n), got shape {block.shape}")
     m = block.shape[-1] - w

@@ -15,13 +15,17 @@ engine advances all trials in lockstep over those blocks, drawing a trial's
 noise only until it crosses the largest threshold; the live trials' blocks
 are drawn as tasks on the direction kernel's thread pool, each trial's
 generator in one task, so the samples it scores are exactly the ones
-:func:`generate_episode` returns for the same seed, for any CPU count. The
-subspace detector, with delay estimation or without, scores the live
-trials' slabs through the segmented pipeline's own segment
-scorer, so batch runs and the Monte Carlo share one scorer. The one-shot
-race takes its increments from :mod:`sscusum.detect` too, and both
-detectors run that module's batch CUSUM scan, so the Monte Carlo holds no copy
-of a detector's arithmetic or checks.
+:func:`generate_episode` returns for the same seed, for any CPU count. A run
+holds one reusable (trials, k, carry + step) buffer, whatever its horizon:
+each step's blocks are drawn into it after the columns carried over, and
+the race scores them in place. The drift calibration,
+:func:`empirical_drift`, streams its two episodes through the same engine
+and keeps only their increments. The subspace detector, with delay
+estimation or without, scores the live trials through the segmented
+pipeline's own segment scorer, so batch runs and the Monte Carlo share one
+scorer. The one-shot race takes its increments from :mod:`sscusum.detect`
+too, and both detectors run that module's batch CUSUM scan, so the Monte
+Carlo holds no copy of a detector's arithmetic or checks.
 
 A single run per trial serves an entire threshold grid: the statistic path
 does not depend on the threshold, so crossings for every b are read off the
@@ -42,8 +46,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ScenarioModel, Waveform, _check_counts, _check_pass, _scored_ticks, _sync_cadence
-from .detect import DriftBounds, _check_rule, _race_increments, _scan, _segment_increments
-from .detect import subspace_increments
+from .detect import SEGMENT, DriftBounds, _check_rule, _race_increments, _scan, _segment_increments
 from .linalg import _run_tasks
 
 __all__ = [
@@ -123,9 +126,11 @@ class OneShotSpec:
 
 
 _FAST_CHUNK = 256  # fixed: every trial's noise is drawn in (k, _FAST_CHUNK) blocks
-# Trials one pool task draws. At k=125 a trial's block takes about 0.6 ms;
-# on 2 vCPUs, spans of 1 to 4 trials drew 40 trials equally fast (12-13 ms),
-# and a span of 2 still splits three live trials over two tasks.
+# (k, 256) blocks one pool task draws, in whole trials. At k=125 a trial's
+# block takes about 0.6 ms; on 2 vCPUs, spans of 1 to 4 trials drew 40
+# trials equally fast (12-13 ms), and a span of 2 still splits three live
+# trials over two tasks. A trial drawing more blocks at a time, as the drift
+# calibration's two episodes do, is a task of its own.
 _DRAW_TASK = 2
 
 
@@ -166,25 +171,27 @@ def _draw_blocks(
 
 
 def _draw_live(
-    models: list[ScenarioModel], rngs: list[np.random.Generator], live: np.ndarray, drawn: int
-) -> np.ndarray:
-    """The next block, ticks drawn+1 .. drawn+_FAST_CHUNK, of every live
-    trial, as a (live, k, _FAST_CHUNK) array.
+    models: list[ScenarioModel], rngs: list[np.random.Generator], live: np.ndarray, drawn: int,
+    *, out: np.ndarray,
+) -> None:
+    """Write the next blocks of every live trial, ticks drawn+1 onward, into
+    the (live, k, blocks * _FAST_CHUNK) ``out``, which may be a strided view
+    of a larger buffer; row j is trial ``live[j]``.
 
     The trials are drawn as tasks on the direction kernel's pool
     (:func:`sscusum.linalg._run_tasks`), each task filling its own rows.
     A trial's generator is used by one task only, so the samples do not
     depend on the worker count.
     """
-    fresh = np.empty((live.size, models[0].k, _FAST_CHUNK))
+    blocks = out.shape[2] // _FAST_CHUNK
+    trials = max(1, _DRAW_TASK // blocks)  # a task's trials
 
     def draw(span):
         for j in span:
-            _draw_blocks(models[live[j]], rngs[live[j]], drawn, 1, fresh[j])
+            _draw_blocks(models[live[j]], rngs[live[j]], drawn, blocks, out[j])
 
-    _run_tasks(draw, [range(lo, min(lo + _DRAW_TASK, live.size))
-                      for lo in range(0, live.size, _DRAW_TASK)])
-    return fresh
+    _run_tasks(draw, [range(lo, min(lo + trials, live.size))
+                      for lo in range(0, live.size, trials)])
 
 
 def generate_episode(model: ScenarioModel, horizon: int, seed) -> np.ndarray:
@@ -264,6 +271,94 @@ def _as_seedseq(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def _lockstep(
+    spec, models: list[ScenarioModel], rngs: list[np.random.Generator], horizon: int,
+    *, stops: bool = True,
+):
+    """The lockstep engine: yield ``(live, start, increments)`` for each
+    scored segment, and take back through ``send`` which of the ``live``
+    rows still run (None: all).
+
+    ``live`` holds trial indices; ``increments``, (live, ticks) or the
+    race's (live, k, ticks), are what the CUSUM adds from tick ``start`` on:
+    squared projections minus the spec's drift, or log-likelihood ratios.
+    Each trial's samples are drawn from its own generator and model exactly
+    as :func:`generate_episode` lays them out (:func:`_draw_live`). Once they
+    hold a whole number of sync segments and the columns those need (or the
+    episode's rest), the subspace detector scores them for all live trials
+    with the pipeline's segment scorer, so its segments start where the
+    pipeline's do on the whole episode; the race scores every drawn column.
+
+    A run holds one (trials, k, carry + step) buffer, whatever the horizon.
+    A step draws into the columns after the carried ones; after its
+    segments, the carried columns move to the front of each row still
+    running, and the rows of trials that left close up; once none runs, no
+    further segment is scored. A step is one (k, 256) block, so no trial
+    draws past the block where it left. Where no trial can leave before the
+    horizon (``stops`` False), a step is :data:`sscusum.detect.SEGMENT`
+    trial-ticks, the most one scorer call takes, and the scorer starts at
+    that full chunk. The spec's settings are checked before any noise is
+    drawn, and a segment error in any live trial aborts the run.
+    """
+    k = models[0].k
+    if isinstance(spec, OneShotSpec):
+        rule, every = dict(w=0, tau_max=0, sync=False), 1
+    else:
+        rule = dict(w=spec.w, tau_max=spec.tau_max, sync=spec.sync, delta=spec.delta,
+                    n_max=spec.n_max, sync_every=spec.sync_every)
+        _check_pass(**rule)
+        every = _sync_cadence(spec.w, spec.sync_every) if spec.sync else 1
+    scored = _scored_ticks(horizon, **rule)
+    if not scored:
+        raise ValueError("horizon too short for one lookahead window")
+    headroom, spent = scored.start - 1, horizon - len(scored)  # spent: headroom and lookahead
+    # The columns a step carries over start at the headroom of the first
+    # tick not yet scored: that headroom and the lookahead (``spent``) plus
+    # the ticks of a sync segment not yet whole, fewer than ``every``. A step
+    # that scores nothing had fewer than ``every`` scorable ticks, so this
+    # bounds what it carries too.
+    carry = spent + every - 1
+    # the race overwrites its samples with their increments, which is right
+    # only because nothing reads a sample after its step
+    assert carry == 0 or not isinstance(spec, OneShotSpec), "the race carries no columns"
+    blocks = 1 if stops else max(1, SEGMENT // (_FAST_CHUNK * len(models)))
+    buf = np.empty((len(models), k, carry + blocks * _FAST_CHUNK))
+    live = np.arange(len(models))
+    width = 0  # buf[:live.size, :, :width] holds ticks tick - headroom .. drawn
+    tick, drawn = scored.start, 0
+    while live.size and tick < scored.stop:
+        fresh = min(blocks, -(-(horizon - drawn) // _FAST_CHUNK)) * _FAST_CHUNK
+        _draw_live(models, rngs, live, drawn, out=buf[: live.size, :, width : width + fresh])
+        drawn, width = drawn + fresh, width + fresh
+        reach = _scored_ticks(drawn, **rule).stop  # past the last tick the samples can score
+        emit = min(reach, scored.stop) - tick
+        if reach < scored.stop:
+            emit -= emit % every  # whole segments
+        if emit <= 0:
+            continue
+        slab = buf[: live.size]
+        if isinstance(spec, OneShotSpec):
+            cols = slab[:, :, :emit]
+            segments = [(tick, _race_increments(cols, spec.mu, spec.sigma2, out=cols))]
+        else:
+            segments = (
+                (start, inc - spec.d) for start, inc, _ in _segment_increments(
+                    slab[:, :, : emit + spent], **rule, t0=tick - headroom, ramp=stops
+                )
+            )
+        running = None
+        for start, inc in segments:
+            running = yield live, start, inc
+            if running is not None and not running.any():
+                break  # every live trial is done: score no further segment
+        rows = np.arange(live.size) if running is None else np.flatnonzero(running)
+        tick, width = tick + emit, width - emit
+        if width:
+            for row, old in enumerate(rows):  # one row at a time: no copy of the whole slab
+                buf[row, :, :width] = buf[old, :, emit : emit + width]
+        live = live[rows]
+
+
 def _trial_crossings(
     spec,
     model_source: ModelSource,
@@ -275,28 +370,16 @@ def _trial_crossings(
     """Reported stop times per (trial, threshold) and the trials' change
     points; -1 marks no alarm.
 
-    The lockstep engine. Trials advance together one (k, 256) noise block at
-    a time; each trial draws its blocks from its own generator, with its own
-    model's signal, exactly as :func:`generate_episode` lays them out (the
-    live trials' draws run on the kernel pool, :func:`_draw_live`), and
-    drops out once it crosses the largest threshold, so no trial draws noise
-    past that crossing. The ticks a trial can score, and those its slab can
-    score so far, are :func:`sscusum.core._scored_ticks` of the horizon and
-    of the ticks drawn; the slab of live trials starts with the alignment
-    headroom before the first unscored tick. Once it holds a whole number of
-    sync segments and the columns their scoring needs (or the episode's
-    remaining ticks), the subspace detector scores those segments for all
-    live trials through the pipeline's segment scorer,
-    :func:`sscusum.detect._segment_increments`, a chunk at a time, and stops
-    once every live trial has crossed; so its segments start at the ticks
-    where the pipeline's start on the whole episode. The race scores every
-    column at once with no lookahead. Each segment's statistic path comes
-    from the detectors' own batch CUSUM scan, :func:`sscusum.detect._scan`; every
-    threshold's first crossing is read off it in one step and reported at
-    the crossing tick plus the lookahead (w, or 0 for the race). Crossings
-    equal those of the single-episode detector on each trial's episode. A
-    segment error in any live trial of a slab aborts the run. The spec's
-    settings are checked before any noise is drawn.
+    Each trial's generator comes from its own child seed, and draws its
+    model first when ``model_source`` is a factory. The lockstep engine,
+    :func:`_lockstep`, scores the trials' segments; each segment's
+    statistic path comes from the detectors' own batch CUSUM scan,
+    :func:`sscusum.detect._scan`, every threshold's first crossing is read
+    off it in one step and reported at the crossing tick plus the lookahead
+    (w, or 0 for the race), and a trial leaves once it crosses the largest
+    threshold, so no trial draws noise past that crossing's block.
+    Crossings equal those of the single-episode detector on each trial's
+    episode. The spec's settings are checked before any noise is drawn.
     """
     b_arr = np.asarray(b_grid, dtype=float)
     if b_arr.size == 0:
@@ -312,50 +395,24 @@ def _trial_crossings(
     if any(m.k != k for m in models):
         raise ValueError("the lockstep engine needs a common k across trials")
     if isinstance(spec, OneShotSpec):
-        rule, every, S = dict(w=0, tau_max=0, sync=False), 1, np.zeros((trials, k))
-
-        def increments(slab, tick, emit):
-            return [(tick, _race_increments(slab[:, :, :emit], spec.mu, spec.sigma2))]
+        S, lookahead = np.zeros((trials, k)), 0
     else:
         _check_rule(spec.d, math.inf)
-        rule = dict(w=spec.w, tau_max=spec.tau_max, sync=spec.sync, delta=spec.delta,
-                    n_max=spec.n_max, sync_every=spec.sync_every)
-        _check_pass(**rule)
-        every = _sync_cadence(spec.w, spec.sync_every) if spec.sync else 1
-        S = np.zeros(trials)
-
-        def increments(slab, tick, emit):
-            segments = _segment_increments(slab[:, :, : emit + spent], **rule, t0=tick - headroom)
-            return ((start, inc - spec.d) for start, inc, _ in segments)
-
-    scored = _scored_ticks(horizon, **rule)
-    if not scored:
-        raise ValueError("horizon too short for one lookahead window")
-    headroom, spent = scored.start - 1, horizon - len(scored)  # spent: headroom and lookahead
+        S, lookahead = np.zeros(trials), spec.w
     crossed = np.full((trials, b_arr.size), -1, dtype=np.int64)
-    live = np.arange(trials)
-    slab = np.empty((trials, k, 0))  # ticks tick - headroom .. drawn of the live trials
-    tick = scored.start
-    drawn = 0  # ticks generated so far
-    while live.size and tick < scored.stop:
-        slab = np.concatenate([slab, _draw_live(models, rngs, live, drawn)], axis=2)
-        drawn += _FAST_CHUNK
-        reach = _scored_ticks(drawn, **rule).stop  # past the last tick the slab can score
-        emit = min(reach, scored.stop) - tick
-        if reach < scored.stop:
-            emit -= emit % every  # whole segments
-        if emit <= 0:
-            continue
-        for start, inc in increments(slab, tick, emit):
-            hits = _scan(S, inc)[:, :, None] >= b_arr  # (live trials, ticks, thresholds)
-            first = np.where(hits.any(axis=1), start + hits.argmax(axis=1) + rule["w"], -1)
-            crossed[live] = np.where(crossed[live] < 0, first, crossed[live])
-            if (crossed[live, -1] >= 0).all():
-                break  # every live trial is done: score no further segment
-        slab, tick = slab[:, :, emit:], tick + emit
-        keep = crossed[live, -1] < 0
-        if not keep.all():
-            live, S, slab = live[keep], S[keep], slab[keep]
+    segments = _lockstep(spec, models, rngs, horizon)
+    running = None
+    while True:
+        try:
+            live, start, inc = segments.send(running)
+        except StopIteration:
+            break
+        state = S[live]
+        hits = _scan(state, inc)[:, :, None] >= b_arr  # (live trials, ticks, thresholds)
+        S[live] = state
+        first = np.where(hits.any(axis=1), start + hits.argmax(axis=1) + lookahead, -1)
+        crossed[live] = np.where(crossed[live] < 0, first, crossed[live])
+        running = crossed[live, -1] < 0
     return crossed, [m.change_point for m in models]
 
 
@@ -440,26 +497,41 @@ def empirical_drift(
 ) -> DriftBounds:
     """Estimate both sides of the admissible drift interval by simulation.
 
-    Runs the increment pipeline over one long pre-change episode and one
-    long post-change episode (change at 0, so the post regime is stationary
-    whenever the signal is). Useful when the closed-form interval is empty.
-    Returns the measured interval: ``lower`` and ``upper`` are the pre- and
-    post-change increment means, with their standard errors. ``ticks`` and
-    the pass settings are checked before any noise is drawn.
+    Scores one long pre-change episode and one long post-change episode
+    (change at 0, so the post regime is stationary whenever the signal is)
+    with the increment pipeline. Useful when the closed-form interval is
+    empty. Returns the measured interval: ``lower`` and ``upper`` are the
+    pre- and post-change increment means, with their standard errors.
+
+    The two episodes are the two trials of one run of the lockstep engine,
+    with drift 0 and no threshold, drawn from the generators of the seed's
+    two children, so they are the episodes :func:`generate_episode` gives
+    for those children, and the means are those of
+    :func:`~sscusum.detect.subspace_increments` on them. No episode is held:
+    the run keeps the engine's one buffer and the two series of increments,
+    16 bytes a tick. ``pipeline_kwargs`` are the :class:`SubspaceSpec` pass
+    settings ``delta``, ``n_max`` and ``sync_every``. The models' k,
+    ``ticks`` and the pass settings are checked before any noise is drawn.
     """
     _check_counts(1, ticks=ticks, w=w)
+    unknown = sorted(pipeline_kwargs.keys() - {"delta", "n_max", "sync_every"})
+    if unknown:
+        raise ValueError(f"{', '.join(unknown)} is not a pass setting of the drift calibration")
     _check_pass(w=w, tau_max=tau_max, sync=sync, **pipeline_kwargs)
+    if noise_model.k != change_model.k:
+        raise ValueError(
+            f"the noise and change models need one k, got k={noise_model.k} and "
+            f"k={change_model.k}"
+        )
+    spec = SubspaceSpec(w=w, tau_max=tau_max, d=0.0, sync=sync, **pipeline_kwargs)
     horizon = ticks + w + 2 * tau_max + 1
-    s1, s2 = _as_seedseq(seed).spawn(2)
-    out = []
-    for model, child in ((noise_model, s1), (change_model, s2)):
-        # no episode outlives its call, so the two are never held at once
-        inc = subspace_increments(
-            generate_episode(model, horizon, child), w=w, tau_max=tau_max, sync=sync,
-            **pipeline_kwargs,
-        )[1]
-        out.append(_mean_se(inc))
-    (pre, pre_se), (post, post_se) = out
+    scored = _scored_ticks(horizon, w=w, tau_max=tau_max, sync=sync)
+    rngs = [np.random.default_rng(child) for child in _as_seedseq(seed).spawn(2)]
+    increments = np.empty((2, len(scored)))
+    for live, start, inc in _lockstep(spec, [noise_model, change_model], rngs, horizon,
+                                      stops=False):
+        increments[live, start - scored.start : start - scored.start + inc.shape[1]] = inc
+    (pre, pre_se), (post, post_se) = map(_mean_se, increments)
     return DriftBounds(lower=pre, upper=post, lower_se=pre_se, upper_se=post_se)
 
 

@@ -165,7 +165,8 @@ def joint_estimate(
     data = _as_array(streams, sensors=2)
     n = data.shape[1]
     start, w = (None, None) if window is None else window
-    _check_pass(w=w, tau_max=tau_max, sync=True, delta=delta, n_max=n_max, t0=t0, start=start)
+    _check_pass(w=w, tau_max=tau_max, sync=True, delta=delta, n_max=n_max, t0=t0, start=start,
+                default_w=window is None)
     covered = _scored_ticks(n, w=0, tau_max=tau_max, sync=True, t0=t0)  # ticks with headroom
     if window is None:
         start, w = covered.start, len(covered)

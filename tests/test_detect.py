@@ -32,7 +32,9 @@ from sscusum.errors import (
     ZeroMatrixError,
 )
 from sscusum.linalg import window_increments
-from sscusum.sim import OneShotSpec, SubspaceSpec, _trial_crossings, pure_noise_model
+from sscusum.sim import (
+    OneShotSpec, SubspaceSpec, _trial_crossings, operating_curve, pure_noise_model,
+)
 from sscusum.sync import _joint_fit, joint_estimate
 
 E1 = np.array([1.0, 0.0])
@@ -338,6 +340,11 @@ class TestOneShot:
         with pytest.raises(DimensionMismatchError, match=r"\(k, n\) array"):
             one_shot_detector(np.zeros((2, 3, 4)), mu=0.5, sigma2=1.0, b=1.0)
 
+    def test_fractional_t0_rejected(self):
+        # used to label the path's ticks 1.5, 2.5, ...
+        with pytest.raises(ValueError, match="^t0 must be an integer, got 1.5"):
+            one_shot_detector(np.zeros((2, 5)), 0.5, 1.0, 5.0, t0=1.5)
+
 
 _RULE_STREAMS = np.random.default_rng(5).standard_normal((3, 60))
 
@@ -396,6 +403,24 @@ SETTING_CASES = {
 def test_non_integer_setting_rejected(case):
     with pytest.raises(ValueError, match="must be an integer"):
         SETTING_CASES[case]()
+
+
+# each once raised a raw TypeError; only joint_estimate has a default window
+W_NONE_CASES = {
+    "subspace_increments": lambda: subspace_increments(_RULE_STREAMS, w=None),
+    "async_pipeline": lambda: async_pipeline(_RULE_STREAMS, w=None, tau_max=0, d=1.0),
+    "operating_curve": lambda: operating_curve(
+        SubspaceSpec(w=None, tau_max=0, d=1.0, sync=False), pure_noise_model(3),
+        pure_noise_model(3), [1.0], 2, 0, 300, 300,
+    ),
+    "SubspaceCusum": lambda: SubspaceCusum(w=None, d=1.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(W_NONE_CASES))
+def test_w_none_rejected(entry):
+    with pytest.raises(ValueError, match="^w must be an integer, got None"):
+        W_NONE_CASES[entry]()
 
 
 def test_numpy_integer_settings_accepted():

@@ -316,6 +316,11 @@ class TestWindowIncrements:
         with pytest.raises(NumericalError, match="non-finite squared projection"):
             window_increments(blocks if trials > 1 else blocks[0], 5)
 
+    def test_fractional_w_rejected(self):
+        # used to raise a raw TypeError from the window view
+        with pytest.raises(ValueError, match="^w must be an integer, got 2.5"):
+            window_increments(np.zeros((3, 20)), 2.5)
+
 
 class TestWorkerCount:
     def test_results_do_not_depend_on_the_worker_count(self, workers, monkeypatch):

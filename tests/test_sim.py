@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,6 +394,52 @@ class TestFastEngine:
         assert a.censored_frac == 0.0
 
 
+def _traced_peak(run) -> int:
+    """The most bytes traced at once while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _drift_reference(noise, change, *, w, ticks, seed, tau_max=0, sync=False, **settings):
+    """empirical_drift's (lower, lower_se, upper, upper_se) from whole
+    episodes: each of the seed's two children's generate_episode, scored by
+    subspace_increments, and the mean and standard error of its increments."""
+    horizon = ticks + w + 2 * tau_max + 1
+    out = []
+    for model, child in zip((noise, change), np.random.SeedSequence(seed).spawn(2)):
+        _, inc = subspace_increments(generate_episode(model, horizon, child), w=w,
+                                     tau_max=tau_max, sync=sync, **settings)
+        out += [float(inc.mean()), float(inc.std(ddof=1) / math.sqrt(inc.size))]
+    return tuple(out)
+
+
+_BROADBAND = ScenarioModel(
+    k=5, sigma2=1.5, alpha=np.linspace(0.4, 1.2, 5),
+    waveform=Waveform.from_samples(np.random.default_rng(9).standard_normal(2500)),
+    onsets=np.array([0, 3, 1, 6, 2]),
+)
+# calibrations over several engine steps (2,048 ticks a step for two
+# episodes), with and without delay estimation, and a broadband source with
+# per-sensor onsets whose first ticks are pure noise
+DRIFT_CASES = {
+    "no-sync": (pure_noise_model(6), mean_shift_model(6, 0.4), dict(w=12, ticks=5000, seed=5)),
+    "sync": (
+        pure_noise_model(5), mean_shift_model(5, 0.5),
+        dict(w=16, tau_max=4, sync=True, sync_every=7, delta=2, n_max=3, ticks=4500, seed=6),
+    ),
+    "table-onsets": (
+        pure_noise_model(5, 1.5), _BROADBAND, dict(w=20, tau_max=6, sync=True, ticks=3000, seed=7),
+    ),
+    "table-onsets-no-sync": (
+        pure_noise_model(5, 1.5), _BROADBAND, dict(w=20, tau_max=6, ticks=3000, seed=7),
+    ),
+}
+
+
 class TestEmpiricalDrift:
     def test_interval_brackets_truth(self):
         # k=5, w=120, rho=1: the pre mean sits at the noise power and the post
@@ -420,6 +467,40 @@ class TestEmpiricalDrift:
         # used to raise a raw TypeError from adding None to an int
         with pytest.raises(ValueError, match="^w must be an integer, got None"):
             empirical_drift(pure_noise_model(3), mean_shift_model(3, mu=0.5), w=None)
+
+    def test_models_of_different_k_rejected_before_drawing(self, monkeypatch):
+        # used to return an interval from a k=3 and a k=4 episode
+        monkeypatch.setattr(sim, "_draw_blocks", _no_draw)
+        with pytest.raises(ValueError, match="k=3 and k=4"):
+            empirical_drift(pure_noise_model(3), mean_shift_model(4, 0.5), w=5, ticks=100)
+
+    def test_t0_rejected_before_drawing(self, monkeypatch):
+        # t0 only relabelled the scored ticks; it is no pass setting
+        monkeypatch.setattr(sim, "_draw_blocks", _no_draw)
+        with pytest.raises(ValueError, match="^t0 is not a pass setting"):
+            empirical_drift(pure_noise_model(3), mean_shift_model(3, 0.5), w=5, ticks=100, t0=3)
+
+    @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
+    def test_equals_whole_episode_reference(self, case, workers):
+        noise, change, settings = DRIFT_CASES[case]
+        want = _drift_reference(noise, change, **settings)
+        for n in (1, 3):
+            workers(n)
+            cal = empirical_drift(noise, change, **settings)
+            got = (cal.lower, cal.lower_se, cal.upper, cal.upper_se)
+            assert got == want, f"{n} workers"
+
+    def test_traced_peak_does_not_grow_with_the_episode(self):
+        # the episodes stream through the engine's one buffer: only the two
+        # series of increments grow with ticks, 16 bytes a tick, plus 8 a
+        # tick for the deviations std() computes of one series (holding
+        # each whole (20, n) episode instead grew by about 170)
+        def peak(ticks):
+            return _traced_peak(lambda: empirical_drift(
+                pure_noise_model(20), mean_shift_model(20, 0.3), w=10, ticks=ticks, seed=1
+            ))
+
+        assert peak(80_000) - peak(5_000) <= 24 * (80_000 - 5_000)
 
 
 def _replay(spec, model_source, b_grid, trials, horizon, seed):
@@ -583,6 +664,15 @@ class TestLockstepEngine:
         assert (1,) in states
         assert (lockstep[:, -1] < 0).sum() == 1
         assert np.array_equal(lockstep, _replay(spec, model, grid, 12, 1000, 23))
+
+    def test_race_traced_peak_is_about_one_buffer(self):
+        # the race draws into one (40, 125, 256) buffer and scores it in
+        # place; a slab rebuilt by concatenation each step, with separate
+        # increments, held about four such blocks (39 MB) at once
+        peak = _traced_peak(lambda: _trial_crossings(
+            OneShotSpec(0.2), pure_noise_model(125), [5, 9.25], 40, 2000, 3
+        ))
+        assert peak < 1.5 * 40 * 125 * 256 * 8
 
     def test_one_shot_inputs_rejected_as_by_the_detector(self):
         with pytest.raises(DegenerateInputError):
