@@ -123,7 +123,8 @@ class MultiSensorFrame:
     """One time tick of readings from all k sensors.
 
     Attributes:
-        t: integer sample index (ticks).
+        t: integer sample index (ticks); numpy integers pass, and a float
+            or a string, even a whole one such as 3.0, is a ValueError.
         values: length-k vector of readings, k >= 2, all entries finite.
     """
 
@@ -131,12 +132,13 @@ class MultiSensorFrame:
     values: np.ndarray
 
     def __post_init__(self):
+        _check_integers(t=self.t)  # a fractional tick is rejected, not truncated
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.shape[0] < 2:
             raise DimensionMismatchError(
                 f"frame needs a 1-D vector of at least 2 sensors, got shape {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError(f"non-finite reading in frame t={self.t}")
         object.__setattr__(self, "t", int(self.t))
         object.__setattr__(self, "values", values)
@@ -323,7 +325,8 @@ def normalize_stream(raw, stats_prefix: int | None = None) -> np.ndarray:
 def frames_from_array(
     streams: np.ndarray, t0: int = 1
 ) -> Iterator[MultiSensorFrame]:
-    """Iterate a (k, n) array as frames with ticks t0, t0+1, ..."""
+    """Iterate a (k, n) array as frames with ticks t0, t0+1, ...; a ``t0``
+    that is not an integer raises at the first frame."""
     streams = np.asarray(streams, dtype=float)
     for j in range(streams.shape[1]):
         yield MultiSensorFrame(t=t0 + j, values=streams[:, j])

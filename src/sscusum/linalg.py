@@ -13,7 +13,15 @@ choice depends on the window alone, never on the batch around it, so a
 window gets the same bits in any stack. There is no iteration budget to
 exhaust. The streaming detector scores one window per frame, where a
 dozen matrix products cost more than one ``eigh``, so it takes the
-``eigh`` route directly. Scaling of the matrix is irrelevant to the
+``eigh`` route directly, through :func:`_window_direction`. A window with
+no more sensors than samples (k <= w) takes one 2-D product, finiteness
+check and ``eigh`` of its (k, k) covariance, with no stack built around
+it; its top column is copied out contiguous, as the stack route leaves it,
+since a dot product over the strided column can round differently. A
+window with more sensors than samples goes through the stack route as a
+stack of one, so its projection back to k dimensions, whose bits depend
+on its layout, is written once. Either way the step gets the stack
+route's bits. Scaling of the matrix is irrelevant to the
 direction, which is why the covariance is kept as a plain unnormalized sum
 of outer products.
 
@@ -183,6 +191,21 @@ def _directions(windows: np.ndarray, top) -> np.ndarray:
     u = u / np.where(peaks > 0, np.linalg.norm(u, axis=1, keepdims=True), 1.0)
     _check_finite(u, "direction")
     return u
+
+
+def _window_direction(ring: np.ndarray) -> np.ndarray:
+    """Unit top direction of the streaming step's one window, a (w, k) array
+    with one sample per row, by one ``eigh``: the bits and errors of
+    ``_directions(ring.T[None], _eigh_top)[0]``, and a zero vector for a
+    zero covariance."""
+    w, k = ring.shape
+    if k > w:
+        return _directions(ring.T[None], _eigh_top)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = ring.T @ ring
+    _check_finite(gram, "window covariance")
+    lam, vecs = np.linalg.eigh(gram)
+    return vecs[:, -1].copy() if lam[-1] > 0 else np.zeros(k)
 
 
 def window_top_vectors(windows) -> np.ndarray:

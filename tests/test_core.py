@@ -96,6 +96,21 @@ class TestMultiSensorFrame:
     def test_k(self):
         assert MultiSensorFrame(t=3, values=np.zeros(4)).k == 4
 
+    @pytest.mark.parametrize("t", [1.5, 3.0, "3"], ids=["fraction", "whole-float", "str"])
+    def test_non_integer_tick_rejected(self, t):
+        # 1.5 was truncated to 1 and "3" parsed as 3
+        with pytest.raises(ValueError, match="t must be an integer"):
+            MultiSensorFrame(t=t, values=np.zeros(2))
+
+    def test_numpy_integer_tick_is_a_python_int(self):
+        frame = MultiSensorFrame(t=np.int64(4), values=np.zeros(2))
+        assert frame.t == 4 and type(frame.t) is int
+
+    def test_frames_from_array_fractional_t0_raises_at_first_frame(self):
+        frames = frames_from_array(np.zeros((2, 3)), t0=1.5)  # yielded ticks 1, 2, 3
+        with pytest.raises(ValueError, match="t must be an integer, got 1.5"):
+            next(frames)
+
 
 class TestDelayProfile:
     def test_reference_entry_must_be_zero(self):

@@ -10,6 +10,7 @@ import pytest
 from oracles import covariance_triple_loop, first_crossing, jacobi_eigh, scalar_cusum
 from sscusum.core import MultiSensorFrame, _scored_ticks, frames_from_array
 from sscusum.detect import (
+    CusumState,
     DriftBounds,
     SubspaceCusum,
     _scan,
@@ -31,7 +32,7 @@ from sscusum.errors import (
     ZeroCorrelationWarning,
     ZeroMatrixError,
 )
-from sscusum.linalg import window_increments
+from sscusum.linalg import _directions, _eigh_top, window_increments
 from sscusum.sim import (
     OneShotSpec, SubspaceSpec, _trial_crossings, operating_curve, pure_noise_model,
 )
@@ -283,18 +284,97 @@ class TestStreamingMatchesPipeline:
         assert np.allclose(stat, batch.statistic, rtol=0, atol=1e-10)
 
 
+def _near_tie_window():
+    """TestNearTie's 201 frames: one scored frame, then a window whose top
+    two eigenvalues differ by 1.6e-5 relative."""
+    child = np.random.SeedSequence([1631191312, 3, 4000]).spawn(1)[0]
+    return np.random.default_rng(child).standard_normal((3, 4000))[:, 1388:1589]
+
+
 class TestNearTie:
     def test_near_tied_window_steps_and_matches_jacobi(self):
         # a pure-noise window whose top two eigenvalues are 206.6875 and
         # 206.6907 (relative gap 1.6e-5): an iterative solver needs ~10^6 steps
-        child = np.random.SeedSequence([1631191312, 3, 4000]).spawn(1)[0]
-        streams = np.random.default_rng(child).standard_normal((3, 4000))[:, 1388:1589]
+        streams = _near_tie_window()
         values, vectors = jacobi_eigh(covariance_triple_loop(streams[:, 1:].T))
         assert (values[0] - values[1]) / values[0] < 2e-5
         det = SubspaceCusum(w=200, d=0.0)
         emitted = [e for e in map(det.step, frames_from_array(streams)) if e is not None]
         assert [t for t, _ in emitted] == [1]
         assert emitted[0][1] == pytest.approx((vectors[:, 0] @ streams[:, 0]) ** 2, abs=1e-8)
+
+
+
+def _step_reference(streams, w, d, b, t0=1):
+    """Emissions and final state of a streaming run, rebuilt outside
+    :class:`SubspaceCusum`: each window's direction from the stack route,
+    ``_directions(window[None], _eigh_top)[0]``, on the window with its
+    columns in the ring's slot order (the Gram sums in that order), and the
+    CUSUM recursion as a Python float loop."""
+    k, n = streams.shape
+    ring = np.empty((w, k))
+    out, s, crossed = [], 0.0, None
+    for j in range(n):
+        t = t0 + j
+        released = ring[t % w].copy()
+        ring[t % w] = streams[:, j]
+        if j < w:
+            out.append(None)
+            continue
+        u = _directions(ring.T[None], _eigh_top)[0]
+        p = float(np.vdot(u, released))
+        s = max(s, 0.0) + p * p - d
+        if crossed is None and s >= b:
+            crossed = t - w
+        out.append((t - w, s))
+    return out, CusumState(s, d, b, crossed, None if crossed is None else crossed + w)
+
+
+class TestStepBits:
+    """Every emission and the final state equal, with ``==``, a reference
+    built from the stack route's direction and a Python CUSUM loop. A
+    strided direction column, or a hand-written k > w projection, changes
+    the bits of the projection at some orders."""
+
+    @pytest.mark.parametrize(
+        "k, w, n",
+        [(2, 5, 120), (3, 200, 700), (8, 30, 300), (50, 60, 200), (8, 3, 200), (50, 20, 150)],
+        ids=["k2w5", "k3w200", "k8w30", "k50w60", "k8w3", "k50w20"],
+    )
+    def test_equals_stack_route_reference(self, k, w, n):
+        rng = np.random.default_rng(k * 1000 + w)
+        streams = rng.standard_normal((k, n)) * rng.uniform(0.5, 3.0, (k, 1))
+        streams[: k // 2, n // 2 :] += 1.5  # a shift, so the run crosses
+        d, b, t0 = 1.2 * min(k, w) / w + 0.3, 8.0, -4
+        det = SubspaceCusum(w=w, d=d, b=b)
+        got = [det.step(f) for f in frames_from_array(streams, t0=t0)]
+        expected, state = _step_reference(streams, w, d, b, t0)
+        assert got == expected
+        assert det.state == state
+        assert state.crossed_at is not None
+
+    @pytest.mark.parametrize("k, w", [(3, 10), (8, 3)])
+    def test_zero_windows_score_zero(self, k, w):
+        streams = np.random.default_rng(31).standard_normal((k, 80))
+        streams[:, 20 : 20 + 3 * w] = 0.0  # windows wholly inside score 0
+        det = SubspaceCusum(w=w, d=0.5, b=math.inf)
+        got = [det.step(f) for f in frames_from_array(streams)]
+        expected, state = _step_reference(streams, w, 0.5, math.inf)
+        assert got == expected
+        assert det.state == state
+
+    def test_near_tie_window(self):
+        streams = _near_tie_window()
+        det = SubspaceCusum(w=200, d=0.0, b=1.0)
+        got = [det.step(f) for f in frames_from_array(streams)]
+        expected, state = _step_reference(streams, 200, 0.0, 1.0)
+        assert got == expected
+        assert det.state == state
+
+    def test_state_is_read_only(self):
+        det = SubspaceCusum(w=2, d=0.0)
+        with pytest.raises(AttributeError):
+            det.state = CusumState()
 
 
 class TestOneShot:
@@ -493,6 +573,23 @@ class TestCalibrateDrift:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             calibrate_drift(np.array([]))
+
+    @pytest.mark.parametrize("factor", [np.nan, np.inf, -1.0, 0.0])
+    def test_factor_not_finite_and_positive_rejected(self, factor):
+        # nan, inf and -1 came back as the drift
+        with pytest.raises(ValueError, match="^factor must be finite and > 0"):
+            calibrate_drift(np.array([0.5, 1.5]), factor=factor)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_increment_rejected(self, bad):
+        # a nan series gave a nan drift
+        with pytest.raises(ValueError, match="^prechange holds a non-finite increment"):
+            calibrate_drift(np.array([0.5, bad, 1.0]))
+
+    def test_two_dimensional_series_rejected(self):
+        # used to give 1.5 times the mean of every entry
+        with pytest.raises(DimensionMismatchError, match=r"^prechange must be a \(n\) array"):
+            calibrate_drift(np.ones((2, 3)))
 
     def test_prechange_increment_mean_is_noise_power(self):
         rng = np.random.default_rng(5)
