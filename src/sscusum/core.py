@@ -123,8 +123,8 @@ class MultiSensorFrame:
     """One time tick of readings from all k sensors.
 
     Attributes:
-        t: integer sample index (ticks); numpy integers pass, and a float
-            or a string, even a whole one such as 3.0, is a ValueError.
+        t: integer sample index (ticks); numpy integers pass, and None, a
+            float or a string, even a whole one such as 3.0, is a ValueError.
         values: length-k vector of readings, k >= 2, all entries finite.
     """
 
@@ -132,6 +132,8 @@ class MultiSensorFrame:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.t is None:  # a tick has no default
+            raise ValueError("t must be an integer, got None")
         _check_integers(t=self.t)  # a fractional tick is rejected, not truncated
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.shape[0] < 2:
@@ -152,7 +154,8 @@ class MultiSensorFrame:
 class DelayProfile:
     """Per-sensor delays relative to the reference sensor 0, in ticks.
 
-    ``tau_hat[0]`` is always 0 and every entry lies in [-tau_max, tau_max].
+    ``tau_hat[0]`` is always 0 and every entry lies in [-tau_max, tau_max];
+    ``tau_max`` is a count >= 0 (numpy integers pass).
     ``iterations``/``converged`` carry the metadata of the joint estimation
     loop that produced the profile.
     """
@@ -163,6 +166,7 @@ class DelayProfile:
     converged: bool = True
 
     def __post_init__(self):
+        _check_counts(0, tau_max=self.tau_max)
         tau = np.asarray(self.tau_hat)
         if tau.ndim != 1 or tau.size == 0:
             raise DimensionMismatchError("tau_hat must be a nonempty 1-D integer vector")
@@ -302,12 +306,14 @@ def normalize_stream(raw, stats_prefix: int | None = None) -> np.ndarray:
     known pre-change stretch) while still transforming the whole series.
 
     Raises:
+        DimensionMismatchError: ``raw`` is not a 1-D series (normalize a
+            record one row at a time).
         ValueError: a ``stats_prefix`` that is not an integer.
         DegenerateInputError: empty, non-finite, or constant input, or a
             ``stats_prefix`` below 1.
     """
     _check_integers(stats_prefix=stats_prefix)
-    x = np.asarray(raw, dtype=float)
+    x = _as_array(raw, "raw", "n")
     if x.size == 0:
         raise DegenerateInputError("cannot normalize an empty series")
     if not np.all(np.isfinite(x)):

@@ -399,12 +399,16 @@ def _segment_increments(
     Delays are constant over a segment, so its ticks form one aligned
     (k, ticks + w) block per record. One batched joint-estimation call fits
     a chunk of segments in every record and one :func:`window_increments`
-    call scores their blocks. Chunks double from one segment up to
-    :data:`SEGMENT` trial-ticks (one segment without sync), so a run that
-    stops early scores at most about twice the segments it needed; a caller
-    that scores every tick passes ``ramp=False`` and starts at the full
-    chunk. A segment's error, in any record, is raised once the run reaches
-    it. Each record's delays and increments equal those of its own call.
+    call scores their blocks. A chunk holds up to :data:`SEGMENT`
+    trial-ticks (one segment without sync). With ``ramp``, for a run that
+    may stop early (a stopping :func:`async_pipeline`, the Monte Carlo's
+    races), chunks double from one segment up to that size, so the run
+    scores at most about twice the segments it needed. A pass that scores
+    every tick (:func:`subspace_increments`, a non-stopping
+    :func:`async_pipeline`) passes ``ramp=False`` and starts at the full
+    chunk, with the same bits in fewer calls. A segment's error, in any
+    record, is raised once the run reaches it. Each record's delays and
+    increments equal those of its own call.
     """
     data = np.asarray(stack, dtype=float)
     _as_array(data[0], sensors=2)  # each record has the first's shape
@@ -477,7 +481,8 @@ def async_pipeline(
     recorded, and the run needs streams covering at least one emittable tick.
     An all-zero future window scores an increment of 0. The run scores a
     chunk of sync segments at a time and stops after the chunk that holds
-    the first crossing.
+    the first crossing; a run that cannot stop (``full_trajectory`` or
+    b = inf) starts at the full chunk.
 
     Raises:
         NumericalError: a window covariance is not finite.
@@ -486,18 +491,19 @@ def async_pipeline(
     (crossed_at, crossed_at + w) and the statistic path.
     """
     _check_rule(d, b)
+    stops = not full_trajectory and b < math.inf  # else every tick is scored
     delays_log: list[tuple[int, DelayProfile]] = []
     S, paths, increments = np.zeros(1), [], []  # S carries across segments
     segments = _segment_increments(
         np.asarray(streams, dtype=float)[None], w=w, tau_max=tau_max, sync=sync, delta=delta,
-        n_max=n_max, sync_every=sync_every, t0=t0,
+        n_max=n_max, sync_every=sync_every, t0=t0, ramp=stops,
     )
     for start, inc, profiles in segments:
         if profiles is not None:
             delays_log.append((start, profiles[0]))
         increments.append(inc[0])
         paths.append(_scan(S, inc - d)[0])
-        if not full_trajectory and (paths[-1] >= b).any():
+        if stops and (paths[-1] >= b).any():
             break
 
     path = np.concatenate(paths)
@@ -528,9 +534,11 @@ def subspace_increments(
     series the empirical drift calibration averages, scored as
     :func:`async_pipeline` scores it but without running the CUSUM.
     ``kwargs`` are that function's delay-estimation and tick arguments.
+    It scores every tick, so it starts at the full chunk of sync segments.
     """
     segments = list(_segment_increments(
-        np.asarray(streams, dtype=float)[None], w=w, tau_max=tau_max, sync=sync, **kwargs
+        np.asarray(streams, dtype=float)[None], w=w, tau_max=tau_max, sync=sync, ramp=False,
+        **kwargs
     ))
     increments = np.concatenate([inc for _, (inc,), _ in segments])
     t_first = segments[0][0]

@@ -54,7 +54,7 @@ class JointEstimate:
 
 
 def _batched_delays(
-    ext: np.ndarray, s_hat: np.ndarray, tau_max: int, starts: np.ndarray
+    ext: np.ndarray, s_hat: np.ndarray, tau_max: int, starts: np.ndarray, order: np.ndarray
 ) -> np.ndarray:
     """Every sensor's shift in every window of a stack, by direct correlation sums.
 
@@ -62,19 +62,22 @@ def _batched_delays(
     ``starts[j]``) extended by tau_max on both sides, and ``s_hat[j]`` is its
     template. Sensor i's shift z in [-tau_max, tau_max] maximizes
     ``|sum_m s_hat[j, m] * ext[j, i, tau_max + m + z]|``, one ``np.correlate``
-    per sensor; ties break toward the smallest |z|, then the smallest z. So
-    the reference sensor 0, which is not correlated, gets shift 0, and so
-    does a sensor whose correlations are all exactly zero, with a
+    per sensor; ties break toward the smallest |z|, then the smallest z: the
+    first of the lags z + tau_max listed in ``order``. So the reference
+    sensor 0, which is not correlated, gets shift 0, and so does a sensor
+    whose correlations are all exactly zero, with a
     :class:`ZeroCorrelationWarning` naming its window's start tick.
     """
-    corr = np.zeros(ext.shape[:2] + (2 * tau_max + 1,))  # (B, k, 2*tau_max+1)
-    for j, i in np.ndindex(ext.shape[0], ext.shape[1] - 1):
-        corr[j, i + 1] = np.correlate(ext[j, i + 1], s_hat[j], "valid")
-    shifts = np.arange(-tau_max, tau_max + 1)
-    order = np.lexsort((shifts, np.abs(shifts)))  # smallest |z| first, then smallest z
-    abs_corr = np.abs(corr)
+    B, k = ext.shape[:2]
+    corr = np.zeros((B, k, 2 * tau_max + 1))
+    for j in range(B):
+        for i in range(1, k):
+            corr[j, i] = np.correlate(ext[j, i], s_hat[j], "valid")
+    abs_corr = np.abs(corr, out=corr)
     peaks = abs_corr.max(axis=2)
-    tau = shifts[order[np.argmax(abs_corr[:, :, order] == peaks[:, :, None], axis=2)]]
+    # the first peak in tie order: reorder the boolean hits, not |corr|
+    hits = abs_corr == peaks[:, :, None]
+    tau = order[np.argmax(hits[:, :, order], axis=2)] - tau_max
     zero = peaks == 0.0
     zero[:, 0] = False
     for j in np.flatnonzero(zero.any(axis=1)):
@@ -116,9 +119,11 @@ def _joint_fit(
     passes = np.zeros(len(starts), dtype=int)
     converged = np.zeros(len(starts), dtype=bool)
     live = np.arange(len(starts))
+    shifts = np.arange(-tau_max, tau_max + 1)
+    order = np.lexsort((shifts, np.abs(shifts)))  # smallest |z| first, then smallest z
     while live.size:
         passes[live] += 1
-        new_tau = _batched_delays(ext[live], s_hat[live], tau_max, starts[live])
+        new_tau = _batched_delays(ext[live], s_hat[live], tau_max, starts[live], order)
         converged[live] = np.abs(new_tau - tau[live]).max(axis=1) < delta
         tau[live] = new_tau
         aligned = ext[live[:, None, None], rows, tau_max + new_tau[:, :, None] + np.arange(w)]

@@ -10,6 +10,8 @@ from sscusum import sim
 from sscusum.cli import build_parser, main
 from sscusum.core import normalize_stream, read_sensor_csv, write_sensor_csv
 from sscusum.detect import async_pipeline, calibrate_drift, subspace_increments
+from sscusum.linalg import window_increments
+from sscusum.sync import _joint_fit
 
 
 def run(argv):
@@ -333,6 +335,27 @@ class TestDetectOnePass:
         assert capsys.readouterr().out == expected
         for name in ("report.csv", "trajectory.csv"):
             assert (tmp_path / name).read_bytes() == (ref_dir / name).read_bytes()
+
+    def test_28_segments_take_two_calls(self, tmp_path, monkeypatch, capsys):
+        # the benchmark's shape at k=3: 6,000 ticks, w=200, tau_max=100 score
+        # 28 segments of 200 ticks, and 4,096 ticks hold 20 of them
+        record = simulate_noise_file(tmp_path, k=3, horizon=6000, seed=24)
+        fits, scores = [], []
+
+        def fitting(data, starts, *args, **kwargs):
+            fits.append(len(starts))
+            return _joint_fit(data, starts, *args, **kwargs)
+
+        def scoring(blocks, w):
+            scores.append(len(blocks))
+            return window_increments(blocks, w)
+
+        monkeypatch.setattr("sscusum.detect._joint_fit", fitting)
+        monkeypatch.setattr("sscusum.detect.window_increments", scoring)
+        argv = ["detect", "--in", record, "--w", 200, "--tau-max", 100, "--sync", "--normalize",
+                "--factor", 1.5, "--prefix", 1500, "--b", 1.0, "--out", tmp_path / "report.csv"]
+        assert run(argv) == 0
+        assert fits == scores == [20, 8]
 
 
 class TestCurve:

@@ -69,6 +69,11 @@ class TestNormalizeStream:
         assert np.array_equal(normalize_stream(np.arange(10.0), stats_prefix=np.int64(2)),
                               normalize_stream(np.arange(10.0), stats_prefix=2))
 
+    def test_two_dimensional_input_rejected(self):
+        # a (2, 5) record was normalized as one series of 10
+        with pytest.raises(DimensionMismatchError, match=r"raw must be a \(n\) array"):
+            normalize_stream(np.arange(10.0).reshape(2, 5))
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=40),
@@ -102,6 +107,11 @@ class TestMultiSensorFrame:
         with pytest.raises(ValueError, match="t must be an integer"):
             MultiSensorFrame(t=t, values=np.zeros(2))
 
+    def test_none_tick_rejected(self):
+        # a raw TypeError from int(None) before
+        with pytest.raises(ValueError, match="^t must be an integer, got None"):
+            MultiSensorFrame(t=None, values=np.zeros(2))
+
     def test_numpy_integer_tick_is_a_python_int(self):
         frame = MultiSensorFrame(t=np.int64(4), values=np.zeros(2))
         assert frame.t == 4 and type(frame.t) is int
@@ -130,6 +140,18 @@ class TestDelayProfile:
         # [0, 1.7] used to be stored as [0, 1]
         with pytest.raises(ValueError, match="delays must be whole ticks"):
             DelayProfile(tau, tau_max=2)
+
+    @pytest.mark.parametrize("tau_max, message", [
+        (1.5, "tau_max must be an integer, got 1.5"),
+        (-1, "tau_max must be >= 0, got -1"),
+    ])
+    def test_bad_tau_max_rejected(self, tau_max, message):
+        # DelayProfile([0, 1], 1.5) was accepted
+        with pytest.raises(ValueError, match=message):
+            DelayProfile([0, 1], tau_max)
+
+    def test_numpy_integer_tau_max_accepted(self):
+        assert DelayProfile([0, 1], np.int64(1)).tau_hat.tolist() == [0, 1]
 
     def test_whole_float_delays_stored_as_integers(self):
         profile = DelayProfile(np.array([0.0, -2.0, 1.0]), tau_max=2)

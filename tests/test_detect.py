@@ -825,7 +825,9 @@ class TestChunkedSyncPipeline:
         assert np.array_equal(stopped.increments, full.increments[: last + 1])
         assert [t for t, _ in stopped.delays] == [t for t, _ in full.delays if t <= crossed]
 
-    def test_chunks_double_up_to_segment_ticks(self, monkeypatch):
+    @staticmethod
+    def _chunk_sizes(monkeypatch):
+        """The number of segments in each ``_joint_fit`` call, as they come."""
         sizes = []
 
         def counting(data, starts, *args, **kwargs):
@@ -833,12 +835,33 @@ class TestChunkedSyncPipeline:
             return _joint_fit(data, starts, *args, **kwargs)
 
         monkeypatch.setattr("sscusum.detect._joint_fit", counting)
+        return sizes
+
+    def test_chunks_double_up_to_segment_ticks(self, monkeypatch):
+        # a run that may stop: b is finite, and never crossed
+        sizes = self._chunk_sizes(monkeypatch)
         streams = _delayed_record(3, 15000, 3, seed=7)
-        subspace_increments(streams, w=8, tau_max=3, sync=True, sync_every=1000)
+        kwargs = dict(w=8, tau_max=3, d=1.0, b=1e300)
+        run = async_pipeline(streams, **kwargs, sync_every=1000)
+        assert run.report.no_alarm
         assert sizes == [1, 2, 4, 4, 4]  # 15 segments; 4,096 ticks hold 4
         sizes.clear()
-        subspace_increments(streams[:, :200], w=8, tau_max=3, sync=True, sync_every=5)
+        async_pipeline(streams[:, :200], **kwargs, sync_every=5)
         assert sizes == [1, 2, 4, 8, 16, 7]
+
+    def test_passes_that_score_every_tick_start_at_the_full_chunk(self, monkeypatch):
+        sizes = self._chunk_sizes(monkeypatch)
+        streams = _delayed_record(3, 15000, 3, seed=7)
+        subspace_increments(streams, w=8, tau_max=3, sync=True, sync_every=1000)
+        assert sizes == [4, 4, 4, 3]
+        sizes.clear()
+        subspace_increments(streams[:, :200], w=8, tau_max=3, sync=True, sync_every=5)
+        assert sizes == [38]
+        for b, full_trajectory in [(math.inf, False), (1e300, True)]:
+            sizes.clear()
+            async_pipeline(streams[:, :200], w=8, tau_max=3, d=1.0, b=b, sync_every=5,
+                           full_trajectory=full_trajectory)
+            assert sizes == [38]
 
     @pytest.mark.parametrize(
         "fill, error",
