@@ -77,10 +77,13 @@ def _check_counts(least: int, **values) -> None:
             raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def _as_array(value, name: str = "streams", axes: str = "kn", *, sensors: int = 0) -> np.ndarray:
+def _as_array(
+    value, name: str = "streams", axes: str = "kn", *, sensors: int = 0, finite: bool = False
+) -> np.ndarray:
     """``value`` as a float array with one axis per letter of ``axes``: "n"
     for a series, "kn" for a record of k sensors, at least ``sensors`` of
-    them. Both checks name the argument."""
+    them, and with ``finite`` no nan or inf entry. Each check names the
+    argument."""
     data = np.asarray(value, dtype=float)
     if data.ndim != len(axes):
         raise DimensionMismatchError(
@@ -88,6 +91,8 @@ def _as_array(value, name: str = "streams", axes: str = "kn", *, sensors: int = 
         )
     if sensors and data.shape[0] < sensors:
         raise ValueError(f"{name} needs at least {sensors} sensors, got {data.shape[0]}")
+    if finite and not np.isfinite(data).all():
+        raise ValueError(f"{name} must be finite, got a nan or inf entry")
     return data
 
 
@@ -208,9 +213,17 @@ class Waveform:
 
     @classmethod
     def from_samples(cls, values: Sequence[float], first_tick: int = 1) -> "Waveform":
-        """Tabulated signal occupying ticks first_tick..first_tick+len-1, zero outside."""
-        table = np.asarray(values, dtype=float)
-        if table.ndim != 1 or table.size == 0:
+        """Tabulated signal occupying ticks first_tick..first_tick+len-1, zero outside.
+
+        Raises:
+            ValueError: the table is not a nonempty 1-D sequence of finite
+                values, or ``first_tick`` is not an integer.
+        """
+        if first_tick is None:  # _check_integers passes None, as a default
+            raise ValueError("first_tick must be an integer, got None")
+        _check_integers(first_tick=first_tick)  # a fraction would index the table
+        table = _as_array(values, "values", "n", finite=True)
+        if table.size == 0:
             raise ValueError("sample table must be a nonempty 1-D sequence")
 
         def fn(m: np.ndarray) -> np.ndarray:
@@ -286,7 +299,9 @@ class SpikedStats:
 
     @classmethod
     def from_scenario(cls, model: ScenarioModel, energy_horizon: int = 10_000) -> "SpikedStats":
-        """Derive the spiked statistics, averaging s^2 over ``energy_horizon`` ticks."""
+        """Derive the spiked statistics, averaging s^2 over ``energy_horizon``
+        ticks, an integer >= 1 (a ValueError otherwise)."""
+        _check_counts(1, energy_horizon=energy_horizon)
         norm = np.linalg.norm(model.alpha)
         if norm == 0:
             raise DegenerateInputError("alpha is identically zero")

@@ -1,6 +1,7 @@
 """Frames, delay profiles, normalization, scenarios, CSV schema."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,22 @@ class TestWaveform:
         w = Waveform.from_samples([5.0, 7.0], first_tick=1)
         assert w(np.array([0, 1, 2, 3])).tolist() == [0.0, 5.0, 7.0, 0.0]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_samples_non_finite_table_rejected(self, bad):
+        # a nan entry was accepted and came back as the signal
+        with pytest.raises(ValueError, match="^values must be finite, got a nan or inf entry"):
+            Waveform.from_samples([1.0, bad, 2.0])
+
+    @pytest.mark.parametrize("first_tick", [1.5, 2.0, None], ids=["fraction", "whole-float", "none"])
+    def test_from_samples_non_integer_first_tick_rejected(self, first_tick):
+        # 1.5 raised a raw IndexError when the waveform was evaluated
+        with pytest.raises(ValueError, match=f"^first_tick must be an integer, got {first_tick}"):
+            Waveform.from_samples([1.0, 2.0], first_tick=first_tick)
+
+    def test_from_samples_numpy_integer_first_tick_accepted(self):
+        w = Waveform.from_samples([5.0, 7.0], first_tick=np.int64(0))
+        assert w(np.array([0, 1, 2])).tolist() == [5.0, 7.0, 0.0]
+
 
 class TestScenarioModel:
     def _model(self, **kw):
@@ -261,6 +278,18 @@ class TestSpikedStats:
         )
         with pytest.raises(DegenerateInputError):
             SpikedStats.from_scenario(model)
+
+    @pytest.mark.parametrize("horizon", [2.5, 0, -3])
+    def test_energy_horizon_must_be_a_count(self, horizon):
+        # 2.5 averaged 3 ticks; 0 and -3 gave numpy's "Mean of empty slice"
+        # warning and rho = nan
+        model = ScenarioModel(k=2, sigma2=1.0, alpha=np.ones(2), waveform=Waveform.step(),
+                              onsets=np.zeros(2, dtype=int))
+        kind = "an integer" if horizon == 2.5 else ">= 1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^energy_horizon must be {kind}, got {horizon}"):
+                SpikedStats.from_scenario(model, energy_horizon=horizon)
 
 
 class TestSensorCsv:

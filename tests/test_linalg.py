@@ -3,9 +3,11 @@ the increments along a block."""
 
 import multiprocessing
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from oracles import covariance_triple_loop, jacobi_eigh
 from sscusum import linalg
@@ -316,6 +318,11 @@ class TestWindowIncrements:
         with pytest.raises(NumericalError, match="non-finite squared projection"):
             window_increments(blocks if trials > 1 else blocks[0], 5)
 
+    def test_nested_list_is_taken_as_an_array(self):
+        # a list raised a raw AttributeError ('list' object has no attribute 'ndim')
+        block = _trial_blocks(1, 3, 12, 4, seed=35)[0]
+        assert np.array_equal(window_increments(block.tolist(), 4), window_increments(block, 4))
+
     def test_fractional_w_rejected(self):
         # used to raise a raw TypeError from the window view
         with pytest.raises(ValueError, match="^w must be an integer, got 2.5"):
@@ -382,3 +389,70 @@ class TestWorkerCount:
 
 def _increments_into(queue, blocks):
     queue.put(window_increments(blocks, 5))
+
+
+class TestBandGrams:
+    """With more sensors than samples (k > w), ``window_increments`` builds
+    each task's window Grams from one product per pair of ticks."""
+
+    @pytest.mark.parametrize("k, w", [(30, 8), (125, 20), (3, 1)])
+    def test_window_bits_do_not_depend_on_its_place(self, k, w, workers, monkeypatch):
+        # one window, scored at four block offsets in four trial rows, with
+        # tasks of 7 windows (so at four places within a task) and on 1 and
+        # 4 workers: the same bits every time
+        rng = np.random.default_rng(31)
+        scored = rng.standard_normal((k, w + 1))
+        offsets = [1, 3, 37, 129]
+        blocks = rng.standard_normal((len(offsets), k, 140 + w))
+        for row, j in enumerate(offsets):
+            blocks[row, :, j : j + w + 1] = scored
+        monkeypatch.setattr(linalg, "TASK", 7)
+        got = []
+        for n in (1, 4):
+            workers(n)
+            inc = window_increments(blocks, w)
+            got += [inc[row, j] for row, j in enumerate(offsets)]
+            got += [window_increments(blocks[row, :, j : j + w + 1], w)[0]
+                    for row, j in enumerate(offsets)]
+        monkeypatch.setattr(linalg, "TASK", 256)
+        got.append(window_increments(blocks[2], w)[37])
+        assert got[0] > 0
+        assert all(g == got[0] for g in got), got
+
+    @pytest.mark.parametrize("k, w", [(125, 20), (50, 20), (21, 20)])
+    def test_matches_jacobi(self, k, w):
+        # the oracle diagonalizes each window's (w, w) Gram, summed element by
+        # element, and projects its top eigenvector back to k dimensions
+        rng = np.random.default_rng(32)
+        m = 5
+        block = rng.standard_normal((k, m + w))
+        block[0] *= 2.0  # a clear leading direction
+        inc = window_increments(block, w)
+        windows = sliding_window_view(block, w, axis=1)[:, 1:].transpose(1, 0, 2)
+        u = linalg._directions(windows, linalg._squared_top, linalg._band_grams(block[:, 1:], w))
+        assert 1 - np.abs(np.einsum("bk,bk->b", u, window_top_vectors(windows))).min() <= 1e-12
+        for j, win in enumerate(windows):
+            values, vectors = jacobi_eigh(covariance_triple_loop(win))
+            assert values[0] > values[1]
+            u_j = win @ vectors[:, 0]
+            u_j /= np.linalg.norm(u_j)
+            assert 1 - abs(u[j] @ u_j) <= 1e-12
+            assert inc[j] == pytest.approx((u_j @ block[:, j]) ** 2, rel=1e-8)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-170])  # 1e-170: every product underflows
+    def test_zero_gram_window_scores_zero(self, scale):
+        block = np.random.default_rng(33).standard_normal((30, 60))
+        block[:, 21:29] *= scale  # the window of column 20
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inc = window_increments(block, 8)
+        assert inc[20] == 0.0
+        assert (inc[:20] > 0).all()  # each of these windows holds a full-size tick
+
+    def test_overflow_names_the_window_gram_matrix(self):
+        block = np.random.default_rng(34).standard_normal((30, 60))
+        block[4, 33] = 1e200  # in a window, so its square overflows the Gram
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^non-finite window Gram matrix"):
+                window_increments(block, 8)
