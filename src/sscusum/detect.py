@@ -31,8 +31,8 @@ from typing import Iterator
 import numpy as np
 
 from .core import (
-    DelayProfile, MultiSensorFrame, _as_array, _check_counts, _check_integers, _check_pass,
-    _scored_ticks, _sync_cadence,
+    DelayProfile, MultiSensorFrame, _as_array, _as_ticks, _check_counts, _check_integers,
+    _check_pass, _scored_ticks, _sync_cadence,
 )
 from .errors import (
     DegenerateInputError,
@@ -356,16 +356,23 @@ def cusum_report(
     ``b`` and ``full_trajectory=True`` on the same streams.
 
     Raises:
-        DimensionMismatchError: ``increments`` is not 1-D, or ``ticks`` and
-            ``increments`` differ in length.
-        ValueError: ``lookahead`` is not an integer >= 0.
+        DimensionMismatchError: ``ticks`` or ``increments`` is not 1-D, or
+            they differ in length.
+        ValueError: ``lookahead`` is not an integer >= 0, or a tick is not
+            a whole number.
+        StreamOrderError: ``ticks`` are not strictly increasing.
         NumericalError: an increment is nan or inf, or the statistic overflows.
     """
     _check_rule(d, b)
     _check_counts(0, lookahead=lookahead)
     increments = _as_array(increments, "increments", "n")
+    ticks = _as_ticks(ticks, "ticks")
+    if ticks.ndim != 1:
+        raise DimensionMismatchError(f"ticks must be a (n) array, got shape {ticks.shape}")
     if len(ticks) != len(increments):
         raise DimensionMismatchError(f"{len(ticks)} ticks for {len(increments)} increments")
+    if (np.diff(ticks) <= 0).any():
+        raise StreamOrderError("ticks must be strictly increasing")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
         path = _scan(np.zeros(1), (increments - d)[None])[0]
     # a non-finite increment leaves a non-finite value at its own tick

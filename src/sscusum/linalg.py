@@ -271,7 +271,8 @@ def window_top_vectors(windows) -> np.ndarray:
     a zero row, so its squared projection is 0. The sign of each direction
     is arbitrary. Each window's direction comes from repeated squaring or,
     where its certificate fails, from ``eigh``; either way it does not
-    depend on the other windows of the stack.
+    depend on the other windows of the stack. An empty (0, k, w) stack gives
+    a (0, k) array on either Gram side.
 
     Raises:
         DimensionMismatchError: ``windows`` is not 3-D.

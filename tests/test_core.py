@@ -21,6 +21,7 @@ from sscusum.core import (
     read_sensor_csv,
     write_sensor_csv,
 )
+from sscusum.detect import SubspaceCusum
 from sscusum.errors import (
     CsvFormatError,
     DegenerateInputError,
@@ -70,6 +71,12 @@ class TestNormalizeStream:
         assert np.array_equal(normalize_stream(np.arange(10.0), stats_prefix=np.int64(2)),
                               normalize_stream(np.arange(10.0), stats_prefix=2))
 
+    def test_bool_prefix_rejected(self):
+        # True was a one-sample prefix, then "series is constant over the
+        # normalization window"
+        with pytest.raises(ValueError, match="^stats_prefix must be an integer, got True"):
+            normalize_stream(np.arange(10.0), stats_prefix=True)
+
     def test_two_dimensional_input_rejected(self):
         # a (2, 5) record was normalized as one series of 10
         with pytest.raises(DimensionMismatchError, match=r"raw must be a \(n\) array"):
@@ -102,9 +109,10 @@ class TestMultiSensorFrame:
     def test_k(self):
         assert MultiSensorFrame(t=3, values=np.zeros(4)).k == 4
 
-    @pytest.mark.parametrize("t", [1.5, 3.0, "3"], ids=["fraction", "whole-float", "str"])
+    @pytest.mark.parametrize("t", [1.5, 3.0, "3", True],
+                             ids=["fraction", "whole-float", "str", "bool"])
     def test_non_integer_tick_rejected(self, t):
-        # 1.5 was truncated to 1 and "3" parsed as 3
+        # 1.5 was truncated to 1, "3" parsed as 3 and True taken as 1
         with pytest.raises(ValueError, match="t must be an integer"):
             MultiSensorFrame(t=t, values=np.zeros(2))
 
@@ -121,6 +129,111 @@ class TestMultiSensorFrame:
         frames = frames_from_array(np.zeros((2, 3)), t0=1.5)  # yielded ticks 1, 2, 3
         with pytest.raises(ValueError, match="t must be an integer, got 1.5"):
             next(frames)
+
+
+def _replay(frames):
+    """The frames an iterator yields before it stops, and the error it
+    stopped with (None at the end of the record)."""
+    out = []
+    try:
+        for frame in frames:
+            out.append(frame)
+    except Exception as exc:
+        return out, exc
+    return out, None
+
+
+def _one_by_one(streams, t0):
+    """The frames of ``streams`` built one at a time, each fully checked."""
+    return (MultiSensorFrame(t0 + j, streams[:, j]) for j in range(streams.shape[1]))
+
+
+def _assert_same_replay(got, want):
+    """Two replays agree in tick types, ticks, value bits and error."""
+    (frames, error), (expected, expected_error) = got, want
+    assert len(frames) == len(expected)
+    for frame, ref in zip(frames, expected):
+        assert type(frame) is MultiSensorFrame and type(frame.t) is type(ref.t) is int
+        assert frame.t == ref.t
+        assert frame.values.dtype == ref.values.dtype
+        assert frame.values.tobytes() == ref.values.tobytes()
+    assert type(error) is type(expected_error)
+    assert str(error) == str(expected_error)
+
+
+CHUNK = sscusum.core._REPLAY_CHUNK
+
+
+class TestFramesFromArray:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(2, 6),
+        n=st.integers(CHUNK - 2, 2 * CHUNK + 2),
+        t0=st.integers(-10**6, 10**6),
+        numpy_t0=st.booleans(),
+        bad=st.one_of(
+            st.none(),
+            st.tuples(st.integers(0, 5), st.integers(0, 2 * CHUNK + 1),
+                      st.sampled_from([np.nan, np.inf, -np.inf])),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_frames_built_one_by_one(self, k, n, t0, numpy_t0, bad, seed):
+        streams = np.random.default_rng(seed).standard_normal((k, n))
+        if bad is not None:
+            sensor, column, value = bad
+            streams[sensor % k, column % n] = value
+        if numpy_t0:
+            t0 = np.int64(t0)
+        _assert_same_replay(_replay(frames_from_array(streams, t0)),
+                            _replay(_one_by_one(streams, t0)))
+
+    @pytest.mark.parametrize("column", [0, CHUNK - 1, CHUNK, CHUNK + 9],
+                             ids=["first", "last-of-chunk", "first-of-chunk", "last"])
+    def test_nan_raises_at_its_own_frame(self, column):
+        streams = np.ones((3, CHUNK + 10))
+        streams[1, column] = np.nan
+        frames, error = _replay(frames_from_array(streams, t0=5))
+        assert [f.t for f in frames] == list(range(5, 5 + column))
+        assert type(error) is ValueError
+        assert str(error) == f"non-finite reading in frame t={5 + column}"
+
+    @pytest.mark.parametrize("t0", [True, None, "3"], ids=["bool", "none", "str"])
+    def test_non_integer_t0_raises_at_first_frame(self, t0):
+        # True yielded tick 1; None and "3" raised a raw TypeError from t0 + j
+        frames = frames_from_array(np.zeros((2, 3)), t0=t0)
+        with pytest.raises(ValueError, match=f"^t must be an integer, got {t0!r}$"):
+            next(frames)
+
+    def test_one_dimensional_record_rejected_at_first_frame(self):
+        # a raw IndexError ("tuple index out of range") before
+        frames = frames_from_array(np.zeros(5))
+        with pytest.raises(DimensionMismatchError, match=r"got shape \(5,\)$"):
+            next(frames)
+
+    @pytest.mark.parametrize("t0", [1.5, None, True])
+    def test_empty_record_checks_no_t0(self, t0):
+        assert list(frames_from_array(np.zeros((3, 0)), t0=t0)) == []
+
+    def test_values_do_not_alias_the_input(self):
+        streams = np.arange(12.0).reshape(3, 4)
+        frames = frames_from_array(streams)
+        first = next(frames)
+        streams[:] = np.nan  # after the first chunk was copied and checked
+        assert first.values.tolist() == [0.0, 4.0, 8.0]
+        assert [f.values.tolist() for f in frames] == [[1.0, 5.0, 9.0], [2.0, 6.0, 10.0],
+                                                       [3.0, 7.0, 11.0]]
+
+    def test_detector_sees_the_same_frames(self):
+        # stream-detect's shape: k=3, w=200, 4,000 ticks, with a burst to cross
+        streams = np.random.default_rng(41).standard_normal((3, 4000))
+        streams[:, 1500:2500] += 1.5 * np.random.default_rng(42).standard_normal(1000)
+        runs = []
+        for frames in (frames_from_array(streams, t0=1), _one_by_one(streams, 1)):
+            det = SubspaceCusum(w=200, d=1.5, b=50.0)
+            runs.append(([repr(det.step(f)) for f in frames], repr(det.state)))
+        assert runs[0] == runs[1]
+        assert "crossed_at=None" not in runs[0][1]  # the burst is detected
 
 
 class TestDelayProfile:

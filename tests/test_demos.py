@@ -9,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-SLOW = {"04_detector_comparison.py"}  # about 30 s of Monte Carlo
+SLOW = {"04_detector_comparison.py"}  # Monte Carlo, about 4 s on 2 vCPUs
 
 
 def _marked(path):
@@ -28,9 +28,11 @@ def test_every_demo_listed():
 
 @pytest.mark.parametrize("demo", [_marked(p) for p in DEMOS])
 def test_demo_runs(demo):
+    # dev mode, as CI runs the fast tier, and every RuntimeWarning (numpy
+    # overflow or invalid value, a zero-correlation delay) is an error
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning", str(demo)],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,

@@ -474,6 +474,7 @@ SETTING_CASES = {
     "joint-window-start": lambda: joint_estimate(_RULE_STREAMS, tau_max=2, window=(5.0, 10)),
     "joint-n_max": lambda: joint_estimate(_RULE_STREAMS, tau_max=2, n_max=3.0),
     "streaming-w": lambda: SubspaceCusum(w=2.5, d=1.0),
+    "increments-w-bool": lambda: subspace_increments(_RULE_STREAMS, w=True),
     "curve-w": lambda: _curve(SubspaceSpec(w=5.5, tau_max=0, d=1.0, sync=False), [1.0]),
     "curve-sync_every": lambda: _curve(SubspaceSpec(w=5, tau_max=2, d=1.0, sync_every=2.5), [1.0]),
 }
@@ -1076,6 +1077,22 @@ class TestCusumReport:
         # or earlier tick
         with pytest.raises(ValueError, match=message):
             cusum_report(np.arange(3), np.ones(3), d=0.5, b=1.0, lookahead=lookahead)
+
+    def test_fractional_ticks_rejected(self):
+        # once crossed at tick 2, truncated from 2.5
+        with pytest.raises(ValueError, match=r"^ticks must be whole ticks, got \[1.5, 2.5"):
+            cusum_report([1.5, 2.5, 3.5, 4.5], np.ones(4), d=0.5, b=1.0, lookahead=0)
+
+    @pytest.mark.parametrize("ticks", [[4, 3, 2, 1], [1, 2, 2, 3]], ids=["backward", "repeated"])
+    def test_unordered_ticks_rejected(self, ticks):
+        # both used to be accepted
+        with pytest.raises(StreamOrderError, match="^ticks must be strictly increasing"):
+            cusum_report(ticks, np.ones(4), d=0.5, b=1.0, lookahead=0)
+
+    def test_two_dimensional_ticks_rejected(self):
+        # used to raise a raw TypeError ("only 0-dimensional arrays can be converted")
+        with pytest.raises(DimensionMismatchError, match=r"^ticks must be a \(n\) array"):
+            cusum_report(np.arange(1, 5)[:, None], np.ones(4), d=0.5, b=1.0, lookahead=0)
 
     def test_two_dimensional_increments_rejected(self):
         # used to raise a raw TypeError from adding a list to a float

@@ -257,6 +257,12 @@ class TestSquaringCertificate:
             assert np.array_equal(stacked[i], window_top_vectors(win[None])[0]), i
 
 
+@pytest.mark.parametrize("k, w", [(3, 5), (5, 3)])  # covariance side, Gram side
+def test_empty_stack_gives_no_directions(k, w):
+    top = window_top_vectors(np.zeros((0, k, w)))
+    assert top.shape == (0, k) and top.dtype == float
+
+
 def test_nested_list_is_taken_as_an_array():
     rng = np.random.default_rng(29)
     windows = rng.standard_normal((3, 4, 6))
@@ -327,6 +333,11 @@ class TestWindowIncrements:
         # used to raise a raw TypeError from the window view
         with pytest.raises(ValueError, match="^w must be an integer, got 2.5"):
             window_increments(np.zeros((3, 20)), 2.5)
+
+    def test_bool_w_rejected(self):
+        # used to raise a raw TypeError ("an integer is required")
+        with pytest.raises(ValueError, match="^w must be an integer, got True"):
+            window_increments(np.zeros((3, 20)), True)
 
 
 class TestWorkerCount:

@@ -80,6 +80,11 @@ class TestGenerateEpisode:
         with pytest.raises(ValueError):
             generate_episode(pure_noise_model(2), horizon=0, seed=1)
 
+    def test_bool_horizon_rejected(self):
+        # True was a one-tick horizon: a (2, 1) episode
+        with pytest.raises(ValueError, match="^horizon must be an integer, got True"):
+            generate_episode(pure_noise_model(2), True, 0)
+
     def test_non_finite_shift_rejected(self):
         with pytest.raises(ValueError, match="alpha must be finite"):
             mean_shift_model(3, mu=math.nan)
