@@ -25,9 +25,7 @@ import numpy as np
 
 from . import detect as det
 from . import sim
-from .core import (
-    ScenarioModel, Waveform, _scored_ticks, normalize_stream, read_sensor_csv, write_sensor_csv,
-)
+from .core import Pass, ScenarioModel, Waveform, normalize_stream, read_sensor_csv, write_sensor_csv
 from .errors import CsvFormatError, NumericalError, ValidationError
 
 __all__ = ["main", "build_parser"]
@@ -253,28 +251,27 @@ def _load_streams(args) -> tuple[int, np.ndarray]:
     return t0, streams
 
 
-def _pass(args) -> dict:
-    """The command's pass settings, as the scorer, the drift calibration and
-    the Monte Carlo spec take them; sync defaults to on when tau-max > 0."""
+def _pass(args) -> Pass:
+    """The command's pass, checked before any input is read, for its scorer,
+    drift calibration and Monte Carlo spec; sync defaults to on when tau-max > 0."""
     sync = args.sync if args.sync is not None else args.tau_max > 0
-    return dict(w=args.w, tau_max=args.tau_max, sync=sync, delta=args.delta, n_max=args.n_max)
+    return Pass(args.w, args.tau_max, sync, args.delta, args.n_max)
 
 
-def _prefix(args, streams: np.ndarray, rule: dict) -> tuple[int, int]:
+def _prefix(args, streams: np.ndarray, run: Pass) -> tuple[int, int]:
     """The calibration prefix length (default: the whole record) and the
-    number of ticks a pass with settings ``rule`` scores over it, checked to
-    be at least one."""
+    number of ticks the pass ``run`` scores over it, checked to be at least
+    one."""
     prefix = args.prefix if args.prefix is not None else streams.shape[1]
     if prefix > streams.shape[1]:
         raise ValidationError(
             f"--prefix {prefix} exceeds the {streams.shape[1]} ticks in the file"
         )
-    ticks = _scored_ticks(prefix, **rule)
+    ticks = run.scored(prefix)
     if not ticks:
         raise ValidationError(
-            f"--prefix {prefix} is too short for one window "
-            f"(need >= {prefix + 1 - (ticks.stop - ticks.start)} with w={args.w}, "
-            f"tau-max={args.tau_max}, sync={rule['sync']})"
+            f"--prefix {prefix} is too short for one window (need >= {run.margin + 1} with "
+            f"w={run.w}, tau-max={run.tau_max}, sync={run.sync})"
         )
     return prefix, len(ticks)
 
@@ -282,10 +279,10 @@ def _prefix(args, streams: np.ndarray, rule: dict) -> tuple[int, int]:
 def cmd_calibrate(args) -> int:
     _require(args, "in_path", "w")
     _positive(args, "w", "factor")
-    rule = _pass(args)
+    run = _pass(args)
     t0, streams = _load_streams(args)
-    prefix, _ = _prefix(args, streams, rule)
-    _, increments = det.subspace_increments(streams[:, :prefix], t0=t0, **rule)
+    prefix, _ = _prefix(args, streams, run)
+    _, increments = det.subspace_increments(streams[:, :prefix], t0=t0, **vars(run))
     print(repr(det.calibrate_drift(increments, factor=args.factor)))
     return 0
 
@@ -293,20 +290,20 @@ def cmd_calibrate(args) -> int:
 def cmd_detect(args) -> int:
     _require(args, "in_path", "w", "b", "out")
     _positive(args, "w", "b", "rate", "factor")
-    rule = _pass(args)
+    run = _pass(args)
     t0, streams = _load_streams(args)
     if args.d is None:
         if args.factor is None:
             raise ValidationError("supply --d, or --factor (with --prefix) to calibrate")
-        _, scored = _prefix(args, streams, rule)
-    ticks, increments = det.subspace_increments(streams, t0=t0, **rule)
+        _, scored = _prefix(args, streams, run)
+    ticks, increments = det.subspace_increments(streams, t0=t0, **vars(run))
     if args.d is None:
         # A pass over the prefix alone scores exactly these leading ticks:
         # its sync segments start at the same ticks, and every delay window
         # it estimates lies inside the prefix.
         args.d = det.calibrate_drift(increments[:scored], factor=args.factor)
         print(f"calibrated drift d={args.d!r}")
-    report = det.cusum_report(ticks, increments, d=args.d, b=args.b, lookahead=args.w)
+    report = det.cusum_report(ticks, increments, d=args.d, b=args.b, lookahead=run.lookahead)
     det.write_report_csv(args.out, report, rate=args.rate)
     if args.trajectory_out:
         det.write_trajectory_csv(args.trajectory_out, report)
@@ -324,7 +321,6 @@ def cmd_curve(args) -> int:
     _require(args, "k", "mu", "w", "trials", "horizon", "seed", "out")
     _positive(args, "k", "w", "trials", "horizon", "horizon_edd", "sigma2")
     horizon_edd = args.horizon if args.horizon_edd is None else args.horizon_edd
-    rule = _pass(args)
     ss = np.random.SeedSequence(int(args.seed))
     seed_sub, seed_os, seed_drift = ss.spawn(3)
     noise = sim.pure_noise_model(args.k, args.sigma2)
@@ -334,13 +330,14 @@ def cmd_curve(args) -> int:
     if args.detector in ("subspace", "both"):
         if args.b_grid is None:
             raise ValidationError("--b-grid is required for the subspace curve")
+        run = _pass(args)
         d = args.d
         if d is None:
             change_at_0 = sim.mean_shift_model(args.k, args.mu, args.sigma2)
-            cal = sim.empirical_drift(noise, change_at_0, seed=seed_drift, **rule)
+            cal = sim.empirical_drift(noise, change_at_0, seed=seed_drift, **vars(run))
             d = cal.midpoint
             print(f"calibrated drift d={d!r} (pre={cal.lower:.4f}, post={cal.upper:.4f})")
-        spec = sim.SubspaceSpec(d=d, **rule)
+        spec = sim.SubspaceSpec(**vars(run), d=d)
         points += sim.operating_curve(
             spec, noise, change, args.b_grid, args.trials, seed_sub,
             horizon_arl=args.horizon, horizon_edd=horizon_edd,

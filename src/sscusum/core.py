@@ -4,9 +4,8 @@ schema.
 
 Time is integer ticks throughout; all delays are integer sample shifts.
 Sensor indices are 0-based in code, and sensor 0 is the synchronization
-reference. Every scoring path asks :func:`_scored_ticks` which ticks a pass
-can score, :func:`_check_pass` whether its settings are usable, and
-:func:`_sync_cadence` how often it fits delays. The shared input checks,
+reference. A :class:`Pass` holds a scoring pass's settings, checked once,
+and every tick rule derived from them. The shared input checks,
 :func:`_check_counts`, :func:`_as_array` and :func:`_as_ticks`, name the
 argument they reject; :func:`_first_bad_row` is the one finiteness rule of a
 frame, a replayed chunk and the sensor CSV.
@@ -33,6 +32,7 @@ __all__ = [
     "MultiSensorFrame",
     "DelayProfile",
     "Waveform",
+    "Pass",
     "ScenarioModel",
     "SpikedStats",
     "normalize_stream",
@@ -42,31 +42,11 @@ __all__ = [
 ]
 
 
-def _scored_ticks(
-    n: int, *, w: int, tau_max: int, sync: bool, t0: int = 1, **_settings
-) -> range:
-    """The ticks a pass over ``n`` columns from tick ``t0`` scores: each needs
-    its ``w`` future samples and, only with delay estimation, whose shifts
-    reach ``tau_max`` either way, that much headroom on both sides.
-    ``n + 1 - (stop - start)`` columns score one tick. The pass's other
-    settings (delta, n_max, sync_every) do not move them.
-    """
-    headroom = tau_max if sync else 0
-    return range(t0 + headroom, t0 + n - w - headroom)
-
-
-def _sync_cadence(w: int, sync_every: int | None) -> int:
-    """Scored ticks between a sync pass's delay fits: ``sync_every``, by
-    default once per window length."""
-    return w if sync_every is None else sync_every
-
-
 def _check_integers(**values) -> None:
     """Reject a setting, count or tick argument that is not an integer, by
-    its name; numpy integers pass, and so does None (a default), but not a
-    bool."""
+    its name; numpy integers pass, but not None or a bool."""
     for name, value in values.items():
-        if value is not None and (not isinstance(value, Integral) or isinstance(value, bool)):
+        if not isinstance(value, Integral) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -74,8 +54,6 @@ def _check_counts(least: int, **values) -> None:
     """Reject a count that is not an integer >= ``least``, by its name."""
     _check_integers(**values)
     for name, value in values.items():
-        if value is None:  # a count has no default
-            raise ValueError(f"{name} must be an integer, got None")
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
 
@@ -109,30 +87,84 @@ def _first_bad_row(block: np.ndarray) -> int | None:
 
 
 def _as_ticks(values, name: str) -> np.ndarray:
-    """``values`` as integer ticks; a fractional or non-finite entry is
-    rejected by name instead of being truncated."""
+    """``values`` as integer ticks; a bool, a string, a fraction or a float
+    outside int64 (nan, inf, 1e300) is rejected by name, not cast."""
     ticks = np.asarray(values)
-    if ticks.dtype.kind == "f" and not np.all(np.isfinite(ticks) & (ticks == np.round(ticks))):
+    if ticks.dtype.kind != "i" and not (ticks.dtype.kind in "uf" and np.all(
+            (ticks == np.round(ticks)) & (ticks >= -(2.0**63)) & (ticks < 2.0**63))):
         raise ValueError(f"{name} must be whole ticks, got {ticks.tolist()}")
     return ticks.astype(int)
 
 
-def _check_pass(
-    *, w, tau_max=0, sync=False, delta=0, n_max=1, sync_every=None, default_w=False, **ticks
-) -> None:
-    """Reject pass settings a pass cannot use, before any work is done: each
-    setting and tick argument (``t0``, a window start) is an integer;
-    w >= 1, or 2 with delay estimation; tau_max, delta >= 0;
-    n_max, sync_every >= 1. None leaves sync_every to its default, and w
-    only for a caller that has a default window (``default_w``)."""
-    if w is None and not default_w:
-        raise ValueError("w must be an integer, got None")
-    _check_integers(w=w, tau_max=tau_max, delta=delta, n_max=n_max, sync_every=sync_every, **ticks)
-    least = 2 if sync else 1
-    if w is not None and w < least:
-        raise ValueError(f"need w >= {least}{' to estimate delays' if sync else ''}, got w={w}")
-    if tau_max < 0 or delta < 0 or n_max < 1 or (sync_every is not None and sync_every < 1):
-        raise ValueError("require tau_max >= 0, delta >= 0, n_max >= 1, sync_every >= 1")
+@dataclass(frozen=True)
+class Pass:
+    """A scoring pass's settings, checked once when it is built, and every
+    tick rule derived from them. Each tick is scored against its ``w`` future
+    samples; with ``sync`` the delays, within ``tau_max`` either way, are
+    refitted every ``sync_every`` scored ticks, a fit stopping once no delay
+    moves by ``delta`` or more, or after ``n_max`` passes. A setting that is
+    not an integer (None only as sync_every's default), w < 1 (or 2 with
+    sync), tau_max or delta < 0, or n_max or sync_every < 1 is a ValueError."""
+
+    w: int
+    tau_max: int = 0
+    sync: bool = False
+    delta: int = 1
+    n_max: int = 10
+    sync_every: int | None = None
+
+    def __post_init__(self):
+        # sync_every=None stands for its default, w, which is checked first
+        _check_integers(w=self.w, tau_max=self.tau_max, delta=self.delta, n_max=self.n_max,
+                        sync_every=self.cadence)
+        least = 2 if self.sync else 1
+        if self.w < least:
+            raise ValueError(
+                f"need w >= {least}{' to estimate delays' if self.sync else ''}, got w={self.w}"
+            )
+        if self.tau_max < 0 or self.delta < 0 or self.n_max < 1 or self.cadence < 1:
+            raise ValueError("require tau_max >= 0, delta >= 0, n_max >= 1, sync_every >= 1")
+
+    @property
+    def headroom(self) -> int:
+        """Columns a scored tick needs on each side: tau_max with sync, else 0."""
+        return self.tau_max if self.sync else 0
+
+    @property
+    def lookahead(self) -> int:
+        """Ticks from a crossing to its report: the w samples that scored it."""
+        return self.w
+
+    @property
+    def cadence(self) -> int:
+        """Scored ticks between delay fits: sync_every, by default w."""
+        return self.w if self.sync_every is None else self.sync_every
+
+    @property
+    def margin(self) -> int:
+        """Columns a scored tick needs besides its own, so margin + 1 score one;
+        with sync, also those a delay fit reads: its window, tau_max each side."""
+        return self.w + 2 * self.headroom
+
+    @property
+    def carry(self) -> int:
+        """Most columns a Monte Carlo step carries over: the first unscored
+        tick's margin and a sync segment not yet whole, fewer than cadence."""
+        return self.margin + (self.cadence - 1 if self.sync else 0)
+
+    def scored(self, n: int, t0: int = 1) -> range:
+        """The ticks a pass over ``n`` columns from tick ``t0`` scores."""
+        return range(t0 + self.headroom, t0 + n - self.w - self.headroom)
+
+    def fit_start(self, start):
+        """The first tick of the delay fit for the sync segment from ``start``:
+        the fit windows that tick's w future samples."""
+        return start + 1
+
+    def episode_ticks(self, ticks: int) -> int:
+        """The episode length of a drift calibration over ``ticks``, with tau_max
+        headroom even without sync, so that switching sync keeps the samples."""
+        return ticks + self.w + 2 * self.tau_max + 1
 
 
 @dataclass(frozen=True)
@@ -150,8 +182,6 @@ class MultiSensorFrame:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.t is None:  # a tick has no default
-            raise ValueError("t must be an integer, got None")
         _check_integers(t=self.t)  # a fractional tick is rejected, not truncated
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.shape[0] < 2:
@@ -232,8 +262,6 @@ class Waveform:
             ValueError: the table is not a nonempty 1-D sequence of finite
                 values, or ``first_tick`` is not an integer.
         """
-        if first_tick is None:  # _check_integers passes None, as a default
-            raise ValueError("first_tick must be an integer, got None")
         _check_integers(first_tick=first_tick)  # a fraction would index the table
         table = _as_array(values, "values", "n", finite=True)
         if table.size == 0:
@@ -340,7 +368,8 @@ def normalize_stream(raw, stats_prefix: int | None = None) -> np.ndarray:
         DegenerateInputError: empty, non-finite, or constant input, or a
             ``stats_prefix`` below 1.
     """
-    _check_integers(stats_prefix=stats_prefix)
+    if stats_prefix is not None:
+        _check_integers(stats_prefix=stats_prefix)
     x = _as_array(raw, "raw", "n")
     if x.size == 0:
         raise DegenerateInputError("cannot normalize an empty series")
@@ -402,9 +431,10 @@ def write_sensor_csv(path, streams: np.ndarray, t0: int = 1) -> None:
 
     Rows end in ``\\r\\n`` and cells are ``repr`` of each float, the bytes
     ``csv.writer`` would produce; no cell of this schema needs quoting. A
-    non-finite reading or an empty record, which :func:`read_sensor_csv`
-    rejects, is rejected before the file is opened.
+    ``t0`` that is not an integer, a non-finite reading or an empty record
+    (which :func:`read_sensor_csv` rejects) raises before the file is opened.
     """
+    _check_integers(t0=t0)
     streams = _as_array(streams)
     k, n = streams.shape
     if not (k and n):

@@ -31,8 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import (
-    DelayProfile, MultiSensorFrame, _as_array, _as_ticks, _check_counts, _check_integers,
-    _check_pass, _scored_ticks, _sync_cadence,
+    DelayProfile, MultiSensorFrame, Pass, _as_array, _as_ticks, _check_counts, _check_integers,
 )
 from .errors import (
     DegenerateInputError,
@@ -126,9 +125,8 @@ class SubspaceCusum:
     """
 
     def __init__(self, w: int, d: float, b: float = math.inf):
-        _check_pass(w=w)
+        self.lookahead = int(Pass(w).lookahead)  # read once here, never per frame
         _check_rule(d, b)
-        self.lookahead = int(w)
         self._d, self._b = float(d), float(b)
         self._S, self._crossed_at = 0.0, None
         self._ring: np.ndarray | None = None
@@ -394,14 +392,13 @@ class AsyncDetection:
 
 
 def _segment_increments(
-    stack: np.ndarray, *, w: int, tau_max: int, sync: bool, delta: int = 1, n_max: int = 10,
-    sync_every: int | None = None, t0: int = 1, ramp: bool = True,
+    stack: np.ndarray, run: Pass, *, t0: int = 1, ramp: bool = True,
 ) -> Iterator[tuple[int, np.ndarray, list[DelayProfile] | None]]:
-    """Check a pipeline run's arguments, then yield ``(start, increments,
-    delays)`` for each sync segment in turn: its first tick, the (T, ticks)
-    squared projections of its ticks in each of the T records of the
-    (T, k, n) ``stack``, and the records' T delay profiles (None without
-    sync). One record is the (1, k, n) stack.
+    """Check the records and ``t0``, then yield ``(start, increments,
+    delays)`` for each sync segment of the pass ``run`` in turn: its first
+    tick, the (T, ticks) squared projections of its ticks in each of the T
+    records of the (T, k, n) ``stack``, and the records' T delay profiles
+    (None without sync). One record is the (1, k, n) stack.
 
     Delays are constant over a segment, so its ticks form one aligned
     (k, ticks + w) block per record. One batched joint-estimation call fits
@@ -420,38 +417,34 @@ def _segment_increments(
     data = np.asarray(stack, dtype=float)
     _as_array(data[0], sensors=2)  # each record has the first's shape
     T, k, n = data.shape
-    _check_pass(
-        w=w, tau_max=tau_max, sync=sync, delta=delta, n_max=n_max, sync_every=sync_every, t0=t0
-    )
-    scored = _scored_ticks(n, w=w, tau_max=tau_max, sync=sync, t0=t0)
+    _check_integers(t0=t0)
+    scored = run.scored(n, t0)
     if not scored:
         raise ValueError(
-            f"streams cover {n} ticks; need at least {n + 1 - (scored.stop - scored.start)} "
-            f"for one emission with w={w}, tau_max={tau_max}"
+            f"streams cover {n} ticks; need at least {run.margin + 1} "
+            f"for one emission with w={run.w}, tau_max={run.tau_max}"
         )
 
     rows = np.arange(k)[:, None]
     trials = np.arange(T)[:, None, None, None]
-    segment = _sync_cadence(w, sync_every) if sync else SEGMENT
+    segment = run.cadence if run.sync else SEGMENT
     starts = np.arange(scored.start, scored.stop, segment)
     lengths = np.minimum(starts + segment, scored.stop) - starts
-    most = max(1, SEGMENT // (segment * T)) if sync else 1
+    most = max(1, SEGMENT // (segment * T)) if run.sync else 1
     lo, size = 0, 1 if ramp else most
     while lo < starts.size:
         chunk = slice(lo, lo + size)
         m = lengths[chunk].max()  # a shorter last segment is padded, then cut
         try:
-            if sync:
-                profiles = _joint_fit(
-                    data, starts[chunk] + 1, w, tau_max=tau_max, delta=delta, n_max=n_max, t0=t0
-                )[0]
+            if run.sync:
+                profiles = _joint_fit(data, run.fit_start(starts[chunk]), run, t0)[0]
                 tau = np.stack([p.tau_hat for p in profiles]).reshape(T, -1, k, 1)
-                cols = (starts[chunk] - t0)[:, None, None] + tau + np.arange(m + w)
-                block = data[trials, rows, np.minimum(cols, n - 1)].reshape(-1, k, m + w)
+                cols = (starts[chunk] - t0)[:, None, None] + tau + np.arange(m + run.w)
+                block = data[trials, rows, np.minimum(cols, n - 1)].reshape(-1, k, m + run.w)
             else:  # a chunk is one segment inside the records: a view, not a gather
                 first = starts[lo] - t0
-                profiles, block = None, data[:, :, first : first + m + w]
-            inc = window_increments(block, w).reshape(T, -1, m)
+                profiles, block = None, data[:, :, first : first + m + run.w]
+            inc = window_increments(block, run.w).reshape(T, -1, m)
         except (ZeroMatrixError, NumericalError):
             if size == 1:
                 raise
@@ -498,13 +491,11 @@ def async_pipeline(
     (crossed_at, crossed_at + w) and the statistic path.
     """
     _check_rule(d, b)
+    run = Pass(w, tau_max, sync, delta, n_max, sync_every)
     stops = not full_trajectory and b < math.inf  # else every tick is scored
     delays_log: list[tuple[int, DelayProfile]] = []
     S, paths, increments = np.zeros(1), [], []  # S carries across segments
-    segments = _segment_increments(
-        np.asarray(streams, dtype=float)[None], w=w, tau_max=tau_max, sync=sync, delta=delta,
-        n_max=n_max, sync_every=sync_every, t0=t0, ramp=stops,
-    )
+    segments = _segment_increments(np.asarray(streams, dtype=float)[None], run, t0=t0, ramp=stops)
     for start, inc, profiles in segments:
         if profiles is not None:
             delays_log.append((start, profiles[0]))
@@ -514,10 +505,10 @@ def async_pipeline(
             break
 
     path = np.concatenate(paths)
-    scored = _scored_ticks(np.shape(streams)[-1], w=w, tau_max=tau_max, sync=sync, t0=t0)
+    scored = run.scored(np.shape(streams)[-1], t0)
     report = _stop(
         "subspace", np.arange(scored.start, scored.start + path.size), path, b=b, d=d,
-        lookahead=w, full_trajectory=full_trajectory,
+        lookahead=run.lookahead, full_trajectory=full_trajectory,
     )
     return AsyncDetection(
         report=report,
@@ -533,20 +524,21 @@ def subspace_increments(
     w: int,
     tau_max: int = 0,
     sync: bool = False,
-    **kwargs,
+    t0: int = 1,
+    **settings,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Squared projections (u_hat' x)^2 along a stream, with no stopping rule.
 
     Returns (ticks, increments); the drift is not subtracted. This is the
     series the empirical drift calibration averages, scored as
     :func:`async_pipeline` scores it but without running the CUSUM.
-    ``kwargs`` are that function's delay-estimation and tick arguments.
+    ``settings`` are that function's ``delta``, ``n_max`` and ``sync_every``.
     It scores every tick, so it starts at the full chunk of sync segments.
     """
-    segments = list(_segment_increments(
-        np.asarray(streams, dtype=float)[None], w=w, tau_max=tau_max, sync=sync, ramp=False,
-        **kwargs
-    ))
+    run = Pass(w, tau_max, sync, **settings)
+    segments = list(
+        _segment_increments(np.asarray(streams, dtype=float)[None], run, t0=t0, ramp=False)
+    )
     increments = np.concatenate([inc for _, (inc,), _ in segments])
     t_first = segments[0][0]
     return np.arange(t_first, t_first + increments.size), increments

@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ScenarioModel, Waveform, _check_counts, _check_pass, _scored_ticks, _sync_cadence
+from .core import Pass, ScenarioModel, Waveform, _check_counts
 from .detect import SEGMENT, DriftBounds, _check_rule, _race_increments, _scan, _segment_increments
 from .linalg import _run_tasks
 
@@ -93,8 +93,9 @@ class RunLengthEstimate:
 
 
 @dataclass(frozen=True)
-class SubspaceSpec:
-    """Asynchronous subspace detector configuration for simulation runs.
+class SubspaceSpec(Pass):
+    """Asynchronous subspace detector configuration for simulation runs: a
+    :class:`~sscusum.core.Pass`, with sync on by default, and the drift ``d``.
 
     The Monte Carlo scores it with the segmented pipeline's own segment
     scorer (:mod:`sscusum.detect`), all live trials at once, so its
@@ -103,13 +104,9 @@ class SubspaceSpec:
     without.
     """
 
-    w: int
-    tau_max: int
-    d: float
-    delta: int = 1
-    n_max: int = 10
     sync: bool = True
-    sync_every: int | None = None
+    _: KW_ONLY
+    d: float
 
     name = "subspace"
 
@@ -297,32 +294,19 @@ def _lockstep(
     draws past the block where it left. Where no trial can leave before the
     horizon (``stops`` False), a step is :data:`sscusum.detect.SEGMENT`
     trial-ticks, the most one scorer call takes, and the scorer starts at
-    that full chunk. The spec's settings are checked before any noise is
-    drawn, and a segment error in any live trial aborts the run.
+    that full chunk. The spec's settings were checked when it was built, and
+    a segment error in any live trial aborts the run.
     """
-    k = models[0].k
-    if isinstance(spec, OneShotSpec):
-        rule, every = dict(w=0, tau_max=0, sync=False), 1
-    else:
-        rule = dict(w=spec.w, tau_max=spec.tau_max, sync=spec.sync, delta=spec.delta,
-                    n_max=spec.n_max, sync_every=spec.sync_every)
-        _check_pass(**rule)
-        every = _sync_cadence(spec.w, spec.sync_every) if spec.sync else 1
-    scored = _scored_ticks(horizon, **rule)
+    race = isinstance(spec, OneShotSpec)
+    scored = range(1, horizon + 1) if race else spec.scored(horizon)  # the race scores every tick
     if not scored:
         raise ValueError("horizon too short for one lookahead window")
-    headroom, spent = scored.start - 1, horizon - len(scored)  # spent: headroom and lookahead
-    # The columns a step carries over start at the headroom of the first
-    # tick not yet scored: that headroom and the lookahead (``spent``) plus
-    # the ticks of a sync segment not yet whole, fewer than ``every``. A step
-    # that scores nothing had fewer than ``every`` scorable ticks, so this
-    # bounds what it carries too.
-    carry = spent + every - 1
     # the race overwrites its samples with their increments, which is right
-    # only because nothing reads a sample after its step
-    assert carry == 0 or not isinstance(spec, OneShotSpec), "the race carries no columns"
+    # only because it carries none: nothing reads a sample after its step
+    carry = 0 if race else spec.carry
+    every = 1 if race or not spec.sync else spec.cadence  # the ticks of a whole segment
     blocks = 1 if stops else max(1, SEGMENT // (_FAST_CHUNK * len(models)))
-    buf = np.empty((len(models), k, carry + blocks * _FAST_CHUNK))
+    buf = np.empty((len(models), models[0].k, carry + blocks * _FAST_CHUNK))
     live = np.arange(len(models))
     width = 0  # buf[:live.size, :, :width] holds ticks tick - headroom .. drawn
     tick, drawn = scored.start, 0
@@ -330,20 +314,20 @@ def _lockstep(
         fresh = min(blocks, -(-(horizon - drawn) // _FAST_CHUNK)) * _FAST_CHUNK
         _draw_live(models, rngs, live, drawn, out=buf[: live.size, :, width : width + fresh])
         drawn, width = drawn + fresh, width + fresh
-        reach = _scored_ticks(drawn, **rule).stop  # past the last tick the samples can score
+        reach = scored.stop - (horizon - drawn)  # past the last tick the samples drawn can score
         emit = min(reach, scored.stop) - tick
         if reach < scored.stop:
             emit -= emit % every  # whole segments
         if emit <= 0:
             continue
         slab = buf[: live.size]
-        if isinstance(spec, OneShotSpec):
+        if race:
             cols = slab[:, :, :emit]
             segments = [(tick, _race_increments(cols, spec.mu, spec.sigma2, out=cols))]
         else:
             segments = (
                 (start, inc - spec.d) for start, inc, _ in _segment_increments(
-                    slab[:, :, : emit + spent], **rule, t0=tick - headroom, ramp=stops
+                    slab[:, :, : emit + spec.margin], spec, t0=tick - spec.headroom, ramp=stops
                 )
             )
         running = None
@@ -398,7 +382,7 @@ def _trial_crossings(
         S, lookahead = np.zeros((trials, k)), 0
     else:
         _check_rule(spec.d, math.inf)
-        S, lookahead = np.zeros(trials), spec.w
+        S, lookahead = np.zeros(trials), spec.lookahead
     crossed = np.full((trials, b_arr.size), -1, dtype=np.int64)
     segments = _lockstep(spec, models, rngs, horizon)
     running = None
@@ -513,19 +497,18 @@ def empirical_drift(
     settings ``delta``, ``n_max`` and ``sync_every``. The models' k,
     ``ticks`` and the pass settings are checked before any noise is drawn.
     """
-    _check_counts(1, ticks=ticks, w=w)
+    _check_counts(1, ticks=ticks)
     unknown = sorted(pipeline_kwargs.keys() - {"delta", "n_max", "sync_every"})
     if unknown:
         raise ValueError(f"{', '.join(unknown)} is not a pass setting of the drift calibration")
-    _check_pass(w=w, tau_max=tau_max, sync=sync, **pipeline_kwargs)
+    spec = SubspaceSpec(w, tau_max, sync, **pipeline_kwargs, d=0.0)
     if noise_model.k != change_model.k:
         raise ValueError(
             f"the noise and change models need one k, got k={noise_model.k} and "
             f"k={change_model.k}"
         )
-    spec = SubspaceSpec(w=w, tau_max=tau_max, d=0.0, sync=sync, **pipeline_kwargs)
-    horizon = ticks + w + 2 * tau_max + 1
-    scored = _scored_ticks(horizon, w=w, tau_max=tau_max, sync=sync)
+    horizon = spec.episode_ticks(ticks)
+    scored = spec.scored(horizon)
     rngs = [np.random.default_rng(child) for child in _as_seedseq(seed).spawn(2)]
     increments = np.empty((2, len(scored)))
     for live, start, inc in _lockstep(spec, [noise_model, change_model], rngs, horizon,

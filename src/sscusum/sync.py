@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DelayProfile, _as_array, _check_pass, _scored_ticks
+from .core import DelayProfile, Pass, _as_array, _check_counts, _check_integers
 from .errors import InsufficientLookaheadError, ZeroCorrelationWarning, ZeroMatrixError
 from .linalg import canonicalize_sign, window_top_vectors
 
@@ -91,27 +91,27 @@ def _batched_delays(
 
 
 def _joint_fit(
-    data: np.ndarray, starts: np.ndarray, w: int, *, tau_max: int, delta: int, n_max: int, t0: int
+    data: np.ndarray, starts: np.ndarray, fit: Pass, t0: int
 ) -> tuple[list[DelayProfile], np.ndarray, np.ndarray]:
     """The joint loop of :func:`joint_estimate` over a stack of fit windows.
 
-    ``data`` is a (T, k, n) stack of T records (one record is the
-    (1, k, n) stack). Window j is ``(starts[j], w)`` in every record; each
-    record covers it with tau_max headroom on both sides. The T * S rows are
-    trial-major: row ``t * S + j`` is window j of record t. A row drops out
-    of the pass loop once its delta test fires or it reaches ``n_max``, so
-    each row's profile, direction and template equal those of a one-window
-    call. Returns the delay profiles and the (T * S, k) directions and
-    (T * S, w) templates.
+    ``data`` is a (T, k, n) stack of T records from tick ``t0`` (one record
+    is the (1, k, n) stack). Window j is ``(starts[j], w)`` of the pass
+    ``fit`` in every record; each record covers it with tau_max headroom on
+    both sides. The T * S rows are trial-major: row ``t * S + j`` is window
+    j of record t. A row drops out of the pass loop once its delta test
+    fires or it reaches ``n_max``, so each row's profile, direction and
+    template equal those of a one-window call. Returns the delay profiles
+    and the (T * S, k) directions and (T * S, w) templates.
 
     Raises:
         ZeroMatrixError: some window's aligned samples are all zero.
         NumericalError: some window's covariance or Gram matrix is not finite.
     """
-    k = data.shape[1]
+    k, w, tau_max = data.shape[1], fit.w, fit.tau_max
     rows = np.arange(k)[:, None]
-    ext = data[:, rows, (starts - tau_max - t0)[:, None, None] + np.arange(w + 2 * tau_max)]
-    ext = ext.reshape(-1, k, w + 2 * tau_max)
+    ext = data[:, rows, (starts - tau_max - t0)[:, None, None] + np.arange(fit.margin)]
+    ext = ext.reshape(-1, k, fit.margin)
     starts = np.tile(starts, data.shape[0])
     s_hat = ext[:, 0, tau_max : tau_max + w].copy()
     tau = np.zeros((len(starts), k), dtype=int)  # the first pass's delta test compares to 0
@@ -124,7 +124,7 @@ def _joint_fit(
     while live.size:
         passes[live] += 1
         new_tau = _batched_delays(ext[live], s_hat[live], tau_max, starts[live], order)
-        converged[live] = np.abs(new_tau - tau[live]).max(axis=1) < delta
+        converged[live] = np.abs(new_tau - tau[live]).max(axis=1) < fit.delta
         tau[live] = new_tau
         aligned = ext[live[:, None, None], rows, tau_max + new_tau[:, :, None] + np.arange(w)]
         u = window_top_vectors(aligned)
@@ -132,7 +132,7 @@ def _joint_fit(
             raise ZeroMatrixError("cannot extract a direction from the zero matrix")
         u_hat[live] = u = canonicalize_sign(u)
         s_hat[live] = (aligned.transpose(0, 2, 1) @ u[:, :, None])[:, :, 0]
-        live = live[~converged[live] & (passes[live] < n_max)]
+        live = live[~converged[live] & (passes[live] < fit.n_max)]
     profiles = [DelayProfile(tau[j], tau_max, int(passes[j]), bool(converged[j]))
                 for j in range(len(starts))]
     return profiles, u_hat, s_hat
@@ -169,22 +169,18 @@ def joint_estimate(
     """
     data = _as_array(streams, sensors=2)
     n = data.shape[1]
-    start, w = (None, None) if window is None else window
-    _check_pass(w=w, tau_max=tau_max, sync=True, delta=delta, n_max=n_max, t0=t0, start=start,
-                default_w=window is None)
-    covered = _scored_ticks(n, w=0, tau_max=tau_max, sync=True, t0=t0)  # ticks with headroom
-    if window is None:
-        start, w = covered.start, len(covered)
-        if w < 2:
-            raise ValueError(f"streams cover {n} ticks: no window of 2 inside tau_max={tau_max}")
-    if start < covered.start or start + w > covered.stop:
+    _check_integers(t0=t0)
+    _check_counts(0, tau_max=tau_max)
+    covered = range(t0 + tau_max, t0 + n - tau_max)  # the ticks with tau_max headroom
+    start, w = (covered.start, len(covered)) if window is None else window
+    fit = Pass(w, tau_max, True, delta, n_max)
+    _check_integers(start=start)
+    if start - tau_max < t0 or start - tau_max + fit.margin > t0 + n:
         raise InsufficientLookaheadError(
             f"window [{start}, {start + w - 1}] plus tau_max={tau_max} headroom "
             f"exceeds the covered ticks [{t0}, {t0 + n - 1}]"
         )
-    (profile,), u_hat, s_hat = _joint_fit(
-        data[None], np.array([start]), w, tau_max=tau_max, delta=delta, n_max=n_max, t0=t0
-    )
+    (profile,), u_hat, s_hat = _joint_fit(data[None], np.array([start]), fit, t0)
     return JointEstimate(
         delays=profile,
         waveform=WaveformEstimate(s_hat=s_hat[0], origin_t=start),

@@ -13,6 +13,7 @@ from oracles import read_sensor_csv_naive
 from sscusum.core import (
     DelayProfile,
     MultiSensorFrame,
+    Pass,
     ScenarioModel,
     SpikedStats,
     Waveform,
@@ -27,6 +28,8 @@ from sscusum.errors import (
     DegenerateInputError,
     DimensionMismatchError,
 )
+from sscusum.sim import SubspaceSpec
+from test_detect import RULE_POINTS
 
 
 class TestNormalizeStream:
@@ -236,6 +239,71 @@ class TestFramesFromArray:
         assert "crossed_at=None" not in runs[0][1]  # the burst is detected
 
 
+class TestPass:
+    """Each tick rule of a pass against its hand formula, at the shapes of
+    ``RULE_POINTS``: (k, w, tau_max, sync) with headroom, without it although
+    tau_max > 0, and with more sensors than window samples."""
+
+    @pytest.mark.parametrize("k, w, tau_max, sync", RULE_POINTS)
+    def test_one_scored_tick_needs_w_plus_one_plus_headroom(self, k, w, tau_max, sync):
+        run = Pass(w, tau_max, sync)
+        headroom = tau_max * sync
+        needed = w + 1 + 2 * headroom
+        assert (run.headroom, run.margin + 1) == (headroom, needed)
+        assert run.scored(needed, t0=4) == range(4 + headroom, 5 + headroom)
+        assert not run.scored(needed - 1, t0=4)
+        assert run.scored(needed + 37, t0=-3) == range(-3 + headroom, 35 + headroom)
+
+    @pytest.mark.parametrize("k, w, tau_max, sync", RULE_POINTS)
+    def test_cadence_lookahead_and_carry(self, k, w, tau_max, sync):
+        for every in (None, 3):
+            run = Pass(w, tau_max, sync, sync_every=every)
+            cadence = w if every is None else every  # by default once per window
+            assert (run.cadence, run.lookahead) == (cadence, w)
+            # the first unscored tick's columns, and a sync segment short of one tick
+            assert run.carry == w + 2 * tau_max * sync + (cadence - 1 if sync else 0)
+
+    @pytest.mark.parametrize("k, w, tau_max, sync", RULE_POINTS)
+    def test_episode_length_and_fit_start(self, k, w, tau_max, sync):
+        run = Pass(w, tau_max, sync)
+        # tau_max headroom with sync or without, so switching sync keeps the samples
+        assert run.episode_ticks(500) == 500 + w + 2 * tau_max + 1
+        assert len(run.scored(run.episode_ticks(500))) == 501 + 2 * tau_max * (not sync)
+        # a segment's delays are fitted on the w samples after its first tick
+        assert run.fit_start(17) == 18
+        assert run.fit_start(np.array([4, 14])).tolist() == [5, 15]
+
+    @pytest.mark.parametrize("settings, message", [
+        (dict(w=None), "^w must be an integer, got None"),
+        (dict(w=2.5), "^w must be an integer, got 2.5"),
+        (dict(w=0), "^need w >= 1, got w=0"),
+        (dict(w=1, sync=True), "^need w >= 2 to estimate delays, got w=1"),
+        (dict(w=5, tau_max=True), "^tau_max must be an integer, got True"),
+        (dict(w=5, sync_every=2.5), "^sync_every must be an integer, got 2.5"),
+        (dict(w=5, tau_max=-1), "^require tau_max >= 0, delta >= 0, n_max >= 1"),
+        (dict(w=5, delta=-1), "delta >= 0, n_max >= 1"),
+        (dict(w=5, n_max=0), "delta >= 0, n_max >= 1"),
+        (dict(w=5, sync_every=0), "sync_every >= 1$"),
+    ])
+    def test_bad_settings_raise_at_construction(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            Pass(**settings)
+
+    def test_numpy_integer_settings_accepted(self):
+        run = Pass(np.int64(5), np.int32(2), True, np.int64(1), np.int64(3), np.int64(4))
+        assert run.scored(20) == range(3, 14) and run.cadence == 4
+
+    def test_subspace_spec_is_a_pass(self):
+        spec = SubspaceSpec(w=10, tau_max=3, d=1.9)
+        assert isinstance(spec, Pass)
+        assert spec.sync and spec.scored(100) == Pass(10, 3, True).scored(100)
+        assert SubspaceSpec(w=10, d=1.0).tau_max == 0
+        with pytest.raises(TypeError):
+            SubspaceSpec(10, 3, True, 1, 10, None, 1.9)  # d is keyword-only
+        with pytest.raises(ValueError, match="^need w >= 2 to estimate delays"):
+            SubspaceSpec(w=1, d=1.0)  # checked when built, not when run
+
+
 class TestDelayProfile:
     def test_reference_entry_must_be_zero(self):
         with pytest.raises(ValueError):
@@ -266,6 +334,19 @@ class TestDelayProfile:
 
     def test_numpy_integer_tau_max_accepted(self):
         assert DelayProfile([0, 1], np.int64(1)).tau_hat.tolist() == [0, 1]
+
+    @pytest.mark.parametrize(
+        "tau", [np.array([False, True]), np.array(["0", "1"]), [0.0, 1e300], [0.0, 2.0**63]],
+        ids=["bool", "str", "1e300", "2**63"],
+    )
+    def test_non_integer_delays_rejected_by_name(self, tau):
+        # the bools were accepted as delays 0 and 1, the strings raised
+        # numpy's "invalid literal for int()", and the floats beyond int64
+        # its "invalid value encountered in cast"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^delays must be whole ticks, got "):
+                DelayProfile(tau, tau_max=2)
 
     def test_whole_float_delays_stored_as_integers(self):
         profile = DelayProfile(np.array([0.0, -2.0, 1.0]), tau_max=2)
@@ -414,6 +495,15 @@ class TestSensorCsv:
         t0, back = read_sensor_csv(path)
         assert t0 == 4
         assert np.array_equal(back, streams)
+
+    @pytest.mark.parametrize("t0", [1.5, None, True], ids=["fraction", "none", "bool"])
+    def test_non_integer_t0_rejected_before_the_file_is_opened(self, tmp_path, t0):
+        # 1.5 and None raised a raw TypeError after the header was written,
+        # and True wrote ticks from 1
+        path = tmp_path / "episode.csv"
+        with pytest.raises(ValueError, match=f"^t0 must be an integer, got {t0!r}$"):
+            write_sensor_csv(path, np.zeros((2, 3)), t0=t0)
+        assert not path.exists()
 
     def test_writer_deterministic(self, tmp_path):
         streams = np.random.default_rng(3).standard_normal((2, 5))

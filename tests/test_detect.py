@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import covariance_triple_loop, first_crossing, jacobi_eigh, scalar_cusum
-from sscusum.core import MultiSensorFrame, _scored_ticks, frames_from_array
+from sscusum.core import MultiSensorFrame, Pass, frames_from_array
 from sscusum.detect import (
     CusumState,
     DriftBounds,
@@ -910,12 +910,12 @@ class TestTrialStack:
         monkeypatch.setattr("sscusum.detect._joint_fit", counting)
         stack = np.stack([_delayed_record(3, n, 3, seed=60 + t) for t in range(3)])
         stack[1, :, n // 2 :] *= 2.0  # the records differ in their delays and their scale
-        kwargs = dict(w=8, tau_max=3, sync=sync, sync_every=sync_every, t0=4)
-        got = list(_segment_increments(stack, **kwargs))
+        run = Pass(8, 3, sync, sync_every=sync_every)
+        got = list(_segment_increments(stack, run, t0=4))
         if sync_every == 1000:  # 4,096 trial-ticks hold one 3-record segment
             assert sizes == [(3, 1)] * len(got)
         for t, record in enumerate(stack):
-            want = list(_segment_increments(record[None], **kwargs))
+            want = list(_segment_increments(record[None], run, t0=4))
             assert [start for start, _, _ in got] == [start for start, _, _ in want]
             for (_, inc, profiles), (_, (one,), alone) in zip(got, want):
                 assert inc.shape[0] == 3
@@ -948,7 +948,7 @@ class TestScoredTicks:
             ticks, _ = subspace_increments(
                 _delayed_record(k, n, tau_max, seed=n), w=w, tau_max=tau_max, sync=sync, t0=4
             )
-            scored = _scored_ticks(n, w=w, tau_max=tau_max, sync=sync, t0=4)
+            scored = Pass(w, tau_max, sync).scored(n, 4)
             assert ticks.tolist() == list(scored)
             assert len(ticks) == n - needed + 1
 
@@ -1088,6 +1088,18 @@ class TestCusumReport:
         # both used to be accepted
         with pytest.raises(StreamOrderError, match="^ticks must be strictly increasing"):
             cusum_report(ticks, np.ones(4), d=0.5, b=1.0, lookahead=0)
+
+    @pytest.mark.parametrize(
+        "ticks", [np.array([False, True]), ["1", "2"], [1e300, 2e300]],
+        ids=["bool", "str", "beyond-int64"],
+    )
+    def test_non_integer_ticks_rejected_by_name(self, ticks):
+        # the bools were ticks 0 and 1, the strings raised numpy's "invalid
+        # literal for int()", and 1e300 its "invalid value encountered in cast"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^ticks must be whole ticks, got "):
+                cusum_report(ticks, np.ones(2), d=0.5, b=1.0, lookahead=0)
 
     def test_two_dimensional_ticks_rejected(self):
         # used to raise a raw TypeError ("only 0-dimensional arrays can be converted")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import best_shift, correlation_scan
+from sscusum.core import Pass
 from sscusum.errors import InsufficientLookaheadError, ZeroCorrelationWarning, ZeroMatrixError
 from sscusum.sync import _joint_fit, joint_estimate
 
@@ -213,9 +214,7 @@ class TestBatchedJointLoop:
         rng = np.random.default_rng(seed)
         data = _noisy_record(rng, k, 300, tau_max, noise=1.5)
         starts = np.arange(10, 280 - w, 9)
-        profiles, u_hat, s_hat = _joint_fit(
-            data[None], starts, w, tau_max=tau_max, delta=1, n_max=n_max, t0=1
-        )
+        profiles, u_hat, s_hat = _joint_fit(data[None], starts, Pass(w, tau_max, True, 1, n_max), 1)
         passes = [p.iterations for p in profiles]
         assert len(set(passes)) > 1  # rows converge at different passes
         assert any(p.iterations == n_max and not p.converged for p in profiles)
@@ -233,9 +232,7 @@ class TestBatchedJointLoop:
         w, tau_max, n_max = 12, 3, 3
         stack = np.stack([_noisy_record(rng, 4, 300, tau_max, noise=1.5) for _ in range(3)])
         starts = np.arange(10, 280 - w, 23)
-        profiles, u_hat, s_hat = _joint_fit(
-            stack, starts, w, tau_max=tau_max, delta=1, n_max=n_max, t0=1
-        )
+        profiles, u_hat, s_hat = _joint_fit(stack, starts, Pass(w, tau_max, True, 1, n_max), 1)
         assert len(profiles) == u_hat.shape[0] == s_hat.shape[0] == 3 * len(starts)
         assert len({p.iterations for p in profiles}) > 1
         for t, record in enumerate(stack):
@@ -253,9 +250,7 @@ class TestBatchedJointLoop:
         data = rng.standard_normal((3, 120))
         data[2, 40:70] = 0.0  # covers the second window with its headroom, and no other
         with pytest.warns(ZeroCorrelationWarning) as caught:
-            profiles, _, _ = _joint_fit(
-                data[None], np.array([12, 46, 80]), 20, tau_max=5, delta=1, n_max=10, t0=1
-            )
+            profiles, _, _ = _joint_fit(data[None], np.array([12, 46, 80]), Pass(20, 5, True), 1)
         messages = [str(w.message) for w in caught]
         assert messages and all(
             "sensors [2] in the window starting at tick 46;" in m for m in messages
