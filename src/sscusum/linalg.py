@@ -32,10 +32,16 @@ The callers differ in how they build the Gram matrices:
   products cost more than one ``eigh``, so it takes the ``eigh`` route
   directly, through :func:`_window_direction`, with
   ``window_top_vectors``' Gram. A window with no more sensors than samples
-  (k <= w) takes one 2-D product, finiteness check and ``eigh`` of its
-  (k, k) covariance, with no stack built around it; its top column is
-  copied out contiguous, as the stack route leaves it, since a dot product
-  over the strided column can round differently. A window with more sensors
+  (k <= w) takes one 2-D product and ``eigh`` of its (k, k) covariance,
+  with no stack built around it; its top column is copied out contiguous,
+  as the stack route leaves it, since a dot product over the strided column
+  can round differently. The product is checked for overflow only where it
+  could overflow: a Gram entry sums w products of two samples, so while
+  every sample of the window has |x| <= b with w b^2 <= max / 2
+  (:func:`_sample_bound`, max the largest float) none can. The step checks
+  each frame against b once, on the ring's own copy of it, and a window
+  that holds a sample beyond b (nan included) takes the checked route of
+  an error state and a finiteness check. A window with more sensors
   than samples goes through the stack route as a stack of one, so its
   projection back to k dimensions, whose bits depend on its layout, is
   written once. Either way the step gets the stack route's bits.
@@ -55,7 +61,9 @@ task waiting on the pool it runs on can deadlock it.
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -247,17 +255,36 @@ def _band_grams(ticks: np.ndarray, w: int) -> np.ndarray:
     return grams
 
 
-def _window_direction(ring: np.ndarray) -> np.ndarray:
+def _sample_bound(w: int) -> float:
+    """A bound b on |x| under which no Gram entry of a window of w samples
+    overflows: each entry sums w products of at most b^2, and w b^2 <= max
+    / 2 leaves the sum's rounding far from the largest float, max."""
+    return math.sqrt(sys.float_info.max / (2 * w))
+
+
+def _window_direction(ring: np.ndarray, bounded: bool) -> np.ndarray:
     """Unit top direction of the streaming step's one window, a (w, k) array
     with one sample per row, by one ``eigh``: the bits and errors of
     ``_directions(ring.T[None], _eigh_top)[0]``, and a zero vector for a
-    zero covariance."""
+    zero covariance.
+
+    ``bounded`` says the caller has checked that every sample is within
+    b = ``_sample_bound(w)`` (w b^2 <= max / 2, max the largest float), each
+    frame once as it entered the window, so the (k, k) covariance cannot
+    overflow and is used without an error state or a finiteness check;
+    those two and ``@`` in place of ``ndarray.dot`` cost about 3-4 us a
+    call at k=3, w=200 (2 vCPUs, numpy 2.4.6). Any other window is checked
+    as the stack route checks it. Ignored when k > w, where the stack route
+    checks every window."""
     w, k = ring.shape
     if k > w:
         return _directions(ring.T[None], _eigh_top)[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = ring.T @ ring
-    _check_finite(gram, "window covariance")
+    if bounded:
+        gram = ring.T.dot(ring)  # the bits of @, 0.4-0.8 us sooner
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = ring.T @ ring
+        _check_finite(gram, "window covariance")
     lam, vecs = np.linalg.eigh(gram)
     return vecs[:, -1].copy() if lam[-1] > 0 else np.zeros(k)
 

@@ -2,6 +2,7 @@
 asynchronous pipeline."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -32,7 +33,8 @@ from sscusum.errors import (
     ZeroCorrelationWarning,
     ZeroMatrixError,
 )
-from sscusum.linalg import _directions, _eigh_top, window_increments
+from sscusum import linalg
+from sscusum.linalg import _directions, _eigh_top, _sample_bound, window_increments
 from sscusum.sim import (
     OneShotSpec, SubspaceSpec, _trial_crossings, operating_curve, pure_noise_model,
 )
@@ -263,6 +265,22 @@ class TestStreamingStep:
             det.step(frames[5])
         assert det.state == state
 
+    def test_nan_written_through_the_callers_array_is_numerical_error(self):
+        # the frame was finite when built, but its values alias the caller's
+        # array; the step checks the ring's copy, so the nan still reaches
+        # the checked route of the first window that holds it
+        det = SubspaceCusum(w=3, d=1.0, b=10.0)
+        values = np.array([1.0, 3.0])
+        late = MultiSensorFrame(t=6, values=values)
+        early = [det.step(frame(t, 1.0, 0.5 * t)) is None for t in range(1, 6)]
+        assert early == [True] * 3 + [False] * 2
+        values[1] = np.nan
+        assert np.isnan(late.values[1])
+        state = det.state
+        with pytest.raises(NumericalError, match="non-finite window"):
+            det.step(late)
+        assert det.state == state
+
 
 class TestStreamingMatchesPipeline:
     def test_stream_detect_shape(self):
@@ -370,6 +388,46 @@ class TestStepBits:
         expected, state = _step_reference(streams, 200, 0.0, 1.0)
         assert got == expected
         assert det.state == state
+
+    @pytest.mark.parametrize("at, windows", [(30, 10), (5, 5)], ids=["scored", "filling"])
+    def test_sample_beyond_the_bound_checks_the_windows_holding_it(self, monkeypatch, at, windows):
+        # at w=10 the bound is 9.5e153: a window holding 1e154 has a finite
+        # covariance (1e308 on its diagonal), but only the checked route may
+        # take it, and every scored window that holds it does: all w of
+        # them, or, for a frame that arrives while the ring fills, those
+        # scored once it is full
+        k, w = 3, 10
+        assert _sample_bound(w) < 1e154 < math.sqrt(sys.float_info.max)
+        streams = np.random.default_rng(41).standard_normal((k, 80))
+        streams[1, at] = 1e154
+        expected, state = _step_reference(streams, w, 0.5, math.inf)
+        checked, check = [], linalg._check_finite
+        monkeypatch.setattr(
+            linalg, "_check_finite", lambda a, what: checked.append(what) or check(a, what)
+        )
+        det = SubspaceCusum(w=w, d=0.5, b=math.inf)
+        got = [det.step(f) for f in frames_from_array(streams)]
+        assert checked == ["window covariance"] * windows
+        assert got == expected
+        assert det.state == state
+
+    def test_window_at_the_bound_takes_the_unchecked_route(self, monkeypatch):
+        # every reading is +-b, so each covariance entry is w b^2 = max / 2
+        # up to rounding; w + 5 frames keep the statistic finite
+        k, w = 3, 10
+        signs = np.random.default_rng(43).choice([-1.0, 1.0], (k, w + 5))
+        streams = _sample_bound(w) * signs
+        expected, state = _step_reference(streams, w, 0.5, math.inf)
+        checked = []
+        monkeypatch.setattr(linalg, "_check_finite", lambda a, what: checked.append(what))
+        det = SubspaceCusum(w=w, d=0.5, b=math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [det.step(f) for f in frames_from_array(streams)]
+        assert checked == []
+        assert got == expected
+        assert det.state == state
+        assert math.isfinite(state.S)
 
     def test_state_is_read_only(self):
         det = SubspaceCusum(w=2, d=0.0)
