@@ -42,38 +42,59 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
-def _finite(text: str) -> float:
-    """A float flag's value: any number but nan and +-inf."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text.strip()!r}")
-    return value
+def _number(cast=float, low=-math.inf, above=False):
+    """A numeric flag's type, its one check: finite ``cast(text)`` >= ``low`` (> when ``above``)."""
+    kind = "an integer" if cast is int else "a finite number"
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = math.nan
+        if not -math.inf < value < math.inf:  # nan and +-inf; an int of any size passes
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text.strip()!r}")
+        if value < low or (above and value == low):
+            raise argparse.ArgumentTypeError(f"must be {'>' if above else '>='} {low}, got {value}")
+        return value
+
+    return parse
+
+
+_FINITE = _number()
+_COUNT = _number(int, 1)  # an int >= 1
+_NATURAL = _number(int, 0)  # an int >= 0
+_POSITIVE = _number(float, 0, above=True)  # a float > 0
 
 
 def _float_list(text: str) -> list[float]:
-    return [_finite(x) for x in text.split(",") if x.strip() != ""]
+    return [_FINITE(x) for x in text.split(",") if x.strip() != ""]
+
+
+def _grid(text: str) -> list[float]:
+    """A threshold grid flag's type: finite entries under ``sim._threshold_grid``'s rule."""
+    try:
+        return sim._threshold_grid(_float_list(text)).tolist()
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 _COMMON = {
-    "k": dict(type=int, help="number of sensors"),
-    "sigma2": dict(type=_finite, default=1.0, help="noise variance (default 1.0)"),
-    "mu": dict(type=_finite, help="common post-change amplitude"),
+    "k": dict(type=_COUNT, help="number of sensors"),
+    "sigma2": dict(type=_number(float, 0), default=1.0, help="noise variance (default 1.0)"),
+    "mu": dict(type=_FINITE, help="common post-change amplitude"),
     "alpha": dict(type=_float_list, help="comma-separated per-sensor amplitudes"),
-    "w": dict(type=int, help="lookahead window length (ticks)"),
-    "tau_max": dict(type=int, default=0, help="relative-delay bound (ticks)"),
-    "delta": dict(type=int, default=1, help="delay-convergence tolerance (ticks, default 1)"),
-    "n_max": dict(type=int, default=10, help="max joint-estimation passes (default 10)"),
-    "d": dict(type=_finite, help="drift parameter"),
-    "factor": dict(type=_finite, help="calibration multiplier (default 1.5)"),
-    "b": dict(type=_finite, help="alarm threshold"),
-    "b_grid": dict(type=_float_list, help="comma-separated increasing thresholds"),
-    "trials": dict(type=int, help="Monte Carlo trials per threshold"),
-    "horizon": dict(type=int, help="episode length (ticks)"),
-    "seed": dict(type=int, help="RNG seed"),
-    "rate": dict(type=_finite, help="sampling rate in Hz (adds seconds to reports)"),
+    "w": dict(type=_COUNT, help="lookahead window length (ticks)"),
+    "tau_max": dict(type=_NATURAL, default=0, help="relative-delay bound (ticks)"),
+    "delta": dict(type=_NATURAL, default=1, help="delay-convergence tolerance (ticks, default 1)"),
+    "n_max": dict(type=_COUNT, default=10, help="max joint-estimation passes (default 10)"),
+    "d": dict(type=_FINITE, help="drift parameter"),
+    "factor": dict(type=_POSITIVE, help="calibration multiplier (default 1.5)"),
+    "b": dict(type=_POSITIVE, help="alarm threshold"),
+    "b_grid": dict(type=_grid, help="comma-separated increasing thresholds"),
+    "trials": dict(type=_COUNT, help="Monte Carlo trials per threshold"),
+    "horizon": dict(type=_COUNT, help="episode length (ticks)"),
+    "seed": dict(type=_NATURAL, help="RNG seed"),
+    "rate": dict(type=_POSITIVE, help="sampling rate in Hz (adds seconds to reports)"),
     "onsets": dict(type=_int_list, help="comma-separated per-sensor onset ticks"),
 }
 
@@ -102,7 +123,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sync", dest="sync", action="store_true", default=None)
     p.add_argument("--no-sync", dest="sync", action="store_false")
     p.add_argument("--normalize", action="store_true", default=None)
-    p.add_argument("--norm-prefix", type=int, default=None, help="normalization stats prefix")
+    p.add_argument("--norm-prefix", type=_COUNT, default=None, help="normalization stats prefix")
 
     p = sub.add_parser("detect", help="run the detector over a sensor CSV")
     _add(p, "w", "tau_max", "delta", "n_max", "d", "factor", "b", "rate")
@@ -113,16 +134,16 @@ def build_parser() -> _Parser:
     p.add_argument("--sync", dest="sync", action="store_true", default=None)
     p.add_argument("--no-sync", dest="sync", action="store_false")
     p.add_argument("--normalize", action="store_true", default=None)
-    p.add_argument("--norm-prefix", type=int, default=None)
+    p.add_argument("--norm-prefix", type=_COUNT, default=None)
 
     p = sub.add_parser("curve", help="sweep thresholds into an (ARL, EDD) curve CSV")
-    _add(
-        p, "k", "sigma2", "mu", "w", "tau_max", "delta", "n_max", "d",
-        "b_grid", "trials", "horizon", "seed",
-    )
+    _add(p, "k")
+    # the race divides by the noise variance, so a curve needs it positive
+    p.add_argument("--sigma2", **{**_COMMON["sigma2"], "type": _number(float, 0, above=True)})
+    _add(p, "mu", "w", "tau_max", "delta", "n_max", "d", "b_grid", "trials", "horizon", "seed")
     p.add_argument("--detector", choices=["subspace", "oneshot", "both"], default="both")
-    p.add_argument("--b-grid-oneshot", dest="b_grid_oneshot", type=_float_list, default=None)
-    p.add_argument("--horizon-edd", dest="horizon_edd", type=int, default=None)
+    p.add_argument("--b-grid-oneshot", dest="b_grid_oneshot", type=_grid, default=None)
+    p.add_argument("--horizon-edd", dest="horizon_edd", type=_COUNT, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--sync", dest="sync", action="store_true", default=None)
     p.add_argument("--no-sync", dest="sync", action="store_false")
@@ -195,16 +216,6 @@ def _require(args, *names):
             raise ValidationError(f"missing required option {flag}")
 
 
-def _positive(args, *names):
-    """Each of ``names`` is positive; ``--tau-max``, which every command takes, is >= 0."""
-    for name in names:
-        value = getattr(args, name, None)
-        if value is not None and value <= 0:
-            raise ValidationError(f"--{name.replace('_', '-')} must be positive, got {value}")
-    if getattr(args, "tau_max", None) is not None and args.tau_max < 0:
-        raise ValidationError(f"--tau-max must be >= 0, got {args.tau_max}")
-
-
 def _build_model(args) -> ScenarioModel:
     if args.alpha is not None:
         alpha = np.asarray(args.alpha, dtype=float)
@@ -230,11 +241,6 @@ def _build_model(args) -> ScenarioModel:
 
 def cmd_simulate(args) -> int:
     _require(args, "k", "horizon", "seed", "out")
-    if args.k < 1:
-        raise ValidationError("--k must be >= 1")
-    if args.sigma2 < 0:
-        raise ValidationError("--sigma2 must be >= 0")
-    _positive(args, "horizon")
     model = _build_model(args)
     streams = sim.generate_episode(model, args.horizon, args.seed)
     write_sensor_csv(args.out, streams, t0=1)
@@ -278,7 +284,6 @@ def _prefix(args, streams: np.ndarray, run: Pass) -> tuple[int, int]:
 
 def cmd_calibrate(args) -> int:
     _require(args, "in_path", "w")
-    _positive(args, "w", "factor")
     run = _pass(args)
     t0, streams = _load_streams(args)
     prefix, _ = _prefix(args, streams, run)
@@ -289,7 +294,6 @@ def cmd_calibrate(args) -> int:
 
 def cmd_detect(args) -> int:
     _require(args, "in_path", "w", "b", "out")
-    _positive(args, "w", "b", "rate", "factor")
     run = _pass(args)
     t0, streams = _load_streams(args)
     if args.d is None:
@@ -319,7 +323,6 @@ def cmd_detect(args) -> int:
 
 def cmd_curve(args) -> int:
     _require(args, "k", "mu", "w", "trials", "horizon", "seed", "out")
-    _positive(args, "k", "w", "trials", "horizon", "horizon_edd", "sigma2")
     horizon_edd = args.horizon if args.horizon_edd is None else args.horizon_edd
     ss = np.random.SeedSequence(int(args.seed))
     seed_sub, seed_os, seed_drift = ss.spawn(3)
@@ -364,26 +367,22 @@ _COMMANDS = {
 }
 
 
+# exit code of the nearest class in an exception's hierarchy (CsvFormatError is a ValueError)
+_EXIT_CODES = {
+    CsvFormatError: 2, OSError: 2,  # I/O
+    NumericalError: 3, np.linalg.LinAlgError: 3,  # numerical failure
+    ValueError: 1, LookupError: 1,  # validation, ValidationError among them
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = _parse(parser, argv)
         return _COMMANDS[args.command](args)
-    except ValidationError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CsvFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericalError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, LookupError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
 if __name__ == "__main__":

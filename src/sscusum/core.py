@@ -175,7 +175,7 @@ class MultiSensorFrame:
         t: integer sample index (ticks); numpy integers pass, and None, a
             bool, a float or a string, even a whole one such as 3.0, is a
             ValueError.
-        values: length-k vector of readings, k >= 2, all entries finite.
+        values: the frame's own copy of its k >= 2 readings, all finite.
     """
 
     t: int
@@ -183,7 +183,7 @@ class MultiSensorFrame:
 
     def __post_init__(self):
         _check_integers(t=self.t)  # a fractional tick is rejected, not truncated
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         if values.ndim != 1 or values.shape[0] < 2:
             raise DimensionMismatchError(
                 f"frame needs a 1-D vector of at least 2 sensors, got shape {values.shape}"

@@ -129,8 +129,7 @@ class SubspaceCusum:
     frames of a window are all within it, the window's covariance cannot
     overflow and is taken with no error state or finiteness check; a frame
     beyond it, or nan, sends the w windows that hold it down the checked
-    route, so every error is raised as before. The copy is checked, not the
-    frame's ``values``, which a caller's array can still change.
+    route, so every error is raised as before.
     """
 
     def __init__(self, w: int, d: float, b: float = math.inf):

@@ -294,13 +294,16 @@ def _lockstep(
     draws past the block where it left. Where no trial can leave before the
     horizon (``stops`` False), a step is :data:`sscusum.detect.SEGMENT`
     trial-ticks, the most one scorer call takes, and the scorer starts at
-    that full chunk. The spec's settings were checked when it was built, and
-    a segment error in any live trial aborts the run.
+    that full chunk. The spec's settings were checked when it was built, the
+    models' one k is checked first, and a live trial's segment error aborts the run.
     """
     race = isinstance(spec, OneShotSpec)
     scored = range(1, horizon + 1) if race else spec.scored(horizon)  # the race scores every tick
     if not scored:
         raise ValueError("horizon too short for one lookahead window")
+    ks = sorted({model.k for model in models})
+    if len(ks) > 1:
+        raise ValueError(f"the models need one k, got {' and '.join(f'k={k}' for k in ks)}")
     # the race overwrites its samples with their increments, which is right
     # only because it carries none: nothing reads a sample after its step
     carry = 0 if race else spec.carry
@@ -343,6 +346,16 @@ def _lockstep(
         live = live[rows]
 
 
+def _threshold_grid(b_grid: Sequence[float]) -> np.ndarray:
+    """``b_grid`` as a float array: nonempty and strictly increasing, with no nan."""
+    b_arr = np.asarray(b_grid, dtype=float)
+    if b_arr.size == 0:
+        raise ValueError("threshold grid is empty")
+    if np.isnan(b_arr).any() or not (b_arr[1:] > b_arr[:-1]).all():
+        raise ValueError("threshold grid must be strictly increasing, with no nan")
+    return b_arr
+
+
 def _trial_crossings(
     spec,
     model_source: ModelSource,
@@ -365,21 +378,14 @@ def _trial_crossings(
     Crossings equal those of the single-episode detector on each trial's
     episode. The spec's settings are checked before any noise is drawn.
     """
-    b_arr = np.asarray(b_grid, dtype=float)
-    if b_arr.size == 0:
-        raise ValueError("threshold grid is empty")
-    if np.isnan(b_arr).any() or not (b_arr[1:] > b_arr[:-1]).all():
-        raise ValueError("threshold grid must be strictly increasing, with no nan")
+    b_arr = _threshold_grid(b_grid)
     rngs, models = [], []
     for child in _as_seedseq(seed).spawn(trials):
         rng = np.random.default_rng(child)
         models.append(_resolve_model(model_source, rng))
         rngs.append(rng)
-    k = models[0].k
-    if any(m.k != k for m in models):
-        raise ValueError("the lockstep engine needs a common k across trials")
     if isinstance(spec, OneShotSpec):
-        S, lookahead = np.zeros((trials, k)), 0
+        S, lookahead = np.zeros((trials, models[0].k)), 0
     else:
         _check_rule(spec.d, math.inf)
         S, lookahead = np.zeros(trials), spec.lookahead
@@ -502,11 +508,6 @@ def empirical_drift(
     if unknown:
         raise ValueError(f"{', '.join(unknown)} is not a pass setting of the drift calibration")
     spec = SubspaceSpec(w, tau_max, sync, **pipeline_kwargs, d=0.0)
-    if noise_model.k != change_model.k:
-        raise ValueError(
-            f"the noise and change models need one k, got k={noise_model.k} and "
-            f"k={change_model.k}"
-        )
     horizon = spec.episode_ticks(ticks)
     scored = spec.scored(horizon)
     rngs = [np.random.default_rng(child) for child in _as_seedseq(seed).spawn(2)]

@@ -90,6 +90,14 @@ class TestSimulate:
         code = run(["simulate", "--k", 3, "--alpha", "1,2", "--horizon", 5, "--seed", 1, "--out", out])
         assert code == 1
 
+    def test_bad_onsets_length(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run(["simulate", "--k", 3, "--onsets", "1,2", "--horizon", 5, "--seed", 1,
+                    "--out", out])
+        assert code == 1
+        assert "error: --onsets needs 3 values, got 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_noise_calibration_near_factor(self, tmp_path, capsys):
@@ -108,6 +116,20 @@ class TestCalibrate:
         path = simulate_noise_file(tmp_path, k=3, horizon=200, seed=7)
         assert run(["calibrate", "--in", path, "--w", 50, "--prefix", 20]) == 1
         assert "too short" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["calibrate", "detect"])
+    def test_prefix_beyond_the_record(self, tmp_path, capsys, command):
+        path = simulate_noise_file(tmp_path, k=3, horizon=200, seed=7)
+        out = tmp_path / "report.csv"
+        argv = [command, "--in", path, "--w", 10, "--prefix", 201]
+        if command == "detect":
+            argv += ["--factor", 1.5, "--b", 8, "--out", out]
+        capsys.readouterr()
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert "error: --prefix 201 exceeds the 200 ticks in the file" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_prefix_headroom_only_when_syncing(self, tmp_path, capsys):
         # without sync the pass needs w + 1 ticks; with it, 2 * tau_max more
@@ -236,13 +258,20 @@ class TestDetect:
         assert not report.exists()
 
     @pytest.mark.parametrize("sync", ["--sync", "--no-sync"])
-    @pytest.mark.parametrize("flags", [["--delta", -1], ["--n-max", 0]], ids=["delta", "n-max"])
-    def test_bad_delay_loop_setting_is_validation_error(self, tmp_path, capsys, flags, sync):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--delta", -1], "--delta: must be >= 0, got -1"),
+         (["--n-max", 0], "--n-max: must be >= 1, got 0")],
+        ids=["delta", "n-max"],
+    )
+    def test_bad_delay_loop_setting_is_validation_error(
+        self, tmp_path, capsys, flags, message, sync
+    ):
         path = simulate_noise_file(tmp_path, k=3, horizon=300, seed=10)
         report = tmp_path / "report.csv"
         argv = ["detect", "--in", path, "--w", 10, "--tau-max", 2, "--b", 8, "--d", 1.5, sync]
         assert run(argv + ["--out", report] + flags) == 1
-        assert "delta >= 0, n_max >= 1" in capsys.readouterr().err
+        assert f"error: argument {message}" in capsys.readouterr().err
         assert not report.exists()
 
     def test_non_finite_csv_is_io_error_with_line(self, tmp_path, capsys):
@@ -382,7 +411,63 @@ class TestCurve:
                     "--horizon", 300, "--horizon-edd", 0, "--b-grid", "2", "--d", 1.3,
                     "--seed", 1, "--out", out])
         assert code == 1
-        assert "--horizon-edd must be positive" in capsys.readouterr().err
+        assert "error: argument --horizon-edd: must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (["--b-grid", "5,3"], "--b-grid: threshold grid must be strictly increasing"),
+            (["--b-grid", ""], "--b-grid: threshold grid is empty"),
+            (["--b-grid", "2", "--b-grid-oneshot", "3,3"],
+             "--b-grid-oneshot: threshold grid must be strictly increasing"),
+        ],
+        ids=["decreasing", "empty", "oneshot-repeated"],
+    )
+    def test_bad_grid_fails_before_the_calibration(self, tmp_path, capsys, grid, message):
+        # without --d the subspace curve calibrates its drift first; the grid
+        # used to be checked only after that and the subspace curve had run
+        out = tmp_path / "c.csv"
+        code = run(["curve", "--k", 3, "--mu", 0.9, "--w", 8, "--no-sync", "--trials", 2,
+                    "--horizon", 300, "--horizon-edd", 100, "--detector", "both",
+                    "--seed", 14, "--out", out] + grid)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"error: argument {message}" in captured.err
+        assert "calibrated drift" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n-max", 0], "--n-max: must be >= 1, got 0"),
+            (["--delta", -4], "--delta: must be >= 0, got -4"),
+            (["--b-grid", "5,3"], "--b-grid: threshold grid must be strictly increasing"),
+        ],
+        ids=["n-max", "delta", "unused-grid"],
+    )
+    def test_oneshot_curve_checks_every_value(self, tmp_path, capsys, flags, message):
+        # the race runs no delay fit and reads no --b-grid when
+        # --b-grid-oneshot is given, yet each value is checked by its flag
+        out = tmp_path / "c.csv"
+        code = run(["curve", "--detector", "oneshot", "--k", 3, "--mu", 0.8, "--w", 8,
+                    "--trials", 2, "--horizon", 300, "--b-grid-oneshot", "1,3", "--seed", 1,
+                    "--out", out] + flags)
+        assert code == 1
+        assert f"error: argument {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "detector, message",
+        [("subspace", "--b-grid is required for the subspace curve"),
+         ("oneshot", "--b-grid-oneshot (or --b-grid) is required")],
+    )
+    def test_missing_grid_is_validation_error(self, tmp_path, capsys, detector, message):
+        out = tmp_path / "c.csv"
+        code = run(["curve", "--detector", detector, "--k", 3, "--mu", 0.8, "--w", 8,
+                    "--trials", 2, "--horizon", 300, "--d", 1.3, "--seed", 1, "--out", out])
+        assert code == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_auto_drift_calibration(self, tmp_path, capsys):
@@ -416,7 +501,7 @@ class TestCurve:
         out = tmp_path / "c.csv"
         assert run(self.SYNC_CURVE + ["--n-max", 0, "--out", out]) == 1
         captured = capsys.readouterr()
-        assert "n_max >= 1" in captured.err
+        assert "error: argument --n-max: must be >= 1, got 0" in captured.err
         assert "calibrated drift" not in captured.out
         assert not out.exists()
 
@@ -492,7 +577,7 @@ class TestNegativeTauMax:
         out = tmp_path / "out.csv"
         argv = getattr(self, command.upper()) + ["--tau-max", -3, "--out", out]
         assert run(argv) == 1
-        assert "error: --tau-max must be >= 0, got -3" in capsys.readouterr().err
+        assert "error: argument --tau-max: must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_value_is_validation_error(self, tmp_path, capsys):
@@ -500,7 +585,8 @@ class TestNegativeTauMax:
         cfg.write_text("tau-max = -1\n")
         out = tmp_path / "out.csv"
         assert run(["--config", cfg] + self.CURVE + ["--out", out]) == 1
-        assert "error: --tau-max must be >= 0, got -1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {cfg}:1: argument --tau-max: must be >= 0, got -1" in err
         assert not out.exists()
 
 
@@ -529,6 +615,27 @@ class TestConfigFile:
             argv += ["--in", simulate_noise_file(tmp_path, k=3, horizon=200)]
         assert run(argv) == 1
         assert f"{cfg}:10: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, command, message",
+        [
+            ("w = 0", "curve", "--w: must be >= 1, got 0"),
+            ("n-max = 0", "curve", "--n-max: must be >= 1, got 0"),
+            ("factor = 0", "detect", "--factor: must be > 0, got 0.0"),
+        ],
+        ids=["w", "n-max", "factor"],
+    )
+    def test_range_error_names_its_line(self, tmp_path, capsys, line, command, message):
+        # a range error used to come from a per-command check, without the line
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(self.BASE + line + "\n")
+        out = tmp_path / "out.csv"
+        argv = ["--config", cfg, command, "--out", out]
+        if command == "detect":
+            argv += ["--in", simulate_noise_file(tmp_path, k=3, horizon=200)]
+        assert run(argv) == 1
+        assert f"error: {cfg}:10: argument {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_no_sync_flag_beats_config_sync(self, tmp_path, capsys):

@@ -380,6 +380,10 @@ class TestWaveform:
         with pytest.raises(ValueError, match=f"^first_tick must be an integer, got {first_tick}"):
             Waveform.from_samples([1.0, 2.0], first_tick=first_tick)
 
+    def test_from_samples_empty_table_rejected(self):
+        with pytest.raises(ValueError, match="^sample table must be a nonempty 1-D sequence"):
+            Waveform.from_samples([])
+
     def test_from_samples_numpy_integer_first_tick_accepted(self):
         w = Waveform.from_samples([5.0, 7.0], first_tick=np.int64(0))
         assert w(np.array([0, 1, 2])).tolist() == [5.0, 7.0, 0.0]
@@ -417,6 +421,11 @@ class TestScenarioModel:
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatchError):
             self._model(alpha=np.ones(3))
+
+    @pytest.mark.parametrize("onsets", [[3, 5, 7], [[3, 5]]], ids=["three", "2-d"])
+    def test_onsets_shape_validated(self, onsets):
+        with pytest.raises(DimensionMismatchError, match=r"^onsets must have shape \(2,\)"):
+            self._model(onsets=onsets)
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -461,6 +470,18 @@ class TestSpikedStats:
     def test_unit_norm_enforced(self):
         with pytest.raises(ValueError):
             SpikedStats(u=np.array([1.0, 1.0]), rho=1.0, energy=1.0, signal_power=2.0)
+
+    @pytest.mark.parametrize("field", ["rho", "energy"])
+    def test_negative_rho_or_energy_rejected(self, field):
+        values = dict(u=np.array([0.6, 0.8]), rho=1.0, energy=1.0, signal_power=25.0)
+        with pytest.raises(ValueError, match="^rho and energy must be nonnegative"):
+            SpikedStats(**{**values, field: -0.5})
+
+    def test_zero_sigma2_has_no_snr(self):
+        model = ScenarioModel(k=2, sigma2=0.0, alpha=np.ones(2), waveform=Waveform.step(),
+                              onsets=np.zeros(2, dtype=int))
+        with pytest.raises(DegenerateInputError, match="^sigma2 must be positive to define an SNR"):
+            SpikedStats.from_scenario(model)
 
     def test_zero_alpha_rejected(self):
         model = ScenarioModel(

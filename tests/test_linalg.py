@@ -289,6 +289,13 @@ def test_wrong_dimension_names_the_expected_shape(call):
         call()
 
 
+@pytest.mark.parametrize("block", [np.ones((3, 5)), np.ones((2, 3, 4))], ids=["n=w", "n<w"])
+def test_stream_without_a_scored_tick_rejected(block):
+    # w = 5 future ticks leave no tick of the block to score
+    with pytest.raises(ValueError, match="^stream too short for one lookahead window"):
+        window_increments(block, 5)
+
+
 def _trial_blocks(trials, k, m, w, seed):
     blocks = np.random.default_rng(seed).standard_normal((trials, k, m + w))
     blocks[:, 0] *= 2.0  # a clear leading direction

@@ -363,6 +363,14 @@ class TestOperatingCurve:
         b = operating_curve(spec, **args)
         assert a == b
 
+    def test_factory_of_different_k_rejected_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(sim, "_draw_blocks", _no_draw)
+        models = iter([pure_noise_model(3), pure_noise_model(4)])
+        with pytest.raises(ValueError, match="^the models need one k, got k=3 and k=4"):
+            operating_curve(OneShotSpec(mu=0.8), lambda rng: next(models),
+                            mean_shift_model(3, 0.8), [2.0], trials=2, seed=0,
+                            horizon_arl=100, horizon_edd=100)
+
     def test_grid_validation(self):
         spec = OneShotSpec(mu=0.8)
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from oracles import best_shift, correlation_scan
 from sscusum.core import Pass
 from sscusum.errors import InsufficientLookaheadError, ZeroCorrelationWarning, ZeroMatrixError
-from sscusum.sync import _joint_fit, joint_estimate
+from sscusum.sync import WaveformEstimate, _joint_fit, joint_estimate
 
 
 def shifted_series(template, origin_t, shift, cover_lo, cover_hi, gain=1.0):
@@ -171,6 +171,11 @@ class TestJointEstimate:
     def test_zero_window_has_no_direction(self, k, n):
         with pytest.warns(ZeroCorrelationWarning), pytest.raises(ZeroMatrixError):
             joint_estimate(np.zeros((k, n)), tau_max=1, t0=0)
+
+    @pytest.mark.parametrize("s_hat", [[], [[1.0, 2.0]]], ids=["empty", "2-d"])
+    def test_waveform_template_must_be_a_nonempty_series(self, s_hat):
+        with pytest.raises(ValueError, match="^template must be a nonempty 1-D series"):
+            WaveformEstimate(s_hat=s_hat, origin_t=0)
 
     def test_window_coverage_validated(self):
         with pytest.raises(InsufficientLookaheadError):
