@@ -22,10 +22,10 @@ print(f"mean -> {norm.mean():+.2e}, max |.| -> {np.max(np.abs(norm)):.1f}")
 
 print("\n== streaming lookahead (w = 3) ==")
 det = SubspaceCusum(w=3, d=1.0)
-for frame in frames_from_array(rng.standard_normal((2, 8)), t0=1):
-    emitted = det.step(frame)
+for t, values in frames_from_array(rng.standard_normal((2, 8)), t0=1):
+    emitted = det.step((t, values))
     tag = "filling the window" if emitted is None else f"scored t={emitted[0]}, S={emitted[1]:+.3f}"
-    print(f"pushed t={frame.t}: {tag}")
+    print(f"pushed t={t}: {tag}")
 print("each tick is scored once its w = 3 successors have arrived")
 
 print("\n== alignment ==")

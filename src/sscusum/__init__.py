@@ -8,7 +8,6 @@ curves.
 
 from .core import (
     DelayProfile,
-    MultiSensorFrame,
     ScenarioModel,
     SpikedStats,
     Waveform,

@@ -38,10 +38,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip() != ""]
-
-
 def _number(cast=float, low=-math.inf, above=False):
     """A numeric flag's type, its one check: finite ``cast(text)`` >= ``low`` (> when ``above``)."""
     kind = "an integer" if cast is int else "a finite number"
@@ -66,14 +62,18 @@ _NATURAL = _number(int, 0)  # an int >= 0
 _POSITIVE = _number(float, 0, above=True)  # a float > 0
 
 
-def _float_list(text: str) -> list[float]:
-    return [_FINITE(x) for x in text.split(",") if x.strip() != ""]
+def _list(item):
+    """A comma-separated flag's type: each nonempty entry parsed by ``item``."""
+    return lambda text: [item(x) for x in text.split(",") if x.strip() != ""]
+
+
+_FINITES = _list(_FINITE)
 
 
 def _grid(text: str) -> list[float]:
     """A threshold grid flag's type: finite entries under ``sim._threshold_grid``'s rule."""
     try:
-        return sim._threshold_grid(_float_list(text)).tolist()
+        return sim._threshold_grid(_FINITES(text)).tolist()
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -82,7 +82,7 @@ _COMMON = {
     "k": dict(type=_COUNT, help="number of sensors"),
     "sigma2": dict(type=_number(float, 0), default=1.0, help="noise variance (default 1.0)"),
     "mu": dict(type=_FINITE, help="common post-change amplitude"),
-    "alpha": dict(type=_float_list, help="comma-separated per-sensor amplitudes"),
+    "alpha": dict(type=_FINITES, help="comma-separated per-sensor amplitudes"),
     "w": dict(type=_COUNT, help="lookahead window length (ticks)"),
     "tau_max": dict(type=_NATURAL, default=0, help="relative-delay bound (ticks)"),
     "delta": dict(type=_NATURAL, default=1, help="delay-convergence tolerance (ticks, default 1)"),
@@ -95,7 +95,7 @@ _COMMON = {
     "horizon": dict(type=_COUNT, help="episode length (ticks)"),
     "seed": dict(type=_NATURAL, help="RNG seed"),
     "rate": dict(type=_POSITIVE, help="sampling rate in Hz (adds seconds to reports)"),
-    "onsets": dict(type=_int_list, help="comma-separated per-sensor onset ticks"),
+    "onsets": dict(type=_list(_number(int)), help="comma-separated per-sensor onset ticks"),
 }
 
 
@@ -119,7 +119,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("calibrate", help="print an empirical drift value")
     _add(p, "w", "tau_max", "delta", "n_max", "factor", factor=1.5)
     p.add_argument("--in", dest="in_path", default=None, help="input sensor CSV")
-    p.add_argument("--prefix", type=int, default=None, help="pre-change prefix length (ticks)")
+    p.add_argument("--prefix", type=_COUNT, default=None, help="pre-change prefix length (ticks)")
     p.add_argument("--sync", dest="sync", action="store_true", default=None)
     p.add_argument("--no-sync", dest="sync", action="store_false")
     p.add_argument("--normalize", action="store_true", default=None)
@@ -130,7 +130,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="in_path", default=None)
     p.add_argument("--out", default=None, help="stopping report CSV")
     p.add_argument("--trajectory-out", default=None, help="optional t,S trajectory CSV")
-    p.add_argument("--prefix", type=int, default=None, help="calibration prefix when --d absent")
+    p.add_argument("--prefix", type=_COUNT, default=None, help="calibration prefix when --d absent")
     p.add_argument("--sync", dest="sync", action="store_true", default=None)
     p.add_argument("--no-sync", dest="sync", action="store_false")
     p.add_argument("--normalize", action="store_true", default=None)

@@ -1,14 +1,14 @@
-"""Domain types and stream plumbing: frames, delay profiles, scenario
-descriptions, the normalization used before detection, and the sensor CSV
-schema.
+"""Domain types and stream plumbing: the replay of a record as frames,
+delay profiles, scenario descriptions, the normalization used before
+detection, and the sensor CSV schema.
 
 Time is integer ticks throughout; all delays are integer sample shifts.
 Sensor indices are 0-based in code, and sensor 0 is the synchronization
 reference. A :class:`Pass` holds a scoring pass's settings, checked once,
 and every tick rule derived from them. The shared input checks,
 :func:`_check_counts`, :func:`_as_array` and :func:`_as_ticks`, name the
-argument they reject; :func:`_first_bad_row` is the one finiteness rule of a
-frame, a replayed chunk and the sensor CSV.
+argument they reject; :func:`_first_bad_row` is the sensor CSV's finiteness
+rule. A frame is a ``(t, values)`` pair that the streaming step checks.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .errors import (
 )
 
 __all__ = [
-    "MultiSensorFrame",
     "DelayProfile",
     "Waveform",
     "Pass",
@@ -78,12 +77,13 @@ def _as_array(
 
 
 def _first_bad_row(block: np.ndarray) -> int | None:
-    """The index of the first row of an (m, k) block that holds a nan or an
-    inf, or None when every entry is finite; a (k,) vector is one row."""
+    """The index of the first row of an (n, k) block that holds a nan or an
+    inf, or None when every entry is finite: the sensor CSV's tick that the
+    writer and the reader name."""
     finite = np.isfinite(block)
     if finite.all():
         return None
-    return int(finite.reshape(-1, finite.shape[-1]).all(axis=1).argmin())
+    return int(finite.all(axis=1).argmin())
 
 
 def _as_ticks(values, name: str) -> np.ndarray:
@@ -165,37 +165,6 @@ class Pass:
         """The episode length of a drift calibration over ``ticks``, with tau_max
         headroom even without sync, so that switching sync keeps the samples."""
         return ticks + self.w + 2 * self.tau_max + 1
-
-
-@dataclass(frozen=True)
-class MultiSensorFrame:
-    """One time tick of readings from all k sensors.
-
-    Attributes:
-        t: integer sample index (ticks); numpy integers pass, and None, a
-            bool, a float or a string, even a whole one such as 3.0, is a
-            ValueError.
-        values: the frame's own copy of its k >= 2 readings, all finite.
-    """
-
-    t: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        _check_integers(t=self.t)  # a fractional tick is rejected, not truncated
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 1 or values.shape[0] < 2:
-            raise DimensionMismatchError(
-                f"frame needs a 1-D vector of at least 2 sensors, got shape {values.shape}"
-            )
-        if _first_bad_row(values) is not None:
-            raise ValueError(f"non-finite reading in frame t={self.t}")
-        fields = self.__dict__  # frozen: written past __setattr__
-        fields["t"], fields["values"] = int(self.t), values
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -385,45 +354,21 @@ def normalize_stream(raw, stats_prefix: int | None = None) -> np.ndarray:
     return centered / scale
 
 
-# Columns that frames_from_array copies and checks at a time. Replay cost
-# about 0.3 us a frame at k=3 (0.5 at k=125) with chunks of 256 to 4096
-# columns, against 3.5 us (4.0) when each frame was built and checked alone
-# (2 vCPUs, numpy 2.4.6); 1024 holds the copy to 8 KiB per sensor.
-_REPLAY_CHUNK = 1024
+def frames_from_array(streams: np.ndarray, t0: int = 1) -> Iterator[tuple[int, np.ndarray]]:
+    """Iterate a (k, n) array as ``(t0 + j, streams[:, j])`` frames, the
+    pairs :meth:`sscusum.detect.SubspaceCusum.step` takes.
 
-
-def frames_from_array(
-    streams: np.ndarray, t0: int = 1
-) -> Iterator[MultiSensorFrame]:
-    """Iterate a (k, n) array as frames with ticks t0, t0+1, ...
-
-    Each frame has the tick and value bits of ``MultiSensorFrame(t0 + j,
-    streams[:, j])``, but the checks run once, not per frame: ``t0`` and k
-    at the first frame, and one ``np.isfinite`` per chunk of
-    :data:`_REPLAY_CHUNK` columns. A frame's values are a row of a private
-    copy of its chunk, not a view of ``streams``, so a later write into
-    ``streams`` cannot reach a consumer unchecked.
-
-    Each error is the frame's own and fires at the ``next()`` that reaches
-    the frame it names, after the frames before it: a bad ``t0`` or fewer
-    than 2 sensors at the first frame, a nan or inf at its column. A record
-    that is not 2-D is a ``DimensionMismatchError`` at the first ``next()``;
-    one with no columns yields nothing and checks no ``t0``.
+    A frame's values are a view of its column, not a copy: the step copies
+    them into its ring and checks them there, so a nan or inf raises at the
+    step of its frame, not here. At the first ``next()`` a record that is not
+    2-D is a ``DimensionMismatchError`` and a ``t0`` that is not an integer
+    (a bool included) a ``ValueError``; a record with no columns yields
+    nothing and checks no ``t0``.
     """
     streams = _as_array(streams)
-    new = object.__new__
-    for start in range(0, streams.shape[1], _REPLAY_CHUNK):
-        rows = streams[:, start : start + _REPLAY_CHUNK].T.copy()
-        if not start:  # the first frame checks t0 and k, with the frame's errors
-            t0 = MultiSensorFrame(t0, rows[0]).t
-        bad = _first_bad_row(rows)
-        for t, values in enumerate(rows[:bad], t0 + start):
-            frame = new(MultiSensorFrame)  # checked above, so no __post_init__
-            fields = frame.__dict__
-            fields["t"], fields["values"] = t, values
-            yield frame
-        if bad is not None:
-            MultiSensorFrame(t0 + start + bad, rows[bad])  # raises the frame's error
+    if streams.shape[1]:
+        _check_integers(t=t0)  # the first frame's tick
+        yield from enumerate(streams.T, t0)
 
 
 def write_sensor_csv(path, streams: np.ndarray, t0: int = 1) -> None:

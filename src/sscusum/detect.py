@@ -31,7 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import (
-    DelayProfile, MultiSensorFrame, Pass, _as_array, _as_ticks, _check_counts, _check_integers,
+    DelayProfile, Pass, _as_array, _as_ticks, _check_counts, _check_integers,
 )
 from .errors import (
     DegenerateInputError,
@@ -123,13 +123,15 @@ class SubspaceCusum:
     never sees the scored sample, and the covariance does not depend on the
     order of its rows. The first w frames only fill the ring.
 
-    When k <= w, each frame's copy in the ring is checked against the
-    sample bound b of :func:`sscusum.linalg._sample_bound` (w b^2 <= max / 2,
-    max the largest float), one Python comparison a reading. While the w
-    frames of a window are all within it, the window's covariance cannot
-    overflow and is taken with no error state or finiteness check; a frame
-    beyond it, or nan, sends the w windows that hold it down the checked
-    route, so every error is raised as before.
+    A frame is a ``(t, values)`` pair, checked once, by :meth:`step`, on the
+    ring's own copy of its values. When k <= w, each reading of that copy is
+    compared with the sample bound b of :func:`sscusum.linalg._sample_bound`
+    (w b^2 <= max / 2, max the largest float), one Python comparison a
+    reading. While the w frames of a window are all within it, the window's
+    covariance cannot overflow and is taken with no error state or
+    finiteness check; a finite frame beyond it sends the w windows that hold
+    it down the checked route, which raises every overflow the stack route
+    raises.
     """
 
     def __init__(self, w: int, d: float, b: float = math.inf):
@@ -152,44 +154,61 @@ class SubspaceCusum:
             self._S, self._d, self._b, crossed, None if crossed is None else crossed + self.lookahead
         )
 
-    def step(self, frame: MultiSensorFrame) -> tuple[int, float] | None:
-        """Absorb frame t; return (t - w, S) once frame t - w has its w
-        future frames, else None.
+    def step(self, frame: tuple[int, np.ndarray]) -> tuple[int, float] | None:
+        """Absorb frame ``(t, values)``, copying its k readings into the ring;
+        return (t - w, S) once frame t - w has its w future frames, else None.
 
         Raises:
-            DimensionMismatchError: the frame's k differs from the stream's.
+            ValueError: ``t`` is not an integer (a numpy integer is taken as
+                an int; 3.0, True and None are not), or a reading is nan or inf.
+            DimensionMismatchError: ``values`` is not a 1-D vector of at least
+                2 readings (a scalar is not broadcast), or not the stream's k.
             StreamOrderError: a duplicate, backward or gapped tick.
-        Both leave the ring and the state as they were.
+        Each leaves the ring and the state as they were.
         """
-        t, w = frame.t, self.lookahead
-        if self._ring is None:
-            self._ring, self._first = np.empty((w, frame.k)), t
-            if frame.k > w:
-                self._bound = None  # the stack route checks every window
-        elif frame.k != self._ring.shape[1]:
-            raise DimensionMismatchError(
-                f"frame t={t} has k={frame.k}, stream has k={self._ring.shape[1]}"
-            )
+        t, values = frame
+        if t.__class__ is not int:
+            _check_integers(t=t)  # a fractional tick is rejected, not truncated
+            t = int(t)
+        ring, bound, w = self._ring, self._bound, self.lookahead
+        if ring is None:
+            ring = np.empty((w, _sensors(values)))
+            if ring.shape[1] > w:
+                bound = None  # the stack route checks every window
+        elif getattr(values, "shape", None) != ring.shape[1:]:  # a list, or a bad frame
+            if (k := _sensors(values)) != ring.shape[1]:
+                raise DimensionMismatchError(f"frame t={t} has k={k}, stream has k={ring.shape[1]}")
         elif t != self._newest + 1:
             raise StreamOrderError(
                 f"tick {t} arrived after tick {self._newest}; ticks must be consecutive"
             )
-        self._newest = t
-        slot = self._ring[t % w]
+        slot = ring[t % w]
         released = slot.copy()  # frame t - w
-        slot[:] = frame.values
-        bound = self._bound
-        if bound is not None:
-            # a loop of comparisons over the list: 0.2 us at k=3, against
-            # 1.5 us for np.abs(slot).max(); nan fails the comparison too
-            for x in slot.tolist():
-                if not -bound <= x <= bound:
-                    self._checked_until = t + w - 1  # the last window holding frame t
-                    break
+        try:
+            slot[:] = values  # a cast that fails part way has written some readings
+            if bound is None:
+                if not np.isfinite(slot).all():
+                    raise ValueError(f"non-finite reading in frame t={t}")
+            else:
+                # a loop of comparisons over the list: 0.2 us at k=3, against
+                # 1.5 us for np.abs(slot).max(); nan and inf fail it too
+                row = slot.tolist()
+                for x in row:
+                    if not -bound <= x <= bound:
+                        if not all(map(math.isfinite, row)):
+                            raise ValueError(f"non-finite reading in frame t={t}")
+                        self._checked_until = t + w - 1  # the last window holding frame t
+                        break
+        except BaseException:  # whatever stopped the frame, the slot keeps frame t - w
+            slot[:] = released
+            raise
+        if self._ring is None:  # the stream starts at its first checked frame
+            self._ring, self._bound, self._first = ring, bound, t
+        self._newest = t
         if t - w < self._first:
             return None
         # one window: one eigh costs less than a dozen matrix products
-        u = _window_direction(self._ring, t > self._checked_until)
+        u = _window_direction(ring, t > self._checked_until)
         # one value stays a scalar update on float attributes: a one-value
         # _scan call alone took 3.2 us, this update 0.2 us, and the same
         # update building a frozen CusumState per frame 1.0 us (2 vCPUs,
@@ -201,6 +220,16 @@ class SubspaceCusum:
         return t - w, s
 
 
+def _sensors(values) -> int:
+    """The k of a frame's values, a 1-D vector of at least 2 readings."""
+    shape = np.shape(values)
+    if len(shape) != 1 or shape[0] < 2:
+        raise DimensionMismatchError(
+            f"frame needs a 1-D vector of at least 2 sensors, got shape {shape}"
+        )
+    return shape[0]
+
+
 def _check_rule(d: float, b: float) -> None:
     """Reject a drift that is not finite and a nan threshold; b = inf is
     valid and never stops the run."""
@@ -208,19 +237,25 @@ def _check_rule(d: float, b: float) -> None:
         raise ValueError(f"need a finite drift d and a threshold b that is not nan; got {d}, {b}")
 
 
-def _race_increments(
-    data: np.ndarray, mu: float, sigma2: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """One-shot race increments (mu/sigma2)*(x - mu/2) of every reading in
-    ``data``: the exact Gaussian log-likelihood ratio for a known mean shift.
-    Written into ``out`` when one is given, which may be ``data`` itself:
-    the subtraction, then the product, as two elementwise steps."""
+def _check_race(mu: float, sigma2: float) -> None:
+    """Reject the one-shot race's settings unless mu is finite and nonzero
+    and sigma2 finite and positive."""
     if not (math.isfinite(mu) and math.isfinite(sigma2)):
         raise ValueError(f"mu and sigma2 must be finite, got mu={mu}, sigma2={sigma2}")
     if mu == 0:
         raise DegenerateInputError("mu = 0 gives a degenerate likelihood ratio")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
+
+
+def _race_increments(
+    data: np.ndarray, mu: float, sigma2: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """One-shot race increments (mu/sigma2)*(x - mu/2) of every reading in
+    ``data``, for settings :func:`_check_race` passed: the exact Gaussian
+    log-likelihood ratio for a known mean shift. Written into ``out`` when
+    one is given, which may be ``data`` itself: the subtraction, then the
+    product, as two elementwise steps."""
     out = np.subtract(data, mu / 2.0, out=out)
     out *= mu / sigma2
     return out
@@ -292,6 +327,7 @@ def one_shot_detector(
     _check_integers(t0=t0)
     data = _as_array(np.atleast_2d(streams))
     k, n = data.shape
+    _check_race(mu, sigma2)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
         inc = _race_increments(data, mu, sigma2)
     if not np.isfinite(inc).all():

@@ -46,7 +46,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Pass, ScenarioModel, Waveform, _check_counts
-from .detect import SEGMENT, DriftBounds, _check_rule, _race_increments, _scan, _segment_increments
+from .detect import (
+    SEGMENT, DriftBounds, _check_race, _check_rule, _race_increments, _scan, _segment_increments,
+)
 from .linalg import _run_tasks
 
 __all__ = [
@@ -114,12 +116,16 @@ class SubspaceSpec(Pass):
 @dataclass(frozen=True)
 class OneShotSpec:
     """Per-sensor scalar CUSUM race with the mean shift known exactly, as
-    :func:`~sscusum.detect.one_shot_detector` runs it."""
+    :func:`~sscusum.detect.one_shot_detector` runs it. Checked when it is
+    built: mu finite and nonzero, sigma2 finite and positive."""
 
     mu: float
     sigma2: float = 1.0
 
     name = "one_shot"
+
+    def __post_init__(self):
+        _check_race(self.mu, self.sigma2)
 
 
 _FAST_CHUNK = 256  # fixed: every trial's noise is drawn in (k, _FAST_CHUNK) blocks

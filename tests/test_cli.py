@@ -99,6 +99,23 @@ class TestSimulate:
         assert not out.exists()
 
 
+    def test_fractional_onset_named_by_its_flag(self, tmp_path, capsys):
+        # "invalid _int_list value" before
+        out = tmp_path / "x.csv"
+        code = run(["simulate", "--k", 2, "--onsets", "1,1.5", "--horizon", 5, "--seed", 1,
+                    "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: argument --onsets: expected an integer, got '1.5'\n" in err
+        assert not out.exists()
+
+    def test_negative_onsets_accepted(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--k", 2, "--onsets=-4,2", "--horizon", 5, "--seed", 1,
+                    "--out", out]) == 0
+        assert "change_point=-4" in capsys.readouterr().out
+
+
 class TestCalibrate:
     def test_noise_calibration_near_factor(self, tmp_path, capsys):
         path = simulate_noise_file(tmp_path, k=4, horizon=900, seed=6)
@@ -129,6 +146,20 @@ class TestCalibrate:
         captured = capsys.readouterr()
         assert "error: --prefix 201 exceeds the 200 ticks in the file" in captured.err
         assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "detect"])
+    @pytest.mark.parametrize("prefix", [0, -3])
+    def test_prefix_below_one_named_by_its_flag(self, tmp_path, capsys, command, prefix):
+        # "too short" before, once the file was read
+        path = simulate_noise_file(tmp_path, k=3, horizon=200, seed=7)
+        out = tmp_path / "report.csv"
+        argv = [command, "--in", path, "--w", 10, f"--prefix={prefix}"]
+        if command == "detect":
+            argv += ["--factor", 1.5, "--b", 8, "--out", out]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert f"error: argument --prefix: must be >= 1, got {prefix}\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_prefix_headroom_only_when_syncing(self, tmp_path, capsys):
@@ -623,8 +654,10 @@ class TestConfigFile:
             ("w = 0", "curve", "--w: must be >= 1, got 0"),
             ("n-max = 0", "curve", "--n-max: must be >= 1, got 0"),
             ("factor = 0", "detect", "--factor: must be > 0, got 0.0"),
+            ("prefix = -3", "detect", "--prefix: must be >= 1, got -3"),
+            ("onsets = 1,1.5", "simulate", "--onsets: expected an integer, got '1.5'"),
         ],
-        ids=["w", "n-max", "factor"],
+        ids=["w", "n-max", "factor", "prefix", "onsets"],
     )
     def test_range_error_names_its_line(self, tmp_path, capsys, line, command, message):
         # a range error used to come from a per-command check, without the line

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import covariance_triple_loop, first_crossing, jacobi_eigh, scalar_cusum
-from sscusum.core import MultiSensorFrame, Pass, frames_from_array
+from sscusum.core import Pass, frames_from_array
 from sscusum.detect import (
     CusumState,
     DriftBounds,
@@ -47,7 +47,7 @@ OVERFLOWING = [1e200, 1.5e308]
 
 
 def frame(t, *values):
-    return MultiSensorFrame(t=t, values=np.asarray(values, float))
+    return t, np.asarray(values, float)
 
 
 def emissions(det, frames):
@@ -167,12 +167,12 @@ class TestStreamingStep:
     def test_emitted_tick_plus_w_is_the_pushed_tick(self):
         w = 3
         det = SubspaceCusum(w=w, d=0.5)
-        for f in frames_from_array(np.ones((2, 19))):
-            out = det.step(f)
-            if f.t <= w:
+        for t, values in frames_from_array(np.ones((2, 19))):
+            out = det.step((t, values))
+            if t <= w:
                 assert out is None
             else:
-                assert out[0] + w == f.t
+                assert out[0] + w == t
 
     def test_pushed_minus_emitted_is_w(self):
         w = 4
@@ -196,28 +196,74 @@ class TestStreamingStep:
         assert (det.state.d, det.state.b) == (2.0, 5.0)
 
     @pytest.mark.parametrize(
-        "bad, error",
+        "k, bad, error, match",
         [
-            (frame(9, 1.0, 1.0), StreamOrderError),  # duplicate
-            (frame(4, 1.0, 1.0), StreamOrderError),  # backward
-            (frame(11, 1.0, 1.0), StreamOrderError),  # gap
-            (frame(10, 1.0, 1.0, 1.0), DimensionMismatchError),  # k changes
+            (2, frame(9, 1.0, 1.0), StreamOrderError, "after tick 9"),  # duplicate
+            (2, frame(4, 1.0, 1.0), StreamOrderError, "after tick 9"),  # backward
+            (2, frame(11, 1.0, 1.0), StreamOrderError, "after tick 9"),  # gap
+            (2, frame(10, 1.0, 1.0, 1.0), DimensionMismatchError, "has k=3, stream has k=2"),
+            (2, frame(1.5, 1.0, 1.0), ValueError, "^t must be an integer, got 1.5$"),
+            (2, frame(3.0, 1.0, 1.0), ValueError, "^t must be an integer, got 3.0$"),
+            (2, frame(10.0, 1.0, 1.0), ValueError, "^t must be an integer, got 10.0$"),
+            (2, frame("3", 1.0, 1.0), ValueError, "^t must be an integer, got '3'$"),
+            (2, frame(True, 1.0, 1.0), ValueError, "^t must be an integer, got True$"),
+            (2, frame(None, 1.0, 1.0), ValueError, "^t must be an integer, got None$"),
+            (2, frame(10, 1.0), DimensionMismatchError, r"2 sensors, got shape \(1,\)$"),
+            (2, (10, np.ones((1, 2))), DimensionMismatchError, r"got shape \(1, 2\)$"),
+            (2, (10, 1.0), DimensionMismatchError, r"got shape \(\)$"),
+            (2, frame(10, 1.0, np.nan), ValueError, "^non-finite reading in frame t=10$"),
+            (2, frame(10, np.inf, 1.0), ValueError, "^non-finite reading in frame t=10$"),
+            (2, frame(10, 1.0, -np.inf), ValueError, "^non-finite reading in frame t=10$"),
+            # a reading beyond the sample bound breaks the bound loop before the nan
+            (2, frame(10, 1e300, np.nan), ValueError, "^non-finite reading in frame t=10$"),
+            (2, (10, [1.0, "x"]), ValueError, "could not convert"),  # a cast that fails part way
+            (4, frame(10, 1.0, 1.0, np.nan, 1.0), ValueError, "^non-finite reading in frame t=10$"),
         ],
-        ids=["duplicate", "backward", "gap", "dimension"],
+        ids=["duplicate", "backward", "gap", "dimension", "fraction", "whole-float",
+             "next-tick-float", "str", "bool", "none", "one-sensor", "2-D", "scalar", "nan",
+             "+inf", "-inf", "beyond-then-nan", "cast", "k-above-w-nan"],
     )
-    def test_rejected_frame_changes_nothing(self, bad, error):
+    def test_rejected_frame_changes_nothing(self, k, bad, error, match):
         rng = np.random.default_rng(6)
-        streams = rng.standard_normal((2, 12))
+        streams = rng.standard_normal((k, 12))
         frames = list(frames_from_array(streams, t0=-1))  # ticks -1..10
         clean, det = SubspaceCusum(w=3, d=0.5, b=1.0), SubspaceCusum(w=3, d=0.5, b=1.0)
         expected = [clean.step(f) for f in frames]
         got = [det.step(f) for f in frames[:-1]]
         state = det.state
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             det.step(bad)
         assert det.state == state
         assert got + [det.step(frames[-1])] == expected
         assert det.state == clean.state
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (frame(5, 1.0, np.nan), ValueError),
+            (frame(5, 1.0, 1.0, np.inf, 1.0), ValueError),  # k > w: the bound is not set
+            (frame(1.5, 1.0, 1.0), ValueError),
+            (frame(5, 1.0), DimensionMismatchError),
+            ((5, 1.0), DimensionMismatchError),
+        ],
+        ids=["nan", "k-above-w-inf", "fraction", "one-sensor", "scalar"],
+    )
+    def test_rejected_first_frame_changes_nothing(self, bad, error):
+        # the stream starts at its first frame that passes: a detector that
+        # rejected one equals a new one
+        det = SubspaceCusum(w=3, d=0.5, b=1.0)
+        with pytest.raises(error):
+            det.step(bad)
+        assert vars(det) == vars(SubspaceCusum(w=3, d=0.5, b=1.0))
+
+    def test_numpy_integer_tick_is_emitted_as_a_python_int(self):
+        streams = np.random.default_rng(7).standard_normal((4, 12))
+        plain, det = SubspaceCusum(w=3, d=0.5), SubspaceCusum(w=3, d=0.5)
+        expected = [plain.step(f) for f in frames_from_array(streams, t0=-1)]
+        ticks = np.arange(-1, 11, dtype=np.int64)
+        got = [det.step((t, values)) for t, values in zip(ticks, streams.T)]
+        assert got == expected
+        assert all(type(t) is int for t, _ in filter(None, got))
 
     def test_start_tick_matches_pipeline(self):
         w, t0 = 6, 7
@@ -266,18 +312,21 @@ class TestStreamingStep:
         assert det.state == state
 
     def test_write_to_the_callers_array_does_not_reach_the_frame(self):
-        # the frame copies its values when built, so a nan written into the
-        # caller's array afterwards is not scored: the step emits what it
-        # emits for the frame as it was built
+        # the step copies each frame's values into its ring, so a nan written
+        # into the caller's array after a step is not scored, and one written
+        # before a step is that step's error, naming its tick
         det, twin = SubspaceCusum(w=3, d=1.0, b=10.0), SubspaceCusum(w=3, d=1.0, b=10.0)
-        values = np.array([1.0, 3.0])
-        late = MultiSensorFrame(t=6, values=values)
+        streams = np.stack([np.ones(7), 0.5 * np.arange(1, 8)])  # ticks 1..7
+        frames = frames_from_array(streams)
         for t in range(1, 6):
-            assert det.step(frame(t, 1.0, 0.5 * t)) == twin.step(frame(t, 1.0, 0.5 * t))
-        values[1] = np.nan
-        assert late.values.tolist() == [1.0, 3.0]
-        assert det.step(late) == twin.step(frame(6, 1.0, 3.0))
-        assert det.state == twin.state
+            assert det.step(next(frames)) == twin.step(frame(t, 1.0, 0.5 * t))
+        streams[:, :5] = np.nan  # ticks 1..5, all stepped and 3..5 still in the ring
+        assert det.step(next(frames)) == twin.step(frame(6, 1.0, 3.0))
+        state = det.state
+        streams[1, 6] = np.nan  # tick 7, not yet stepped
+        with pytest.raises(ValueError, match="^non-finite reading in frame t=7$"):
+            det.step(next(frames))
+        assert det.state == state == twin.state
 
 
 class TestStreamingMatchesPipeline:

@@ -371,6 +371,20 @@ class TestOperatingCurve:
                             mean_shift_model(3, 0.8), [2.0], trials=2, seed=0,
                             horizon_arl=100, horizon_edd=100)
 
+    @pytest.mark.parametrize(
+        "settings, error, message",
+        [
+            (dict(mu=0.0), DegenerateInputError, "^mu = 0 gives a degenerate likelihood ratio$"),
+            (dict(mu=0.5, sigma2=-1.0), ValueError, "^sigma2 must be positive$"),
+            (dict(mu=math.nan), ValueError, "^mu and sigma2 must be finite, got mu=nan, "),
+        ],
+        ids=["zero-mu", "negative-sigma2", "nan-mu"],
+    )
+    def test_race_settings_rejected_when_built(self, settings, error, message):
+        # each spec was built, and failed only once operating_curve had drawn noise
+        with pytest.raises(error, match=message):
+            OneShotSpec(**settings)
+
     def test_grid_validation(self):
         spec = OneShotSpec(mu=0.8)
         with pytest.raises(ValueError):
