@@ -175,13 +175,18 @@ class SubspaceCusum:
             ring = np.empty((w, _sensors(values)))
             if ring.shape[1] > w:
                 bound = None  # the stack route checks every window
-        elif getattr(values, "shape", None) != ring.shape[1:]:  # a list, or a bad frame
-            if (k := _sensors(values)) != ring.shape[1]:
-                raise DimensionMismatchError(f"frame t={t} has k={k}, stream has k={ring.shape[1]}")
-        elif t != self._newest + 1:
-            raise StreamOrderError(
-                f"tick {t} arrived after tick {self._newest}; ticks must be consecutive"
-            )
+        else:
+            # an array of the stream's shape skips np.shape: 0.14 against
+            # 0.42 us at k=3; a list or a bad frame goes through _sensors
+            if getattr(values, "shape", None) != ring.shape[1:]:
+                if (k := _sensors(values)) != ring.shape[1]:
+                    raise DimensionMismatchError(
+                        f"frame t={t} has k={k}, stream has k={ring.shape[1]}"
+                    )
+            if t != self._newest + 1:
+                raise StreamOrderError(
+                    f"tick {t} arrived after tick {self._newest}; ticks must be consecutive"
+                )
         slot = ring[t % w]
         released = slot.copy()  # frame t - w
         try:

@@ -202,6 +202,13 @@ class TestStreamingStep:
             (2, frame(4, 1.0, 1.0), StreamOrderError, "after tick 9"),  # backward
             (2, frame(11, 1.0, 1.0), StreamOrderError, "after tick 9"),  # gap
             (2, frame(10, 1.0, 1.0, 1.0), DimensionMismatchError, "has k=3, stream has k=2"),
+            # a list is not an array of the stream's shape: its shape is checked
+            # on its own route, which the order check must follow too
+            (2, (9, [1.0, 1.0]), StreamOrderError, "after tick 9"),
+            (2, (4, [1.0, 1.0]), StreamOrderError, "after tick 9"),
+            (2, (11, (1.0, 1.0)), StreamOrderError, "after tick 9"),
+            (2, (10, [1.0, 1.0, 1.0]), DimensionMismatchError, "has k=3, stream has k=2"),
+            (2, (10, [1.0, np.nan]), ValueError, "^non-finite reading in frame t=10$"),
             (2, frame(1.5, 1.0, 1.0), ValueError, "^t must be an integer, got 1.5$"),
             (2, frame(3.0, 1.0, 1.0), ValueError, "^t must be an integer, got 3.0$"),
             (2, frame(10.0, 1.0, 1.0), ValueError, "^t must be an integer, got 10.0$"),
@@ -219,7 +226,8 @@ class TestStreamingStep:
             (2, (10, [1.0, "x"]), ValueError, "could not convert"),  # a cast that fails part way
             (4, frame(10, 1.0, 1.0, np.nan, 1.0), ValueError, "^non-finite reading in frame t=10$"),
         ],
-        ids=["duplicate", "backward", "gap", "dimension", "fraction", "whole-float",
+        ids=["duplicate", "backward", "gap", "dimension", "duplicate-list", "backward-list",
+             "gap-tuple", "dimension-list", "nan-list", "fraction", "whole-float",
              "next-tick-float", "str", "bool", "none", "one-sensor", "2-D", "scalar", "nan",
              "+inf", "-inf", "beyond-then-nan", "cast", "k-above-w-nan"],
     )
